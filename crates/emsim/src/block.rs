@@ -11,12 +11,13 @@ use crate::device::{self, BlockId};
 use crate::error::EmError;
 use crate::fault::{self, Retrier};
 
-/// The checksum stored alongside block `block` of array `seed_id` when it
-/// holds `items` items. The sentinel is a pure function of the block's
-/// address (the payload itself lives in a native `Vec`, which the simulator
-/// never physically scrambles); an injected corruption XORs a nonzero mask
-/// into the value read back, so verification fails exactly on the blocks
-/// the [`crate::FaultPlan`] corrupted. `seed_id` is the array id for
+/// The sentinel checksum of block `block` of array `seed_id` when it holds
+/// `items` items. It is a pure function of the block's address (the
+/// payload itself lives in a native `Vec`, which the simulator never
+/// physically scrambles), so it is recomputed on demand rather than
+/// stored; an injected corruption XORs a nonzero mask into the value read
+/// back, so verification fails exactly on the blocks the
+/// [`crate::FaultPlan`] corrupted. `seed_id` is the array id for
 /// anonymous arrays and the stable name hash for named ones, so a named
 /// array's sentinels survive reopening under a fresh array id.
 fn block_checksum(seed_id: u64, block: u64, items: u64) -> u64 {
@@ -169,9 +170,9 @@ fn name_id(name: &str) -> u64 {
 
 /// A typed array stored in blocks of the simulated disk.
 ///
-/// Every block carries a checksum written at construction time; the `try_*`
-/// accessors re-verify it after each successful read, so silent corruption
-/// injected by the meter's [`crate::FaultPlan`] surfaces as
+/// Every block carries a sentinel checksum derived from its address; the
+/// `try_*` accessors re-verify it after each successful read, so silent
+/// corruption injected by the meter's [`crate::FaultPlan`] surfaces as
 /// [`EmError::Corrupt`] instead of wrong answers.
 #[derive(Debug)]
 pub struct BlockArray<T> {
@@ -179,8 +180,9 @@ pub struct BlockArray<T> {
     per_block: usize,
     array_id: u64,
     model: CostModel,
-    /// Per-block checksums, written when the array is laid out.
-    checksums: Vec<u64>,
+    /// The identity the sentinels are derived from (see
+    /// [`block_checksum`]): the array id, or a named array's name hash.
+    seed_id: u64,
 }
 
 impl<T> BlockArray<T> {
@@ -190,43 +192,52 @@ impl<T> BlockArray<T> {
         BlockArray::with_seed(model, data, array_id, array_id)
     }
 
-    /// The shared layout path: charge the writes, compute sentinel
-    /// checksums under `seed_id`, and mirror each block's header image to
-    /// the device (best-effort and unmetered — the mirror is a shadow of
-    /// the logical write, verified by the `try_*` read path, never a cost).
+    /// The shared layout path: charge the writes and mirror each block's
+    /// header image, carrying its sentinel checksum under `seed_id`, to
+    /// the device. The mirror is best-effort and unmetered — a shadow of
+    /// the logical write, verified by the `try_*` read path, never a cost —
+    /// and reaches only devices that can damage a block
+    /// ([`CostModel::device_write`]); a fault-free [`crate::MemDevice`]
+    /// receives no writes at all.
     fn with_seed(model: &CostModel, data: Vec<T>, array_id: u64, seed_id: u64) -> Self {
-        let per_block = model.config().items_per_block::<T>();
-        let blocks = data.len().div_ceil(per_block);
-        model.charge_writes(blocks as u64);
-        let checksums: Vec<u64> = (0..blocks as u64)
-            .map(|b| {
-                let lo = b as usize * per_block;
-                let items = (data.len() - lo).min(per_block) as u64;
-                block_checksum(seed_id, b, items)
-            })
-            .collect();
-        let codec = crate::codec::active_codec();
-        for b in 0..blocks as u64 {
-            let lo = b as usize * per_block;
-            let items = (data.len() - lo).min(per_block) as u32;
-            let header = encode_image(
-                codec,
-                KIND_HEADER,
-                seed_id,
-                b,
-                items,
-                per_block as u32,
-                checksums[b as usize],
-                &[],
-            );
-            model.device_write(array_id, b, &header);
-        }
-        BlockArray {
+        let arr = BlockArray {
+            per_block: model.config().items_per_block::<T>(),
             data,
-            per_block,
             array_id,
             model: model.clone(),
-            checksums,
+            seed_id,
+        };
+        model.charge_writes(arr.blocks());
+        arr.mirror_headers();
+        arr
+    }
+
+    /// Items held by block `block` (every block is full but the last).
+    fn block_items(&self, block: u64) -> usize {
+        (self.data.len() - block as usize * self.per_block).min(self.per_block)
+    }
+
+    /// The sentinel checksum of block `block`.
+    fn checksum(&self, block: u64) -> u64 {
+        block_checksum(self.seed_id, block, self.block_items(block) as u64)
+    }
+
+    /// Mirror every block's header image under this meter's namespace.
+    fn mirror_headers(&self) {
+        let codec = crate::codec::active_codec();
+        for b in 0..self.blocks() {
+            self.model.device_write(self.array_id, b, || {
+                encode_image(
+                    codec,
+                    KIND_HEADER,
+                    self.seed_id,
+                    b,
+                    self.block_items(b) as u32,
+                    self.per_block as u32,
+                    self.checksum(b),
+                    &[],
+                )
+            });
         }
     }
 
@@ -328,7 +339,8 @@ impl<T> BlockArray<T> {
     /// A mismatch (silent corruption injected by the meter's fault plan) is
     /// recorded on the meter and surfaced as [`EmError::Corrupt`].
     pub fn verify(&self, block: u64) -> Result<(), EmError> {
-        let stored = self.checksums[block as usize];
+        assert!(block < self.blocks(), "block {block} out of range");
+        let stored = self.checksum(block);
         let plan = self.model.fault_plan();
         let read_back = if plan.is_corrupted(self.array_id, block) {
             stored ^ plan.corruption_mask(self.array_id, block)
@@ -447,10 +459,9 @@ impl<T: Persist> BlockArray<T> {
         let codec = crate::codec::active_codec();
         for b in 0..arr.blocks() {
             let lo = b as usize * arr.per_block;
-            let hi = (lo + arr.per_block).min(arr.data.len());
-            let items = (hi - lo) as u32;
-            let mut payload = Vec::with_capacity((hi - lo) * T::SIZE);
-            for item in &arr.data[lo..hi] {
+            let items = arr.block_items(b);
+            let mut payload = Vec::with_capacity(items * T::SIZE);
+            for item in &arr.data[lo..lo + items] {
                 item.to_bytes(&mut payload);
             }
             let image = encode_image(
@@ -458,9 +469,9 @@ impl<T: Persist> BlockArray<T> {
                 KIND_PAYLOAD,
                 seed,
                 b,
-                items,
+                items as u32,
                 arr.per_block as u32,
-                arr.checksums[b as usize],
+                arr.checksum(b),
                 &payload,
             );
             dev.write(BlockId { ns: device::NAMED_NS, array: seed, block: b }, &image)?;
@@ -522,40 +533,16 @@ impl<T: Persist> BlockArray<T> {
                 data.push(T::from_bytes(chunk).ok_or_else(|| corrupt(b))?);
             }
         }
-        let per_block = per_block.unwrap_or_else(|| model.config().items_per_block::<T>());
-        let array_id = model.new_array_id();
-        let checksums = (0..blocks.len() as u64)
-            .map(|b| {
-                let lo = b as usize * per_block;
-                let items = (data.len() - lo).min(per_block) as u64;
-                block_checksum(seed, b, items)
-            })
-            .collect();
         let arr = BlockArray {
             data,
-            per_block,
-            array_id,
+            per_block: per_block.unwrap_or_else(|| model.config().items_per_block::<T>()),
+            array_id: model.new_array_id(),
             model: model.clone(),
-            checksums,
+            seed_id: seed,
         };
         // Re-mirror header images under this meter's namespace so the
         // `try_*` read path verifies the reopened array like any other.
-        let mirror_codec = crate::codec::active_codec();
-        for (b, sum) in arr.checksums.iter().enumerate() {
-            let lo = b * per_block;
-            let items = (arr.data.len() - lo).min(per_block) as u32;
-            let header = encode_image(
-                mirror_codec,
-                KIND_HEADER,
-                seed,
-                b as u64,
-                items,
-                per_block as u32,
-                *sum,
-                &[],
-            );
-            model.device_write(array_id, b as u64, &header);
-        }
+        arr.mirror_headers();
         Ok(arr)
     }
 }

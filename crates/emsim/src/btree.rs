@@ -13,11 +13,12 @@ use crate::cost::CostModel;
 use crate::error::EmError;
 use crate::fault::{self, Retrier};
 
-/// The checksum stored alongside node `node` of tree `array_id` — the same
-/// address-derived sentinel scheme as [`crate::BlockArray`] (see
-/// `block::block_checksum`): corruption injected by the fault plan XORs a
-/// nonzero mask into the value read back, so verification fails exactly on
-/// the nodes the plan corrupted.
+/// The sentinel checksum of node `node` of tree `array_id` — the same
+/// address-derived scheme as [`crate::BlockArray`] (see
+/// `block::block_checksum`), recomputed on demand rather than stored:
+/// corruption injected by the fault plan XORs a nonzero mask into the
+/// value read back, so verification fails exactly on the nodes the plan
+/// corrupted.
 fn node_checksum(array_id: u64, node: u64) -> u64 {
     fault::mix(fault::mix(array_id ^ 0xB7EE_B7EE) ^ fault::mix(node))
 }
@@ -52,9 +53,6 @@ pub struct BTree<K, V> {
     array_id: u64,
     model: CostModel,
     free: Vec<usize>,
-    /// Per-node checksums (indexed like `nodes`), written on allocation;
-    /// the `try_*` accessors re-verify them after every successful read.
-    checksums: Vec<u64>,
 }
 
 impl<K: Ord + Clone, V: Clone> BTree<K, V> {
@@ -83,7 +81,6 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
             array_id,
             model: model.clone(),
             free: Vec::new(),
-            checksums: vec![node_checksum(array_id, 0)],
         };
         tree.mirror_node(0);
         tree
@@ -214,36 +211,32 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
             self.nodes.push(node);
             self.nodes.len() - 1
         };
-        let sum = node_checksum(self.array_id, id as u64);
-        if id < self.checksums.len() {
-            self.checksums[id] = sum;
-        } else {
-            self.checksums.push(sum);
-        }
         self.mirror_node(id);
         id
     }
 
     /// Mirror node `id`'s header image to the device (best-effort and
-    /// unmetered, like [`crate::BlockArray`]'s block headers). The
-    /// sentinel is a pure function of the node's address, so in-place key
-    /// mutation never invalidates the mirror — one write per allocation
-    /// suffices.
+    /// unmetered, like [`crate::BlockArray`]'s block headers, and likewise
+    /// skipped on a device that cannot damage a block — see
+    /// [`CostModel::device_write`]). The sentinel is a pure function of the
+    /// node's address, so in-place key mutation never invalidates the
+    /// mirror — one write per allocation suffices.
     fn mirror_node(&self, id: usize) {
         // Routed through the codec-aware image chokepoint like every other
         // mirror; node images are header-only (payload lives in native
         // memory), so every codec leaves them byte-identical.
-        let image = crate::block::encode_image(
-            crate::codec::active_codec(),
-            crate::block::KIND_HEADER,
-            self.array_id,
-            id as u64,
-            0,
-            self.fanout as u32,
-            self.checksums[id],
-            &[],
-        );
-        self.model.device_write(self.array_id, id as u64, &image);
+        self.model.device_write(self.array_id, id as u64, || {
+            crate::block::encode_image(
+                crate::codec::active_codec(),
+                crate::block::KIND_HEADER,
+                self.array_id,
+                id as u64,
+                0,
+                self.fanout as u32,
+                node_checksum(self.array_id, id as u64),
+                &[],
+            )
+        });
     }
 
     fn touch(&self, node: usize) {
@@ -577,7 +570,11 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
     /// A mismatch (silent corruption injected by the meter's fault plan) is
     /// recorded on the meter and surfaced as [`EmError::Corrupt`].
     pub fn verify(&self, node: u64) -> Result<(), EmError> {
-        let stored = self.checksums[node as usize];
+        assert!(
+            (node as usize) < self.nodes.len(),
+            "node {node} out of range"
+        );
+        let stored = node_checksum(self.array_id, node);
         let plan = self.model.fault_plan();
         let read_back = if plan.is_corrupted(self.array_id, node) {
             stored ^ plan.corruption_mask(self.array_id, node)

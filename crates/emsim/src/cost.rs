@@ -476,14 +476,25 @@ impl CostModel {
         self.inner.ns
     }
 
-    /// Mirror a block image to the device, best-effort: mirroring is an
-    /// unmetered shadow of the logical write (golden baselines must not
-    /// move), so failures surface later — through [`CostModel::try_fetch`]
-    /// read-back verification — rather than here. Durable persistence goes
-    /// through [`CostModel::device`] directly and handles errors.
-    pub(crate) fn device_write(&self, array_id: u64, block: u64, payload: &[u8]) {
+    /// Mirror a block header image to the device, best-effort: mirroring
+    /// is an unmetered shadow of the logical write (golden baselines must
+    /// not move), so failures surface later — through
+    /// [`CostModel::try_fetch`] read-back verification — rather than here.
+    /// Durable persistence goes through [`CostModel::device`] directly and
+    /// handles errors.
+    ///
+    /// The mirror is written only when the device
+    /// [`can_damage`](BlockDevice::can_damage) a block: a fault-free
+    /// [`crate::MemDevice`] would hand every image back intact, and an
+    /// absent image verifies exactly like an intact one, so there the
+    /// write (and the `image` encoding) is skipped and no `try_*` outcome
+    /// changes.
+    pub(crate) fn device_write(&self, array_id: u64, block: u64, image: impl FnOnce() -> Vec<u8>) {
+        if !self.inner.device.can_damage() {
+            return;
+        }
         let id = BlockId { ns: self.inner.ns, array: array_id, block };
-        let _ = self.inner.device.write(id, payload);
+        let _ = self.inner.device.write(id, &image());
     }
 
     /// Record a fault detected *above* the read path (a checksum mismatch
@@ -752,8 +763,9 @@ impl CostModel {
     /// * Pool hits remain free and immune: resident blocks are in memory.
     /// * On a charged miss, exactly one physical `read` is issued — the
     ///   1:1 correspondence E23's simulator-validation table counts.
-    /// * A block the structure never mirrored reads back as absent, which
-    ///   verifies vacuously (header mirroring is best-effort).
+    /// * A block with no mirror reads back as absent, which verifies
+    ///   vacuously: mirroring is best-effort, and skipped altogether on a
+    ///   device that cannot damage a block (see [`CostModel::device_write`]).
     pub fn try_fetch(&self, array_id: u64, block_idx: u64, attempt: u32) -> Result<(), EmError> {
         if !self.inner.device_checked.load(Relaxed) {
             return self.try_touch(array_id, block_idx, attempt);

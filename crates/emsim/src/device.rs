@@ -82,6 +82,14 @@ pub trait BlockDevice: Send + Sync + std::fmt::Debug {
     /// Which class of substrate this is (gates fault-plan scope).
     fn class(&self) -> DeviceClass;
 
+    /// Whether a block read back from this device can ever fail or differ
+    /// from what was written: always for [`FileDevice`] (real media), and
+    /// for a [`MemDevice`] only when its plan arms a torn-write, short-read
+    /// or crash-point kind. [`crate::CostModel`] mirrors block headers only
+    /// to devices that answer `true`; on the others a missing mirror reads
+    /// back as `Ok(None)`, which verifies exactly like a clean one.
+    fn can_damage(&self) -> bool;
+
     /// Read back the payload of `id`: `Ok(None)` if the block was never
     /// written (structures that don't mirror payloads simply aren't
     /// checked), `Ok(Some(bytes))` on success, [`EmError::Corrupt`] when
@@ -227,6 +235,10 @@ impl MemDevice {
 impl BlockDevice for MemDevice {
     fn class(&self) -> DeviceClass {
         DeviceClass::Mem
+    }
+
+    fn can_damage(&self) -> bool {
+        self.plan.has_device_faults()
     }
 
     fn read(&self, id: BlockId) -> Result<Option<Vec<u8>>, EmError> {
@@ -658,6 +670,10 @@ impl BlockDevice for FileDevice {
         DeviceClass::File
     }
 
+    fn can_damage(&self) -> bool {
+        true
+    }
+
     fn read(&self, id: BlockId) -> Result<Option<Vec<u8>>, EmError> {
         let mut st = self.lock();
         if st.poisoned {
@@ -908,6 +924,10 @@ impl CountingDevice {
 impl BlockDevice for CountingDevice {
     fn class(&self) -> DeviceClass {
         self.inner.class()
+    }
+
+    fn can_damage(&self) -> bool {
+        self.inner.can_damage()
     }
 
     fn read(&self, id: BlockId) -> Result<Option<Vec<u8>>, EmError> {

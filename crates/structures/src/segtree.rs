@@ -18,6 +18,9 @@
 
 use emsim::CostModel;
 
+/// The `slot` of a node with no assigned interval.
+const EMPTY: u32 = u32::MAX;
+
 /// A summary structure stored at a canonical node.
 pub trait Summary {
     /// Space in blocks.
@@ -28,9 +31,12 @@ pub trait Summary {
 pub struct SegTreeOfSets<S> {
     /// Sorted, deduplicated endpoint coordinates.
     xs: Vec<f64>,
-    /// Heap-shaped node arena over `2·xs.len() + 1` elementary leaves.
-    /// `nodes[u] = Some(summary)` iff at least one interval is assigned.
-    summaries: Vec<Option<S>>,
+    /// Heap-shaped node index over `2·xs.len() + 1` elementary leaves:
+    /// `slot[u]` is node `u`'s position in `summaries`, or [`EMPTY`] when
+    /// no interval is assigned to it.
+    slot: Vec<u32>,
+    /// The summaries of the non-empty nodes, in node order.
+    summaries: Vec<S>,
     n_leaves: usize,
     len: usize,
     array_id: u64,
@@ -61,38 +67,50 @@ impl<S: Summary> SegTreeOfSets<S> {
         let n_leaves = (2 * m + 1).max(1);
         // Heap layout sized to the next power of two.
         let cap = n_leaves.next_power_of_two();
-        let mut buckets: Vec<Vec<E>> = (0..2 * cap).map(|_| Vec::new()).collect();
-
-        // Assign each interval to canonical nodes covering its elementary
-        // span [2·idx(lo)+1, 2·idx(hi)+1].
-        for e in items {
+        // Each interval covers the elementary span [2·idx(lo)+1, 2·idx(hi)+1].
+        let span = |e: &E| {
             let (lo, hi) = range(e);
-            let a = 2 * lower_index(&xs, lo) + 1;
-            let b = 2 * lower_index(&xs, hi) + 1;
-            assign(&mut buckets, cap, a, b, e);
+            (2 * lower_index(&xs, lo) + 1, 2 * lower_index(&xs, hi) + 1)
+        };
+
+        // Pass 1: count each canonical node's items.
+        let mut slot: Vec<u32> = vec![0; 2 * cap];
+        for e in items {
+            let (a, b) = span(e);
+            canonical(cap, a, b, |u| slot[u] += 1);
+        }
+        // Number the non-empty nodes in node order, giving each an exactly
+        // sized bucket; `slot` turns from counts into bucket positions.
+        let mut buckets: Vec<Vec<E>> = Vec::new();
+        for s in &mut slot {
+            if *s == 0 {
+                *s = EMPTY;
+            } else {
+                let count = *s as usize;
+                *s = u32::try_from(buckets.len()).expect("segment tree node count fits u32");
+                buckets.push(Vec::with_capacity(count));
+            }
+        }
+        // Pass 2: fill the buckets, each in input order.
+        for e in items {
+            let (a, b) = span(e);
+            canonical(cap, a, b, |u| buckets[slot[u] as usize].push(e.clone()));
         }
 
-        let summaries: Vec<Option<S>> = buckets
+        let summaries: Vec<S> = buckets
             .into_iter()
-            .map(|bucket| {
-                if bucket.is_empty() {
-                    None
-                } else {
-                    Some(make_summary(model, bucket))
-                }
-            })
+            .map(|bucket| make_summary(model, bucket))
             .collect();
-        let tree = SegTreeOfSets {
+        model.charge_writes(summaries.len() as u64);
+        SegTreeOfSets {
             xs,
+            slot,
             summaries,
             n_leaves: cap,
             len: items.len(),
             array_id: model.new_array_id(),
             model: model.clone(),
-        };
-        let node_count = tree.summaries.iter().filter(|s| s.is_some()).count() as u64;
-        model.charge_writes(node_count);
-        tree
+        }
     }
 
     /// Number of intervals stored.
@@ -109,13 +127,8 @@ impl<S: Summary> SegTreeOfSets<S> {
     pub fn space_blocks(&self) -> u64 {
         let per = self.model.config().items_per_block::<f64>().max(1) as u64;
         let xs_blocks = (self.xs.len() as u64).div_ceil(per);
-        xs_blocks
-            + self
-                .summaries
-                .iter()
-                .flatten()
-                .map(Summary::space_blocks)
-                .sum::<u64>()
+        let summaries: u64 = self.summaries.iter().map(Summary::space_blocks).sum();
+        xs_blocks + summaries
     }
 
     /// Visit the summaries on the root-to-leaf path for stabbing point `q`
@@ -133,11 +146,12 @@ impl<S: Summary> SegTreeOfSets<S> {
         self.model
             .charge_reads((self.xs.len().max(2) as f64).log2().ceil() as u64);
         let mut u = self.n_leaves + elem; // leaf in heap layout
-        debug_assert!(u < self.summaries.len(), "leaf index out of arena");
+        debug_assert!(u < self.slot.len(), "leaf index out of arena");
         while u >= 1 {
-            if let Some(s) = &self.summaries[u] {
+            let i = self.slot[u];
+            if i != EMPTY {
                 self.model.touch(self.array_id, u as u64);
-                if !visit(s) {
+                if !visit(&self.summaries[i as usize]) {
                     return;
                 }
             }
@@ -168,19 +182,20 @@ fn stab_index(xs: &[f64], q: f64) -> usize {
     }
 }
 
-/// Recursive canonical assignment in the heap-shaped tree.
-fn assign<E: Clone>(buckets: &mut [Vec<E>], n_leaves: usize, a: usize, b: usize, e: &E) {
-    // Iterative bottom-up canonical decomposition (standard trick).
+/// Visit the canonical nodes of the leaf span `[a, b]` in the heap-shaped
+/// tree over `n_leaves` leaves (iterative bottom-up decomposition, the
+/// standard trick).
+fn canonical(n_leaves: usize, a: usize, b: usize, mut f: impl FnMut(usize)) {
     let mut l = a + n_leaves;
     let mut r = b + n_leaves + 1; // exclusive
     while l < r {
         if l & 1 == 1 {
-            buckets[l].push(e.clone());
+            f(l);
             l += 1;
         }
         if r & 1 == 1 {
             r -= 1;
-            buckets[r].push(e.clone());
+            f(r);
         }
         l /= 2;
         r /= 2;
@@ -282,7 +297,7 @@ mod tests {
             .map(|i| (i as f64, (i + n) as f64, i as u64 + 1))
             .collect();
         let tree = build_raw(&model, &items);
-        let total: usize = tree.summaries.iter().flatten().map(|s| s.0.len()).sum();
+        let total: usize = tree.summaries.iter().map(|s| s.0.len()).sum();
         // O(n log n) copies: with 2n endpoints the tree has ~4n leaves,
         // log ≈ 12; allow 4× slack.
         let bound = (n as f64) * (4.0 * n as f64).log2() * 4.0;
