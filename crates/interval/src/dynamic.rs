@@ -5,36 +5,135 @@
 //! prioritized, Agarwal et al. for stabbing-max) — DESIGN.md
 //! substitution 2. Design:
 //!
-//! * A segment tree over the endpoint grid captured at the last rebuild,
-//!   with each canonical node holding its intervals in an ordered map
-//!   keyed by (distinct) weight. Path max / path range-scan answer max /
-//!   prioritized queries in `O(log² n)` (+ output).
+//! * A segment tree over the endpoint grid captured at the last rebuild.
+//!   Each canonical node keeps its intervals as a run sorted by ascending
+//!   (distinct) weight. A stab walks one root-to-leaf path: the max query
+//!   reads each run's last item, the prioritized query scans each run from
+//!   the top down to `τ`. `O(log² n)` (+ output) either way.
 //! * Intervals inserted later whose endpoints fall *between* grid points
 //!   are fully assigned where possible; the at-most-two fringe slabs keep
-//!   them in per-leaf *partial* sets that queries check explicitly.
+//!   them in per-leaf *partial* runs that queries check explicitly.
+//! * Runs live in one sparse [`NodeArena`]: a node gets a run the first
+//!   time an interval lands on it, and most nodes never do. Inserting into
+//!   or deleting from a run of `s` items moves up to `s` of them, which is
+//!   cheap while runs stay short (see DESIGN.md substitution 2).
 //! * A global rebuild (re-gridding on the current endpoints) runs every
 //!   `max(64, n/2)` inserts, keeping the partial sets small — `O(log² n)`
 //!   amortized updates for endpoint distributions that do not concentrate
 //!   adversarially between grid points (the worst case degrades toward the
-//!   rebuild cost; see DESIGN.md).
+//!   rebuild cost; see DESIGN.md). It places the intervals in weight
+//!   order, so every run it fills is appended to.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use emsim::CostModel;
+use structures::segtree::{canonical, stab_index, NodeArena};
 use topk_core::{log_b, DynamicIndex, MaxBuilder, MaxIndex, PrioritizedBuilder, PrioritizedIndex, Weight};
 
 use crate::Interval;
 
+/// A canonical or partial set: its intervals in ascending weight order.
+#[derive(Default)]
+struct SortedRun(Vec<Interval>);
+
+impl SortedRun {
+    /// Add `iv`, whose weight the run must not hold yet.
+    fn insert(&mut self, iv: Interval) {
+        let at = self.0.partition_point(|x| x.weight < iv.weight);
+        debug_assert!(self.0.get(at).is_none_or(|x| x.weight != iv.weight));
+        self.0.insert(at, iv);
+    }
+
+    /// Remove the interval of weight `w`; `false` if there is none.
+    fn remove(&mut self, w: Weight) -> bool {
+        match self.0.binary_search_by_key(&w, |x| x.weight) {
+            Ok(at) => {
+                self.0.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// The members of weight at least `tau`, heaviest first.
+    fn at_least(&self, tau: Weight) -> impl Iterator<Item = &Interval> {
+        let from = self.0.partition_point(|x| x.weight < tau);
+        self.0[from..].iter().rev()
+    }
+
+    /// The heaviest member.
+    fn max(&self) -> Option<&Interval> {
+        self.0.last()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// The endpoint grid captured at the last rebuild, and the arena ids of
+/// the sets it defines.
+struct Grid {
+    /// Sorted, distinct endpoints.
+    xs: Vec<f64>,
+    /// The segment tree's leaf count: `2·xs.len()+1` elementary slabs
+    /// padded to a power of two. Arena ids `1..2·cap` are the heap-shaped
+    /// canonical sets (1 is the root); the partial set of slab `s` (the
+    /// intervals only partially covering it) is `2·cap + s`.
+    cap: usize,
+}
+
+impl Grid {
+    fn new(xs: Vec<f64>) -> Self {
+        let cap = (2 * xs.len() + 1).next_power_of_two().max(2);
+        Grid { xs, cap }
+    }
+
+    /// The elementary slab holding `q` (see [`stab_index`]).
+    fn slab(&self, q: f64) -> usize {
+        stab_index(&self.xs, q)
+    }
+
+    /// Arena id of slab `slab`'s partial set.
+    fn partial(&self, slab: usize) -> usize {
+        2 * self.cap + slab
+    }
+
+    /// The canonical nodes from slab `slab`'s leaf up to the root.
+    fn path(&self, slab: usize) -> impl Iterator<Item = usize> {
+        std::iter::successors(Some(self.cap + slab), |&u| (u > 1).then_some(u / 2))
+    }
+
+    /// Call `f` with the arena id of every set `iv` belongs to: the
+    /// partial set of each gap slab holding one of its endpoints, then the
+    /// canonical nodes of the slabs it fully covers.
+    fn for_each_set(&self, iv: &Interval, mut f: impl FnMut(usize)) {
+        let a = self.slab(iv.lo);
+        let b = self.slab(iv.hi);
+        // On-grid endpoints land on odd (point) slabs and are fully
+        // covered; off-grid endpoints land on even (gap) slabs, covered
+        // partially.
+        if a.is_multiple_of(2) {
+            f(self.partial(a));
+        }
+        if b.is_multiple_of(2) && b != a {
+            f(self.partial(b));
+        }
+        // Fully covered: from `a`, or the point after an off-grid start,
+        // up to `b`, or the point before an off-grid end.
+        let first = a | 1;
+        let end = if b % 2 == 1 { b + 1 } else { b };
+        if first < end {
+            canonical(self.cap, first, end - 1, f);
+        }
+    }
+}
+
 /// Dynamic prioritized + max interval stabbing. See the module docs.
 pub struct DynStabbing {
-    /// Endpoint grid at last rebuild (sorted, distinct).
-    xs: Vec<f64>,
-    /// Heap-shaped canonical sets over `2·xs.len()+1` elementary slabs
-    /// (padded to a power of two `cap`); index 1 is the root.
-    full: Vec<BTreeMap<Weight, Interval>>,
-    /// Per-leaf sets of intervals only partially covering that slab.
-    partial: Vec<BTreeMap<Weight, Interval>>,
-    cap: usize,
+    grid: Grid,
+    /// The canonical and partial runs, by [`Grid`] arena id.
+    sets: NodeArena<SortedRun>,
     /// All live intervals by weight.
     registry: HashMap<Weight, Interval>,
     inserts_since_build: usize,
@@ -46,10 +145,8 @@ impl DynStabbing {
     /// Build over the given intervals.
     pub fn build(model: &CostModel, items: Vec<Interval>) -> Self {
         let mut s = DynStabbing {
-            xs: Vec::new(),
-            full: Vec::new(),
-            partial: Vec::new(),
-            cap: 1,
+            grid: Grid::new(Vec::new()),
+            sets: NodeArena::new(0),
             registry: HashMap::new(),
             inserts_since_build: 0,
             array_id: model.new_array_id(),
@@ -64,22 +161,15 @@ impl DynStabbing {
     }
 
     fn rebuild(&mut self) {
-        let mut xs: Vec<f64> = Vec::with_capacity(self.registry.len() * 2);
-        for iv in self.registry.values() {
-            xs.push(iv.lo);
-            xs.push(iv.hi);
-        }
+        let mut items: Vec<Interval> = self.registry.values().copied().collect();
+        items.sort_unstable_by_key(|iv| iv.weight);
+        let mut xs: Vec<f64> = items.iter().flat_map(|iv| [iv.lo, iv.hi]).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         xs.dedup();
-        let m = xs.len();
-        let n_slabs = 2 * m + 1;
-        let cap = n_slabs.next_power_of_two().max(2);
-        self.xs = xs;
-        self.cap = cap;
-        self.full = (0..2 * cap).map(|_| BTreeMap::new()).collect();
-        self.partial = (0..cap).map(|_| BTreeMap::new()).collect();
+        self.grid = Grid::new(xs);
+        self.sets = NodeArena::new(3 * self.grid.cap);
         self.inserts_since_build = 0;
-        let items: Vec<Interval> = self.registry.values().copied().collect();
+        // Ascending weights: every run insert below is an append.
         for iv in items {
             self.place(iv);
         }
@@ -88,114 +178,18 @@ impl DynStabbing {
             .charge_writes((self.registry.len().max(1) as u64).div_ceil(8));
     }
 
-    /// Which elementary slab contains `q`? (0 = before all; 2i+1 = point
-    /// `xs[i]`; 2i+2 = the gap after it; 2m = after all.)
-    fn stab_index(&self, q: f64) -> usize {
-        let i = self.xs.partition_point(|&x| x < q);
-        if i < self.xs.len() && self.xs[i] == q {
-            2 * i + 1
-        } else {
-            2 * i
-        }
-    }
-
-    /// Insert into the canonical/partial sets (registry already updated).
+    /// Add `iv` to its sets (registry already updated).
     fn place(&mut self, iv: Interval) {
-        let a = self.stab_index(iv.lo);
-        let b = self.stab_index(iv.hi);
-        // On-grid endpoints land on odd (point) slabs and are fully covered;
-        // off-grid endpoints land on even (gap) slabs, covered partially.
-        let (mut afull, apartial) = if a % 2 == 1 { (a, None) } else { (a + 1, Some(a)) };
-        let (mut bfull, bpartial) = if b % 2 == 1 { (b, None) } else { (b.wrapping_sub(1), Some(b)) };
-        if let Some(p) = apartial {
-            self.partial[p].insert(iv.weight, iv);
-        }
-        if let Some(p) = bpartial {
-            if Some(p) != apartial {
-                self.partial[p].insert(iv.weight, iv);
-            }
-        }
-        if a == b {
-            // Entire interval inside one slab; partial entry covers it
-            // (or the single odd slab is its full assignment).
-            if a % 2 == 1 {
-                self.assign(a, a, iv);
-            }
-            return;
-        }
-        if afull > bfull || bfull == usize::MAX {
-            return; // nothing fully covered
-        }
-        if afull <= bfull {
-            let (lo, hi) = (afull, bfull);
-            afull = lo;
-            bfull = hi;
-            self.assign(afull, bfull, iv);
-        }
-    }
-
-    /// Canonical segment-tree assignment over slabs `[a, b]`.
-    fn assign(&mut self, a: usize, b: usize, iv: Interval) {
-        let mut l = a + self.cap;
-        let mut r = b + self.cap + 1;
-        while l < r {
-            if l & 1 == 1 {
-                self.full[l].insert(iv.weight, iv);
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                self.full[r].insert(iv.weight, iv);
-            }
-            l /= 2;
-            r /= 2;
-        }
-    }
-
-    fn unplace(&mut self, iv: Interval) {
-        let a = self.stab_index(iv.lo);
-        let b = self.stab_index(iv.hi);
-        let (afull, apartial) = if a % 2 == 1 { (a, None) } else { (a + 1, Some(a)) };
-        let (bfull, bpartial) = if b % 2 == 1 { (b, Some(usize::MAX)) } else { (b.wrapping_sub(1), Some(b)) };
-        if let Some(p) = apartial {
-            self.partial[p].remove(&iv.weight);
-        }
-        if let Some(p) = bpartial {
-            if p != usize::MAX && Some(p) != apartial {
-                self.partial[p].remove(&iv.weight);
-            }
-        }
-        if a == b {
-            if a % 2 == 1 {
-                self.unassign(a, a, iv.weight);
-            }
-            return;
-        }
-        if afull <= bfull && bfull != usize::MAX {
-            self.unassign(afull, bfull, iv.weight);
-        }
-    }
-
-    fn unassign(&mut self, a: usize, b: usize, w: Weight) {
-        let mut l = a + self.cap;
-        let mut r = b + self.cap + 1;
-        while l < r {
-            if l & 1 == 1 {
-                self.full[l].remove(&w);
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                self.full[r].remove(&w);
-            }
-            l /= 2;
-            r /= 2;
-        }
+        self.grid
+            .for_each_set(&iv, |u| self.sets.get_or_default_mut(u).insert(iv));
     }
 
     /// Total partial-set size (diagnostics for the rebuild policy).
     pub fn partial_population(&self) -> usize {
-        self.partial.iter().map(BTreeMap::len).sum()
+        (0..self.grid.cap)
+            .filter_map(|slab| self.sets.get(self.grid.partial(slab)))
+            .map(SortedRun::len)
+            .sum()
     }
 }
 
@@ -205,36 +199,34 @@ impl PrioritizedIndex<Interval, f64> for DynStabbing {
         if self.registry.is_empty() {
             return;
         }
-        let slab = self.stab_index(q).min(2 * self.xs.len());
+        let slab = self.grid.slab(q);
         // Partial set at the leaf: explicit stabbing check.
-        self.model.touch(self.array_id, (self.cap + slab) as u64);
-        for (_, iv) in self.partial[slab].range(tau..).rev() {
-            if iv.stabs(q) && !visit(iv) {
-                return;
-            }
-        }
-        // Full sets along the path: every member covers the slab entirely.
-        let mut u = self.cap + slab;
-        while u >= 1 {
-            self.model.touch(self.array_id, u as u64);
-            for (_, iv) in self.full[u].range(tau..).rev() {
-                debug_assert!(iv.stabs(q));
-                if !visit(iv) {
+        self.model.touch(self.array_id, (self.grid.cap + slab) as u64);
+        if let Some(run) = self.sets.get(self.grid.partial(slab)) {
+            for iv in run.at_least(tau) {
+                if iv.stabs(q) && !visit(iv) {
                     return;
                 }
             }
-            if u == 1 {
-                break;
+        }
+        // Full sets along the path: every member covers the slab entirely.
+        for u in self.grid.path(slab) {
+            self.model.touch(self.array_id, u as u64);
+            if let Some(run) = self.sets.get(u) {
+                for iv in run.at_least(tau) {
+                    debug_assert!(iv.stabs(q));
+                    if !visit(iv) {
+                        return;
+                    }
+                }
             }
-            u /= 2;
         }
     }
 
     fn space_blocks(&self) -> u64 {
         let per = self.model.config().items_per_block::<Interval>().max(1) as u64;
-        let copies: u64 = self.full.iter().map(|m| m.len() as u64).sum::<u64>()
-            + self.partial.iter().map(|m| m.len() as u64).sum::<u64>();
-        let grid = (self.xs.len() as u64).div_ceil(per.max(1));
+        let copies: u64 = self.sets.values().iter().map(|run| run.len() as u64).sum();
+        let grid = (self.grid.xs.len() as u64).div_ceil(per);
         copies.div_ceil(per) + grid + 1
     }
 
@@ -245,36 +237,26 @@ impl PrioritizedIndex<Interval, f64> for DynStabbing {
 
 impl MaxIndex<Interval, f64> for DynStabbing {
     fn query_max(&self, q: &f64) -> Option<Interval> {
-        let mut best: Option<Interval> = None;
-        // Weight-ordered iteration: the first hit per set is its max.
         let q = *q;
         if self.registry.is_empty() {
             return None;
         }
-        let slab = self.stab_index(q).min(2 * self.xs.len());
-        self.model.touch(self.array_id, (self.cap + slab) as u64);
-        for (_, iv) in self.partial[slab].iter().rev() {
-            if iv.stabs(q) {
-                if best.is_none_or(|b| iv.weight > b.weight) {
-                    best = Some(*iv);
-                }
-                break;
-            }
-        }
-        let mut u = self.cap + slab;
-        while u >= 1 {
+        let slab = self.grid.slab(q);
+        self.model.touch(self.array_id, (self.grid.cap + slab) as u64);
+        // Heaviest first: the first partial member that stabs is its max.
+        let mut best = self
+            .sets
+            .get(self.grid.partial(slab))
+            .and_then(|run| run.at_least(0).find(|iv| iv.stabs(q)));
+        for u in self.grid.path(slab) {
             self.model.touch(self.array_id, u as u64);
-            if let Some((_, iv)) = self.full[u].last_key_value() {
+            if let Some(iv) = self.sets.get(u).and_then(SortedRun::max) {
                 if best.is_none_or(|b| iv.weight > b.weight) {
-                    best = Some(*iv);
+                    best = Some(iv);
                 }
             }
-            if u == 1 {
-                break;
-            }
-            u /= 2;
         }
-        best
+        best.copied()
     }
 
     fn space_blocks(&self) -> u64 {
@@ -294,7 +276,7 @@ impl DynamicIndex<Interval> for DynStabbing {
         self.inserts_since_build += 1;
         // Charge the canonical assignment.
         self.model
-            .charge_writes((self.xs.len().max(2) as f64).log2() as u64 + 1);
+            .charge_writes((self.grid.xs.len().max(2) as f64).log2() as u64 + 1);
         if self.inserts_since_build > 64.max(self.registry.len() / 2) {
             self.rebuild();
         }
@@ -304,9 +286,12 @@ impl DynamicIndex<Interval> for DynStabbing {
         let Some(iv) = self.registry.remove(&weight) else {
             return false;
         };
-        self.unplace(iv);
+        self.grid.for_each_set(&iv, |u| {
+            let removed = self.sets.get_mut(u).is_some_and(|run| run.remove(weight));
+            debug_assert!(removed, "weight {weight} missing from set {u}");
+        });
         self.model
-            .charge_writes((self.xs.len().max(2) as f64).log2() as u64 + 1);
+            .charge_writes((self.grid.xs.len().max(2) as f64).log2() as u64 + 1);
         true
     }
 }
@@ -345,6 +330,8 @@ impl MaxBuilder<Interval, f64> for DynStabbingMaxBuilder {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+    use std::collections::btree_map::Entry;
+    use std::collections::BTreeMap;
     use rand::{Rng, SeedableRng};
     use topk_core::brute;
 
@@ -380,6 +367,53 @@ mod tests {
                 "max q={q}"
             );
         }
+    }
+
+    #[test]
+    fn sorted_run_matches_btreemap_model() {
+        let mut rng = StdRng::seed_from_u64(57);
+        for _ in 0..40 {
+            let mut run = SortedRun::default();
+            let mut model: BTreeMap<Weight, Interval> = BTreeMap::new();
+            let universe = rng.gen_range(1..80u64);
+            for _ in 0..300 {
+                let w = rng.gen_range(0..universe);
+                if rng.gen_bool(0.5) {
+                    if let Entry::Vacant(slot) = model.entry(w) {
+                        let iv = Interval::new(0.0, 1.0, w);
+                        slot.insert(iv);
+                        run.insert(iv);
+                    }
+                } else {
+                    assert_eq!(run.remove(w), model.remove(&w).is_some(), "remove {w}");
+                }
+                let tau = rng.gen_range(0..universe + 2);
+                let got: Vec<Weight> = run.at_least(tau).map(|iv| iv.weight).collect();
+                let want: Vec<Weight> = model.range(tau..).rev().map(|(&w, _)| w).collect();
+                assert_eq!(got, want, "at_least({tau})");
+                assert_eq!(run.max().map(|iv| iv.weight), model.keys().next_back().copied());
+                assert_eq!(run.len(), model.len());
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_run_edge_cases() {
+        let mut run = SortedRun::default();
+        assert_eq!(run.at_least(0).count(), 0);
+        assert!(run.max().is_none());
+        assert!(!run.remove(5), "remove from an empty run");
+        for w in [30, 10, 20] {
+            run.insert(Interval::new(0.0, 1.0, w));
+        }
+        let weights = |run: &SortedRun, tau| run.at_least(tau).map(|iv| iv.weight).collect::<Vec<_>>();
+        assert_eq!(weights(&run, 0), vec![30, 20, 10]);
+        assert_eq!(weights(&run, 20), vec![30, 20]);
+        assert_eq!(weights(&run, 31), Vec::<Weight>::new(), "τ above every weight");
+        assert!(!run.remove(15), "remove an absent weight");
+        assert_eq!(run.len(), 3);
+        assert!(run.remove(30));
+        assert_eq!(run.max().map(|iv| iv.weight), Some(20));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   search).
 //! * [`DynStabbing`] — a dynamic structure answering *both* prioritized and
 //!   max stabbing queries with `O(log² n)` amortized updates (segment tree
-//!   with ordered per-node sets and periodic rebuilds).
+//!   with weight-sorted per-node runs and periodic rebuilds).
 //!
 //! and the assembled top-k indexes: [`TopKStabbing`] (Theorem 2),
 //! [`TopKStabbingWorstCase`] (Theorem 1), and [`DynTopKStabbing`]

@@ -18,8 +18,86 @@
 
 use emsim::CostModel;
 
-/// The `slot` of a node with no assigned interval.
+/// The `slot` of a node with no value.
 const EMPTY: u32 = u32::MAX;
+
+/// Per-node values of a heap-shaped tree, stored only for the nodes that
+/// have one: `slot[u]` is node `u`'s position in a dense `values` vector,
+/// or `u32::MAX`. Most canonical nodes of a segment tree hold nothing, so
+/// this costs 4 bytes per empty node instead of one empty value each.
+pub struct NodeArena<S> {
+    slot: Vec<u32>,
+    values: Vec<S>,
+}
+
+impl<S> NodeArena<S> {
+    /// An arena over node ids `0..nodes`, all empty.
+    pub fn new(nodes: usize) -> Self {
+        NodeArena {
+            slot: vec![EMPTY; nodes],
+            values: Vec::new(),
+        }
+    }
+
+    /// An arena with a value for each node of non-zero `counts[u]`, made by
+    /// `make(counts[u])` in node order. Reuses `counts` as the slot index.
+    pub fn from_counts(mut counts: Vec<u32>, mut make: impl FnMut(u32) -> S) -> Self {
+        let mut values = Vec::new();
+        for s in &mut counts {
+            if *s == 0 {
+                *s = EMPTY;
+            } else {
+                values.push(make(*s));
+                *s = u32::try_from(values.len() - 1).expect("arena node count fits u32");
+            }
+        }
+        NodeArena {
+            slot: counts,
+            values,
+        }
+    }
+
+    /// Node `u`'s value, if it has one.
+    pub fn get(&self, u: usize) -> Option<&S> {
+        match self.slot[u] {
+            EMPTY => None,
+            i => Some(&self.values[i as usize]),
+        }
+    }
+
+    /// Node `u`'s value, if it has one.
+    pub fn get_mut(&mut self, u: usize) -> Option<&mut S> {
+        match self.slot[u] {
+            EMPTY => None,
+            i => Some(&mut self.values[i as usize]),
+        }
+    }
+
+    /// Node `u`'s value, created with `S::default()` if it has none.
+    pub fn get_or_default_mut(&mut self, u: usize) -> &mut S
+    where
+        S: Default,
+    {
+        if self.slot[u] == EMPTY {
+            self.slot[u] = u32::try_from(self.values.len()).expect("arena node count fits u32");
+            self.values.push(S::default());
+        }
+        &mut self.values[self.slot[u] as usize]
+    }
+
+    /// The values present, in the order they were created.
+    pub fn values(&self) -> &[S] {
+        &self.values
+    }
+
+    /// The same nodes, each value mapped through `f`.
+    pub fn map<T>(self, f: impl FnMut(S) -> T) -> NodeArena<T> {
+        NodeArena {
+            slot: self.slot,
+            values: self.values.into_iter().map(f).collect(),
+        }
+    }
+}
 
 /// A summary structure stored at a canonical node.
 pub trait Summary {
@@ -31,12 +109,9 @@ pub trait Summary {
 pub struct SegTreeOfSets<S> {
     /// Sorted, deduplicated endpoint coordinates.
     xs: Vec<f64>,
-    /// Heap-shaped node index over `2·xs.len() + 1` elementary leaves:
-    /// `slot[u]` is node `u`'s position in `summaries`, or [`EMPTY`] when
-    /// no interval is assigned to it.
-    slot: Vec<u32>,
-    /// The summaries of the non-empty nodes, in node order.
-    summaries: Vec<S>,
+    /// The summaries of the non-empty nodes of the heap-shaped tree over
+    /// `2·xs.len() + 1` elementary leaves.
+    nodes: NodeArena<S>,
     n_leaves: usize,
     len: usize,
     array_id: u64,
@@ -74,38 +149,26 @@ impl<S: Summary> SegTreeOfSets<S> {
         };
 
         // Pass 1: count each canonical node's items.
-        let mut slot: Vec<u32> = vec![0; 2 * cap];
+        let mut counts: Vec<u32> = vec![0; 2 * cap];
         for e in items {
             let (a, b) = span(e);
-            canonical(cap, a, b, |u| slot[u] += 1);
+            canonical(cap, a, b, |u| counts[u] += 1);
         }
-        // Number the non-empty nodes in node order, giving each an exactly
-        // sized bucket; `slot` turns from counts into bucket positions.
-        let mut buckets: Vec<Vec<E>> = Vec::new();
-        for s in &mut slot {
-            if *s == 0 {
-                *s = EMPTY;
-            } else {
-                let count = *s as usize;
-                *s = u32::try_from(buckets.len()).expect("segment tree node count fits u32");
-                buckets.push(Vec::with_capacity(count));
-            }
-        }
-        // Pass 2: fill the buckets, each in input order.
+        // Give each non-empty node an exactly sized bucket, then (pass 2)
+        // fill the buckets, each in input order.
+        let mut buckets = NodeArena::from_counts(counts, |c| Vec::with_capacity(c as usize));
         for e in items {
             let (a, b) = span(e);
-            canonical(cap, a, b, |u| buckets[slot[u] as usize].push(e.clone()));
+            canonical(cap, a, b, |u| {
+                buckets.get_mut(u).expect("counted node").push(e.clone());
+            });
         }
 
-        let summaries: Vec<S> = buckets
-            .into_iter()
-            .map(|bucket| make_summary(model, bucket))
-            .collect();
-        model.charge_writes(summaries.len() as u64);
+        let nodes = buckets.map(|bucket| make_summary(model, bucket));
+        model.charge_writes(nodes.values().len() as u64);
         SegTreeOfSets {
             xs,
-            slot,
-            summaries,
+            nodes,
             n_leaves: cap,
             len: items.len(),
             array_id: model.new_array_id(),
@@ -127,7 +190,7 @@ impl<S: Summary> SegTreeOfSets<S> {
     pub fn space_blocks(&self) -> u64 {
         let per = self.model.config().items_per_block::<f64>().max(1) as u64;
         let xs_blocks = (self.xs.len() as u64).div_ceil(per);
-        let summaries: u64 = self.summaries.iter().map(Summary::space_blocks).sum();
+        let summaries: u64 = self.nodes.values().iter().map(Summary::space_blocks).sum();
         xs_blocks + summaries
     }
 
@@ -146,12 +209,10 @@ impl<S: Summary> SegTreeOfSets<S> {
         self.model
             .charge_reads((self.xs.len().max(2) as f64).log2().ceil() as u64);
         let mut u = self.n_leaves + elem; // leaf in heap layout
-        debug_assert!(u < self.slot.len(), "leaf index out of arena");
         while u >= 1 {
-            let i = self.slot[u];
-            if i != EMPTY {
+            if let Some(summary) = self.nodes.get(u) {
                 self.model.touch(self.array_id, u as u64);
-                if !visit(&self.summaries[i as usize]) {
+                if !visit(summary) {
                     return;
                 }
             }
@@ -172,7 +233,7 @@ fn lower_index(xs: &[f64], v: f64) -> usize {
 
 /// Which elementary interval (0..2m) contains the query point?
 /// `2i+1` = the point `xs[i]`; `2i` = the open gap before it; `2m` = after.
-fn stab_index(xs: &[f64], q: f64) -> usize {
+pub fn stab_index(xs: &[f64], q: f64) -> usize {
     let m = xs.len();
     let i = xs.partition_point(|&x| x < q);
     if i < m && xs[i] == q {
@@ -185,7 +246,7 @@ fn stab_index(xs: &[f64], q: f64) -> usize {
 /// Visit the canonical nodes of the leaf span `[a, b]` in the heap-shaped
 /// tree over `n_leaves` leaves (iterative bottom-up decomposition, the
 /// standard trick).
-fn canonical(n_leaves: usize, a: usize, b: usize, mut f: impl FnMut(usize)) {
+pub fn canonical(n_leaves: usize, a: usize, b: usize, mut f: impl FnMut(usize)) {
     let mut l = a + n_leaves;
     let mut r = b + n_leaves + 1; // exclusive
     while l < r {
@@ -246,6 +307,27 @@ mod tests {
     }
 
     #[test]
+    fn node_arena_stores_only_filled_nodes() {
+        let mut arena: NodeArena<Vec<u32>> = NodeArena::new(8);
+        assert!(arena.get(3).is_none());
+        assert!(arena.get_mut(3).is_none());
+        arena.get_or_default_mut(5).push(1);
+        arena.get_or_default_mut(2).push(2);
+        arena.get_or_default_mut(5).push(3);
+        assert_eq!(arena.get(5), Some(&vec![1, 3]));
+        assert_eq!(arena.values(), &[vec![1, 3], vec![2]]);
+
+        let counted = NodeArena::from_counts(vec![0, 2, 0, 1], |c| c * 10);
+        assert_eq!(
+            (counted.get(0), counted.get(1), counted.get(3)),
+            (None, Some(&20), Some(&10))
+        );
+        let mapped = counted.map(|v| v + 1);
+        assert_eq!(mapped.values(), &[21, 11]);
+        assert_eq!(mapped.get(3), Some(&11));
+    }
+
+    #[test]
     fn canonical_decomposition_is_exact() {
         let model = CostModel::ram();
         let items = vec![
@@ -297,7 +379,7 @@ mod tests {
             .map(|i| (i as f64, (i + n) as f64, i as u64 + 1))
             .collect();
         let tree = build_raw(&model, &items);
-        let total: usize = tree.summaries.iter().map(|s| s.0.len()).sum();
+        let total: usize = tree.nodes.values().iter().map(|s| s.0.len()).sum();
         // O(n log n) copies: with 2n endpoints the tree has ~4n leaves,
         // log ≈ 12; allow 4× slack.
         let bound = (n as f64) * (4.0 * n as f64).log2() * 4.0;
