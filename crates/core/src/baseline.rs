@@ -16,9 +16,8 @@ use emsim::{BlockArray, CostModel, EmError, Retrier};
 
 use crate::batch::{BatchKey, BatchTopK};
 use crate::traits::{
-    select_top_k, Element, FaultMark, Monitored, PrioritizedBuilder, PrioritizedIndex, TopKAnswer,
-    TopKIndex,
-    Weight,
+    select_top_k, Element, FaultMark, Media, PrioritizedBuilder, PrioritizedIndex, TopKAnswer,
+    TopKIndex, Weight,
 };
 
 /// The binary-search reduction of \[28\] (eqs. (1)–(2)).
@@ -57,58 +56,78 @@ where
         }
     }
 
-    /// Count `|{e ∈ q(D) : w(e) ≥ τ}|`, capped at `k+1`, via a monitored
-    /// prioritized query (cost `Q_pri + O(k/B)`).
-    fn count_at_least(&self, q: &Q, tau: Weight, k: usize) -> (usize, Monitored) {
-        let mut out = Vec::new();
-        let m = self.pri.query_monitored(q, tau, k, &mut out);
-        (out.len(), m)
-    }
-
-    /// Fallible `count_at_least`.
-    fn try_count_at_least(
+    /// The query body behind both [`TopKIndex`] entry points: the `k` (at
+    /// most) heaviest of `q(D)` and whether they are exact.
+    fn top_k(
         &self,
         q: &Q,
-        tau: Weight,
         k: usize,
-        retrier: &Retrier,
-    ) -> Result<usize, EmError> {
-        let mut out = Vec::new();
-        self.pri.try_query_monitored(q, tau, k, retrier, &mut out)?;
-        Ok(out.len())
+        media: Media,
+        mark: &mut FaultMark,
+    ) -> Result<(Vec<E>, bool), EmError> {
+        if k == 0 || self.weights.is_empty() {
+            return Ok((Vec::new(), true));
+        }
+        match self.search(q, k, media) {
+            Ok(items) => Ok((items, true)),
+            Err(_) => {
+                // A probe (weight read or counting query) stayed unreadable.
+                // One exact full prioritized query answers regardless of τ*;
+                // if that fails too, degrade to its partial prefix.
+                mark.note(&self.model);
+                let _g = self.model.span(phase::DEGRADE);
+                let mut s = Vec::new();
+                match media.query(&self.pri, q, 0, &mut s) {
+                    Ok(()) => Ok((select_top_k(&self.model, &s, k), true)),
+                    Err(_) if !s.is_empty() => Ok((select_top_k(&self.model, &s, k), false)),
+                    Err(e) => Err(e),
+                }
+            }
+        }
     }
 
-    /// The binary-search query with every probe fallible; any unrecoverable
-    /// fault aborts the search (the caller falls back to one exact full
-    /// prioritized query).
-    fn try_binary_search(&self, q: &Q, k: usize, retrier: &Retrier) -> Result<Vec<E>, EmError> {
+    /// The binary search itself. Any unrecoverable fault aborts it: a
+    /// binary search cannot route around a missing probe.
+    fn search(&self, q: &Q, k: usize, media: Media) -> Result<Vec<E>, EmError> {
+        // |{e ∈ q(D) : w(e) ≥ τ}|, capped at k+1, via a monitored
+        // prioritized query (cost Q_pri + O(k/B)).
+        let count_from = |tau: Weight| -> Result<usize, EmError> {
+            let mut out = Vec::new();
+            media.query_monitored(&self.pri, q, tau, k, &mut out)?;
+            Ok(out.len())
+        };
         let n = self.weights.len();
-        let mut lo = 0usize;
-        let mut hi = n;
+        // Binary search over the sorted weight array for the largest τ with
+        // |{w ≥ τ} ∩ q(D)| ≥ k. Invariant: count(weights[hi..]) < k ≤
+        // count(weights[lo..]) — treating count(weights[0..]) as the k-cap.
+        let mut lo = 0usize; // count(w ≥ weights[lo]) ≥ k, "low weight" side
+        let mut hi = n; // exclusive; count above weights[hi] < k
         let search = self.model.span(phase::PROBE);
-        let w_lo = *self.weights.try_get(0, retrier)?;
-        if self.try_count_at_least(q, w_lo, k, retrier)? < k {
+        // Quick check: fewer than k matches in total?
+        if count_from(*media.get(&self.weights, 0)?)? < k {
             drop(search);
+            // Entire q(D) has < k elements; report all of it.
             let mut all = Vec::new();
             {
                 let _g = self.model.span(phase::FALLBACK);
-                self.pri.try_query(q, 0, retrier, &mut all)?;
+                media.query(&self.pri, q, 0, &mut all)?;
             }
             let _g = self.model.span(phase::SELECT);
             return Ok(select_top_k(&self.model, &all, k));
         }
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            let w_mid = *self.weights.try_get(mid, retrier)?;
-            if self.try_count_at_least(q, w_mid, k, retrier)? >= k {
+            if count_from(*media.get(&self.weights, mid)?)? >= k {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
-        let tau = *self.weights.try_get(lo, retrier)?;
+        // τ* = weights[lo]: at least k matches at or above it, fewer than k
+        // strictly above the next weight. Fetch and k-select.
+        let tau = *media.get(&self.weights, lo)?;
         let mut s = Vec::new();
-        self.pri.try_query(q, tau, retrier, &mut s)?;
+        media.query(&self.pri, q, tau, &mut s)?;
         drop(search);
         let _g = self.model.span(phase::SELECT);
         Ok(select_top_k(&self.model, &s, k))
@@ -121,50 +140,10 @@ where
     PB: PrioritizedBuilder<E, Q>,
 {
     fn query_topk(&self, q: &Q, k: usize, out: &mut Vec<E>) {
-        if k == 0 || self.weights.is_empty() {
-            return;
-        }
-        let n = self.weights.len();
-        // Binary search over the sorted weight array for the largest τ with
-        // |{w ≥ τ} ∩ q(D)| ≥ k. Invariant: count(weights[hi..]) < k ≤
-        // count(weights[lo..]) — treating count(weights[0..]) as the k-cap.
-        let mut lo = 0usize; // count(w ≥ weights[lo]) ≥ k, "low weight" side
-        let mut hi = n; // exclusive; count above weights[hi] < k
-        let search = self.model.span(phase::PROBE);
-        // Quick check: fewer than k matches in total?
-        let w_lo = *self.weights.get(0);
-        let (cnt, _) = self.count_at_least(q, w_lo, k);
-        if cnt < k {
-            drop(search);
-            // Entire q(D) has < k elements; report all of it.
-            {
-                let _g = self.model.span(phase::FALLBACK);
-                self.pri.query(q, 0, out);
-            }
-            let _g = self.model.span(phase::SELECT);
-            let sel = select_top_k(&self.model, out, k);
-            out.clear();
-            out.extend(sel);
-            return;
-        }
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            let w_mid = *self.weights.get(mid);
-            let (cnt, _) = self.count_at_least(q, w_mid, k);
-            if cnt >= k {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        // τ* = weights[lo]: at least k matches at or above it, fewer than k
-        // strictly above the next weight. Fetch and k-select.
-        let tau = *self.weights.get(lo);
-        let mut s = Vec::new();
-        self.pri.query(q, tau, &mut s);
-        drop(search);
-        let _g = self.model.span(phase::SELECT);
-        out.extend(select_top_k(&self.model, &s, k));
+        let (items, _) = self
+            .top_k(q, k, Media::Perfect, &mut FaultMark::default())
+            .expect("perfect media cannot fail");
+        out.extend(items);
     }
 
     fn space_blocks(&self) -> u64 {
@@ -172,36 +151,9 @@ where
     }
 
     fn try_query_topk(&self, q: &Q, k: usize, retrier: &Retrier) -> Result<TopKAnswer<E>, EmError> {
-        if k == 0 || self.weights.is_empty() {
-            return Ok(TopKAnswer::Exact(Vec::new()));
-        }
         let mut mark = FaultMark::default();
-        match self.try_binary_search(q, k, retrier) {
-            Ok(items) => Ok(TopKAnswer::Exact(items)),
-            Err(_) => {
-                // A probe (weight read or counting query) stayed unreadable.
-                // One exact full prioritized query answers regardless of τ*;
-                // if that fails too, degrade to its partial prefix.
-                mark.note(&self.model);
-                let _g = self.model.span(phase::DEGRADE);
-                let mut s = Vec::new();
-                match self.pri.try_query(q, 0, retrier, &mut s) {
-                    Ok(()) => Ok(TopKAnswer::Exact(select_top_k(&self.model,
-                        &s,
-                        k))),
-                    Err(e) => {
-                        if s.is_empty() {
-                            Err(e)
-                        } else {
-                            Ok(TopKAnswer::Degraded {
-                                items: select_top_k(&self.model, &s, k),
-                                extra_ios: mark.extra(&self.model),
-                            })
-                        }
-                    }
-                }
-            }
-        }
+        let body = self.top_k(q, k, Media::Retried(retrier), &mut mark);
+        mark.answer(&self.model, body)
     }
 }
 
@@ -244,28 +196,80 @@ where
     }
 }
 
+impl<E, Q, F> ScanTopK<E, Q, F>
+where
+    E: Element,
+    F: Fn(&Q, &E) -> bool,
+{
+    /// The query body behind every entry point, solo and batched: one pass
+    /// over `D` collects the candidates of every query, then each is
+    /// k-selected. When the scan dies at an unreadable block, everything
+    /// gathered before it is a genuine prefix for every query, so each
+    /// degrades to its own partial candidates, or is `Err` if it had none
+    /// yet. Nothing is retried: the scan has no redundant structure to
+    /// fall back on.
+    fn scan_top_k(
+        &self,
+        queries: &[Q],
+        k: usize,
+        media: Media,
+    ) -> Vec<Result<TopKAnswer<E>, EmError>> {
+        if k == 0 || queries.is_empty() {
+            return queries
+                .iter()
+                .map(|_| Ok(TopKAnswer::Exact(Vec::new())))
+                .collect();
+        }
+        let mut candidates: Vec<Vec<E>> = queries.iter().map(|_| Vec::new()).collect();
+        let scan_span = self.model.span(phase::SCAN);
+        let scan = media.scan_while(&self.data, 0, self.data.len(), |e| {
+            for (q, c) in queries.iter().zip(candidates.iter_mut()) {
+                if (self.matches)(q, e) {
+                    c.push(e.clone());
+                }
+            }
+            true
+        });
+        drop(scan_span);
+        match scan {
+            Ok(_) => candidates
+                .iter()
+                .map(|c| {
+                    let _g = self.model.span(phase::SELECT);
+                    Ok(TopKAnswer::Exact(select_top_k(&self.model, c, k)))
+                })
+                .collect(),
+            Err((_, e)) => {
+                let _g = self.model.span(phase::DEGRADE);
+                let mut mark = FaultMark::default();
+                mark.note(&self.model);
+                candidates
+                    .iter()
+                    .map(|c| {
+                        if c.is_empty() {
+                            return Err(e.clone());
+                        }
+                        let items = select_top_k(&self.model, c, k);
+                        Ok(TopKAnswer::Degraded {
+                            items,
+                            extra_ios: mark.extra(&self.model),
+                        })
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
 impl<E, Q, F> TopKIndex<E, Q> for ScanTopK<E, Q, F>
 where
     E: Element,
     F: Fn(&Q, &E) -> bool,
 {
     fn query_topk(&self, q: &Q, k: usize, out: &mut Vec<E>) {
-        if k == 0 {
-            return;
+        for answer in self.scan_top_k(std::slice::from_ref(q), k, Media::Perfect) {
+            out.extend(answer.expect("perfect media cannot fail").into_items());
         }
-        let mut candidates = Vec::new();
-        {
-            let _g = self.model.span(phase::SCAN);
-            self.data.scan(|e| {
-                if (self.matches)(q, e) {
-                    candidates.push(e.clone());
-                }
-            });
-        }
-        let _g = self.model.span(phase::SELECT);
-        out.extend(select_top_k(&self.model,
-            &candidates,
-            k));
     }
 
     fn space_blocks(&self) -> u64 {
@@ -273,41 +277,8 @@ where
     }
 
     fn try_query_topk(&self, q: &Q, k: usize, retrier: &Retrier) -> Result<TopKAnswer<E>, EmError> {
-        if k == 0 {
-            return Ok(TopKAnswer::Exact(Vec::new()));
-        }
-        let mut candidates = Vec::new();
-        let scan = self.model.span(phase::SCAN);
-        match self.data.try_scan_while(0, self.data.len(), retrier, |e| {
-            if (self.matches)(q, e) {
-                candidates.push(e.clone());
-            }
-            true
-        }) {
-            Ok(_) => {
-                drop(scan);
-                let _g = self.model.span(phase::SELECT);
-                Ok(TopKAnswer::Exact(select_top_k(&self.model,
-                    &candidates,
-                    k)))
-            }
-            Err((_, e)) => {
-                // The scan died at an unreadable block; everything gathered
-                // before it is genuine. Nothing to retry — the scan has no
-                // redundant structure to fall back on.
-                drop(scan);
-                let _g = self.model.span(phase::DEGRADE);
-                if candidates.is_empty() {
-                    return Err(e);
-                }
-                let mark = self.model.report().total();
-                let items = select_top_k(&self.model, &candidates, k);
-                Ok(TopKAnswer::Degraded {
-                    items,
-                    extra_ios: self.model.report().total().saturating_sub(mark),
-                })
-            }
-        }
+        let mut answers = self.scan_top_k(std::slice::from_ref(q), k, Media::Retried(retrier));
+        answers.pop().expect("one answer per query")
     }
 }
 
@@ -326,27 +297,9 @@ where
 {
     fn query_topk_batch(&self, queries: &[Q], k: usize) -> Vec<Vec<E>> {
         let _batch = self.model.span(phase::BATCH);
-        let mut candidates: Vec<Vec<E>> = queries.iter().map(|_| Vec::new()).collect();
-        if k > 0 && !queries.is_empty() {
-            let _g = self.model.span(phase::SCAN);
-            self.data.scan(|e| {
-                for (q, c) in queries.iter().zip(candidates.iter_mut()) {
-                    if (self.matches)(q, e) {
-                        c.push(e.clone());
-                    }
-                }
-            });
-        }
-        candidates
+        self.scan_top_k(queries, k, Media::Perfect)
             .into_iter()
-            .map(|c| {
-                if k == 0 {
-                    Vec::new()
-                } else {
-                    let _g = self.model.span(phase::SELECT);
-                    select_top_k(&self.model, &c, k)
-                }
-            })
+            .map(|answer| answer.expect("perfect media cannot fail").into_items())
             .collect()
     }
 
@@ -356,58 +309,8 @@ where
         k: usize,
         retrier: &Retrier,
     ) -> Vec<Result<TopKAnswer<E>, EmError>> {
-        if k == 0 || queries.is_empty() {
-            return queries
-                .iter()
-                .map(|_| Ok(TopKAnswer::Exact(Vec::new())))
-                .collect();
-        }
         let _batch = self.model.span(phase::BATCH);
-        let mut candidates: Vec<Vec<E>> = queries.iter().map(|_| Vec::new()).collect();
-        let scan_span = self.model.span(phase::SCAN);
-        let scan = self.data.try_scan_while(0, self.data.len(), retrier, |e| {
-            for (q, c) in queries.iter().zip(candidates.iter_mut()) {
-                if (self.matches)(q, e) {
-                    c.push(e.clone());
-                }
-            }
-            true
-        });
-        drop(scan_span);
-        match scan {
-            Ok(_) => candidates
-                .iter()
-                .map(|c| {
-                    let _g = self.model.span(phase::SELECT);
-                    Ok(TopKAnswer::Exact(select_top_k(&self.model,
-                        c,
-                        k)))
-                })
-                .collect(),
-            Err((_, e)) => {
-                // The shared scan died at an unreadable block. Everything
-                // gathered before it is a genuine prefix for every query,
-                // so each degrades to its own partial candidates (or `Err`
-                // if it had none yet) — the same ladder as the solo path.
-                let _g = self.model.span(phase::DEGRADE);
-                let mark = self.model.report().total();
-                candidates
-                    .iter()
-                    .map(|c| {
-                        if c.is_empty() {
-                            Err(e.clone())
-                        } else {
-                            Ok(TopKAnswer::Degraded {
-                                items: select_top_k(&self.model,
-                                    c,
-                                    k),
-                                extra_ios: self.model.report().total().saturating_sub(mark),
-                            })
-                        }
-                    })
-                    .collect()
-            }
-        }
+        self.scan_top_k(queries, k, Media::Retried(retrier))
     }
 }
 
@@ -490,29 +393,58 @@ mod tests {
 
     #[test]
     fn try_query_topk_is_exact_under_inert_plan() {
-        let model = CostModel::new(emsim::EmConfig::new(64));
+        use crate::traits::parity::{assert_query_agrees, assert_runs_agree};
+        // Two identical pooled meters: the infallible entry points run on
+        // one, the fallible ones on the other. k = 1 600 exceeds every
+        // |q(D)| and takes the binary search's fallback.
         let items = mk_items(1_500, 31);
-        let bs = BinarySearchTopK::build(&model, &PrefixBuilder, items.clone());
-        let sc = ScanTopK::build(&model, items.clone(), |q: &PrefixQuery, e: &ToyElem| {
-            e.x <= q.x_max
-        });
+        let matches = |q: &PrefixQuery, e: &ToyElem| e.x <= q.x_max;
+        let build = || {
+            let model = CostModel::with_faults(
+                emsim::EmConfig::with_memory(64, 32),
+                emsim::FaultPlan::none(),
+            );
+            let bs = BinarySearchTopK::build(&model, &PrefixBuilder, items.clone());
+            let sc = ScanTopK::build(&model, items.clone(), matches);
+            (model, bs, sc)
+        };
+        let (ma, bs_a, sc_a) = build();
+        let (mb, bs_b, sc_b) = build();
         let retrier = Retrier::default();
         for &qx in &[0u64, 750, 1_499] {
-            for &k in &[1usize, 12, 400] {
+            for &k in &[1usize, 12, 400, 1_600] {
                 let q = PrefixQuery { x_max: qx };
+                assert_query_agrees(
+                    &format!("bs q={qx} k={k}"),
+                    (&ma, &bs_a),
+                    (&mb, &bs_b),
+                    &q,
+                    k,
+                );
+                assert_query_agrees(
+                    &format!("sc q={qx} k={k}"),
+                    (&ma, &sc_a),
+                    (&mb, &sc_b),
+                    &q,
+                    k,
+                );
                 let want = brute::top_k(&items, |e| e.x <= qx, k);
-                for got in [
-                    bs.try_query_topk(&q, k, &retrier).unwrap(),
-                    sc.try_query_topk(&q, k, &retrier).unwrap(),
-                ] {
-                    assert!(got.is_exact(), "q={qx} k={k}");
-                    assert_eq!(
-                        got.items().iter().map(|e| e.w).collect::<Vec<_>>(),
-                        want.iter().map(|e| e.w).collect::<Vec<_>>(),
-                        "q={qx} k={k}"
-                    );
+                for idx in [&bs_a as &dyn TopKIndex<_, _>, &sc_a] {
+                    let mut got = Vec::new();
+                    idx.query_topk(&q, k, &mut got);
+                    assert_eq!(got, want, "q={qx} k={k}");
                 }
             }
+            let qs: Vec<PrefixQuery> = (0..5)
+                .map(|i| PrefixQuery {
+                    x_max: qx / (i + 1),
+                })
+                .collect();
+            assert_runs_agree(
+                &format!("sc batch q={qx}"),
+                (&ma, || sc_a.query_topk_batch(&qs, 12)),
+                (&mb, || sc_b.try_query_topk_batch(&qs, 12, &retrier)),
+            );
         }
     }
 

@@ -42,8 +42,8 @@ use rand::SeedableRng;
 
 use crate::coreset::{core_set, CoreSetParams};
 use crate::traits::{
-    select_top_k, Element, FaultMark, Monitored, PrioritizedBuilder, PrioritizedIndex, TopKAnswer,
-    TopKIndex,
+    select_top_k, Element, FaultMark, Media, Monitored, PrioritizedBuilder, PrioritizedIndex,
+    TopKAnswer, TopKIndex,
 };
 
 /// Tunables of the Theorem 1 construction.
@@ -125,8 +125,24 @@ impl<I> Hierarchy<I> {
     }
 
     /// Top-f query on level `i` (per the induction of §3.2). Returns the
-    /// `min(f, |q(Rᵢ)|)` heaviest elements of `q(Rᵢ)`, heaviest first.
-    fn query_topf<E, Q>(&self, model: &CostModel, q: &Q, i: usize) -> Vec<E>
+    /// `min(f, |q(Rᵢ)|)` heaviest elements of `q(Rᵢ)`, heaviest first, and
+    /// whether they are exact; `exact = false` means a fault forced a
+    /// degraded answer (coarser-level result or partial prefix).
+    ///
+    /// Degradation ladder when level `i` stays unreadable: (1) the coarser
+    /// core-set `Rᵢ₊₁` — its top-f is genuine but may miss elements of
+    /// `q(Rᵢ)`; (2) the partial visitor prefix collected before the fault.
+    /// `Err` only when both are empty. The plan is deterministic per
+    /// (block, attempt), so re-reading a level that already exhausted its
+    /// retries would fail identically — the ladder never retries a level.
+    fn top_f<E, Q>(
+        &self,
+        model: &CostModel,
+        q: &Q,
+        i: usize,
+        media: Media,
+        mark: &mut FaultMark,
+    ) -> Result<(Vec<E>, bool), EmError>
     where
         E: Element,
         I: PrioritizedIndex<E, Q>,
@@ -136,102 +152,38 @@ impl<I> Hierarchy<I> {
         let ph = if i == 0 { phase::PROBE } else { phase::SAMPLE };
         let idx = &self.levels[i];
         let mut out = Vec::new();
-        let m = {
-            let _g = model.span(ph);
-            idx.query_monitored(q, 0, 4 * self.f, &mut out)
-        };
-        match m {
-            Monitored::Complete => {
-                // |q(Rᵢ)| ≤ 4f: k-selection finishes.
-                let _g = model.span(phase::SELECT);
-                select_top_k(model, &out, self.f)
-            }
-            Monitored::Truncated => {
-                // |q(Rᵢ)| > 4f: consult the next core-set for a pivot.
-                if i + 1 < self.levels.len() {
-                    let rec = self.query_topf(model, q, i + 1);
-                    let r = self.pivot_rank[i];
-                    if rec.len() >= r {
-                        let tau = rec[r - 1].weight();
-                        let mut s = Vec::new();
-                        let m = {
-                            let _g = model.span(ph);
-                            idx.query_monitored(q, tau, 4 * self.f, &mut s)
-                        };
-                        if m == Monitored::Complete && s.len() >= self.f {
-                            // s is exactly {e ∈ q(Rᵢ) : w(e) ≥ τ} and has ≥ f
-                            // elements, so it contains the top-f.
-                            let _g = model.span(phase::SELECT);
-                            return select_top_k(model, &s, self.f);
-                        }
-                        // Pivot rank fell outside [f, 4f] — Lemma 2 failure.
-                    }
-                }
-                // Verified fallback: exact full prioritized query.
-                let _g = model.span(phase::FALLBACK);
-                let mut all = Vec::new();
-                idx.query(q, 0, &mut all);
-                select_top_k(model, &all, self.f)
-            }
-        }
-    }
-
-    /// Fallible top-f on level `i`, retrying transient faults with
-    /// `retrier`. Returns `(items, exact)`; `exact = false` means a fault
-    /// forced a degraded answer (coarser-level result or partial prefix).
-    ///
-    /// Degradation ladder when level `i` stays unreadable: (1) the coarser
-    /// core-set `Rᵢ₊₁` — its top-f is genuine but may miss elements of
-    /// `q(Rᵢ)`; (2) the partial visitor prefix collected before the fault.
-    /// `Err` only when both are empty. The plan is deterministic per
-    /// (block, attempt), so re-reading a level that already exhausted its
-    /// retries would fail identically — the ladder never retries a level.
-    fn try_query_topf<E, Q>(
-        &self,
-        model: &CostModel,
-        q: &Q,
-        i: usize,
-        retrier: &Retrier,
-        mark: &mut FaultMark,
-    ) -> Result<(Vec<E>, bool), EmError>
-    where
-        E: Element,
-        I: PrioritizedIndex<E, Q>,
-    {
-        let ph = if i == 0 { phase::PROBE } else { phase::SAMPLE };
-        let idx = &self.levels[i];
-        let mut out = Vec::new();
         let first = {
             let _g = model.span(ph);
-            idx.try_query_monitored(q, 0, 4 * self.f, retrier, &mut out)
+            media.query_monitored(idx, q, 0, 4 * self.f, &mut out)
         };
         match first {
-            Ok(Monitored::Complete) => Ok((
-                select_top_k(model, &out, self.f),
-                true,
-            )),
+            Ok(Monitored::Complete) => {
+                // |q(Rᵢ)| ≤ 4f: k-selection finishes.
+                let _g = model.span(phase::SELECT);
+                Ok((select_top_k(model, &out, self.f), true))
+            }
             Ok(Monitored::Truncated) => {
-                // Pivot path, as in `query_topf`. A degraded pivot is still
-                // sound: whatever τ we obtain, a Complete τ-query with ≥ f
-                // results is exactly {e ∈ q(Rᵢ) : w(e) ≥ τ} ⊇ top-f.
+                // |q(Rᵢ)| > 4f: consult the next core-set for a pivot. A
+                // degraded pivot is still sound: whatever τ we obtain, a
+                // Complete τ-query with ≥ f results is exactly
+                // {e ∈ q(Rᵢ) : w(e) ≥ τ} ⊇ top-f.
                 if i + 1 < self.levels.len() {
-                    if let Ok((rec, _)) = self.try_query_topf(model, q, i + 1, retrier, mark) {
+                    if let Ok((rec, _)) = self.top_f(model, q, i + 1, media, mark) {
                         let r = self.pivot_rank[i];
                         if rec.len() >= r {
                             let tau = rec[r - 1].weight();
                             let mut s = Vec::new();
                             let tau_query = {
                                 let _g = model.span(ph);
-                                idx.try_query_monitored(q, tau, 4 * self.f, retrier, &mut s)
+                                media.query_monitored(idx, q, tau, 4 * self.f, &mut s)
                             };
                             match tau_query {
                                 Ok(Monitored::Complete) if s.len() >= self.f => {
-                                    return Ok((
-                                        select_top_k(model, &s, self.f),
-                                        true,
-                                    ));
+                                    let _g = model.span(phase::SELECT);
+                                    return Ok((select_top_k(model, &s, self.f), true));
                                 }
-                                // Lemma 2 failure — exact fallback below.
+                                // Pivot rank fell outside [f, 4f] — Lemma 2
+                                // failure; exact fallback below.
                                 Ok(_) => {}
                                 Err(_) => {
                                     // Level i went unreadable mid-query; the
@@ -241,39 +193,26 @@ impl<I> Hierarchy<I> {
                                     let _g = model.span(phase::DEGRADE);
                                     mark.note(model);
                                     let best = if s.len() > out.len() { s } else { out };
-                                    return Ok((
-                                        select_top_k(model,
-                                            &best,
-                                            self.f),
-                                        false,
-                                    ));
+                                    return Ok((select_top_k(model, &best, self.f), false));
                                 }
                             }
                         }
                     }
                 }
-                // Verified (exact) fallback: full prioritized query on Rᵢ.
+                // Verified fallback: exact full prioritized query on Rᵢ.
+                let fallback = model.span(phase::FALLBACK);
                 let mut all = Vec::new();
-                let full = {
-                    let _g = model.span(phase::FALLBACK);
-                    idx.try_query(q, 0, retrier, &mut all)
-                };
-                match full {
-                    Ok(()) => Ok((
-                        select_top_k(model, &all, self.f),
-                        true,
-                    )),
+                match media.query(idx, q, 0, &mut all) {
+                    Ok(()) => Ok((select_top_k(model, &all, self.f), true)),
                     Err(e) => {
+                        drop(fallback);
                         let _g = model.span(phase::DEGRADE);
                         mark.note(model);
                         let best = if all.len() > out.len() { all } else { out };
                         if best.is_empty() {
                             Err(e)
                         } else {
-                            Ok((
-                                select_top_k(model, &best, self.f),
-                                false,
-                            ))
+                            Ok((select_top_k(model, &best, self.f), false))
                         }
                     }
                 }
@@ -284,17 +223,14 @@ impl<I> Hierarchy<I> {
                 let _g = model.span(phase::DEGRADE);
                 mark.note(model);
                 if i + 1 < self.levels.len() {
-                    if let Ok((rec, _)) = self.try_query_topf(model, q, i + 1, retrier, mark) {
+                    if let Ok((rec, _)) = self.top_f(model, q, i + 1, media, mark) {
                         return Ok((rec, false));
                     }
                 }
                 if out.is_empty() {
                     Err(e)
                 } else {
-                    Ok((
-                        select_top_k(model, &out, self.f),
-                        false,
-                    ))
+                    Ok((select_top_k(model, &out, self.f), false))
                 }
             }
         }
@@ -423,166 +359,85 @@ where
         &self.base.levels[0]
     }
 
-    fn query_large_k(&self, q: &Q, k: usize, out: &mut Vec<E>) {
-        let n = self.data.len();
+    /// The query body behind both [`TopKIndex`] entry points: the `k` (at
+    /// most) heaviest of `q(D)` and whether they are exact.
+    fn top_k(
+        &self,
+        q: &Q,
+        k: usize,
+        media: Media,
+        mark: &mut FaultMark,
+    ) -> Result<(Vec<E>, bool), EmError> {
+        if k == 0 || self.data.is_empty() {
+            return Ok((Vec::new(), true));
+        }
+        if k <= self.f {
+            // Treat as top-f, then k-select (§3.2).
+            let (mut top_f, exact) = self.base.top_f(&self.model, q, 0, media, mark)?;
+            top_f.truncate(k);
+            return Ok((top_f, exact));
+        }
         // k ≥ n/2: the paper scans D in O(n/B) = O(k/B). A black-box
         // reduction cannot evaluate the predicate on raw elements, so the
         // "scan" is a full prioritized query with τ = -∞ — same asymptotic
-        // cost (Q_pri(n) + O(n/B) = O(k/B) given Q_pri(n) = O(n/B)).
-        if 2 * k >= n {
-            let _g = self.model.span(phase::SCAN);
-            let mut s = Vec::new();
-            self.d_structure().query(q, 0, &mut s);
-            out.extend(select_top_k(&self.model, &s, k));
-            return;
-        }
-        // Smallest rung with K ≥ k.
-        let Some(rung) = self.ladder.iter().find(|r| r.k_cap >= k) else {
-            // k exceeds the ladder (can only happen for tiny n): exact.
-            let mut s = Vec::new();
-            self.d_structure().query(q, 0, &mut s);
-            out.extend(select_top_k(&self.model, &s, k));
-            return;
+        // cost (Q_pri(n) + O(n/B) = O(k/B) given Q_pri(n) = O(n/B)). The
+        // top rung has K > n/2, so every smaller k finds its rung.
+        let rung = if 2 * k >= self.data.len() {
+            None
+        } else {
+            // Smallest rung with K ≥ k.
+            self.ladder.iter().find(|r| r.k_cap >= k)
         };
-        let cap = rung.k_cap;
-
-        // |q(D)| ≤ 4K ⇒ cost-monitored query finishes it.
-        let mut s1 = Vec::new();
-        let m = {
-            let _g = self.model.span(phase::PROBE);
-            self.d_structure().query_monitored(q, 0, 4 * cap, &mut s1)
-        };
-        if m == Monitored::Complete {
-            let _g = self.model.span(phase::SELECT);
-            out.extend(select_top_k(&self.model, &s1, k));
-            return;
-        }
-
-        // |q(D)| > 4K: pivot from the rung's top-f hierarchy.
-        let rec = rung.hierarchy.query_topf(&self.model, q, 0);
-        if rec.len() >= rung.pivot_rank {
-            let tau = rec[rung.pivot_rank - 1].weight();
-            let mut s = Vec::new();
-            let m = {
-                let _g = self.model.span(phase::PROBE);
-                self.d_structure().query_monitored(q, tau, 4 * cap, &mut s)
-            };
-            if m == Monitored::Complete && s.len() >= k {
-                let _g = self.model.span(phase::SELECT);
-                out.extend(select_top_k(&self.model, &s, k));
-                return;
-            }
-        }
-        // Verified fallback (Lemma 2 failed for this q): exact full query.
-        let _g = self.model.span(phase::FALLBACK);
-        let mut all = Vec::new();
-        self.d_structure().query(q, 0, &mut all);
-        out.extend(select_top_k(&self.model, &all, k));
-    }
-
-    /// Exact full prioritized query on `D` + k-selection, degrading to the
-    /// partial prefix when `D` stays unreadable.
-    fn try_full_exact(
-        &self,
-        q: &Q,
-        k: usize,
-        retrier: &Retrier,
-        mark: &mut FaultMark,
-    ) -> Result<(Vec<E>, bool), EmError> {
-        let mut s = Vec::new();
-        let full = {
-            let _g = self.model.span(phase::FALLBACK);
-            self.d_structure().try_query(q, 0, retrier, &mut s)
-        };
-        match full {
-            Ok(()) => Ok((
-                select_top_k(&self.model, &s, k),
-                true,
-            )),
-            Err(e) => {
-                let _g = self.model.span(phase::DEGRADE);
-                mark.note(&self.model);
-                if s.is_empty() {
-                    Err(e)
-                } else {
-                    Ok((
-                        select_top_k(&self.model, &s, k),
-                        false,
-                    ))
-                }
-            }
-        }
-    }
-
-    /// Fallible counterpart of `query_large_k`. Same pivot logic; on faults
-    /// it degrades to the rung's hierarchy (a separately-stored core-set of
-    /// `D`) or to the largest partial prefix collected.
-    fn try_query_large_k(
-        &self,
-        q: &Q,
-        k: usize,
-        retrier: &Retrier,
-        mark: &mut FaultMark,
-    ) -> Result<(Vec<E>, bool), EmError> {
-        let n = self.data.len();
-        if 2 * k >= n {
-            return self.try_full_exact(q, k, retrier, mark);
-        }
-        let Some(rung) = self.ladder.iter().find(|r| r.k_cap >= k) else {
-            return self.try_full_exact(q, k, retrier, mark);
+        let Some(rung) = rung else {
+            return self.full_query(q, k, phase::SCAN, media, mark);
         };
         let cap = rung.k_cap;
         let d = self.d_structure();
 
+        // |q(D)| ≤ 4K ⇒ cost-monitored query finishes it.
         let mut s1 = Vec::new();
         let first = {
             let _g = self.model.span(phase::PROBE);
-            d.try_query_monitored(q, 0, 4 * cap, retrier, &mut s1)
+            media.query_monitored(d, q, 0, 4 * cap, &mut s1)
         };
         match first {
-            Ok(Monitored::Complete) => Ok((
-                select_top_k(&self.model, &s1, k),
-                true,
-            )),
+            Ok(Monitored::Complete) => {
+                let _g = self.model.span(phase::SELECT);
+                Ok((select_top_k(&self.model, &s1, k), true))
+            }
             Ok(Monitored::Truncated) => {
-                // Pivot from the rung's hierarchy; a degraded pivot is sound
-                // (see `try_query_topf`).
-                if let Ok((rec, _)) =
-                    rung.hierarchy
-                        .try_query_topf(&self.model, q, 0, retrier, mark)
-                {
+                // |q(D)| > 4K: pivot from the rung's top-f hierarchy; a
+                // degraded pivot is sound (see `Hierarchy::top_f`).
+                if let Ok((rec, _)) = rung.hierarchy.top_f(&self.model, q, 0, media, mark) {
                     if rec.len() >= rung.pivot_rank {
                         let tau = rec[rung.pivot_rank - 1].weight();
                         let mut s = Vec::new();
                         let tau_query = {
                             let _g = self.model.span(phase::PROBE);
-                            d.try_query_monitored(q, tau, 4 * cap, retrier, &mut s)
+                            media.query_monitored(d, q, tau, 4 * cap, &mut s)
                         };
                         match tau_query {
                             Ok(Monitored::Complete) if s.len() >= k => {
-                                return Ok((
-                                    select_top_k(&self.model, &s, k),
-                                    true,
-                                ));
+                                let _g = self.model.span(phase::SELECT);
+                                return Ok((select_top_k(&self.model, &s, k), true));
                             }
                             Ok(_) => {}
                             Err(_) => {
                                 let _g = self.model.span(phase::DEGRADE);
                                 mark.note(&self.model);
                                 let best = if s.len() > s1.len() { s } else { s1 };
-                                return Ok((
-                                    select_top_k(&self.model, &best, k),
-                                    false,
-                                ));
+                                return Ok((select_top_k(&self.model, &best, k), false));
                             }
                         }
                     }
                 }
-                match self.try_full_exact(q, k, retrier, mark) {
-                    Err(_) if !s1.is_empty() => Ok((
-                        select_top_k(&self.model, &s1, k),
-                        false,
-                    )),
+                // Verified fallback (Lemma 2 failed for this q): exact full
+                // query, degrading to the τ = 0 prefix if D stays unreadable.
+                match self.full_query(q, k, phase::FALLBACK, media, mark) {
+                    Err(_) if !s1.is_empty() => {
+                        let _g = self.model.span(phase::DEGRADE);
+                        Ok((select_top_k(&self.model, &s1, k), false))
+                    }
                     other => other,
                 }
             }
@@ -591,10 +446,7 @@ where
                 // (at most f ≤ k elements, but genuine), then to the prefix.
                 let _g = self.model.span(phase::DEGRADE);
                 mark.note(&self.model);
-                if let Ok((rec, _)) =
-                    rung.hierarchy
-                        .try_query_topf(&self.model, q, 0, retrier, mark)
-                {
+                if let Ok((rec, _)) = rung.hierarchy.top_f(&self.model, q, 0, media, mark) {
                     if !rec.is_empty() {
                         return Ok((rec, false));
                     }
@@ -602,10 +454,34 @@ where
                 if s1.is_empty() {
                     Err(e)
                 } else {
-                    Ok((
-                        select_top_k(&self.model, &s1, k),
-                        false,
-                    ))
+                    Ok((select_top_k(&self.model, &s1, k), false))
+                }
+            }
+        }
+    }
+
+    /// Exact full prioritized query on `D` + k-selection under span `ph`,
+    /// degrading to the partial prefix when `D` stays unreadable.
+    fn full_query(
+        &self,
+        q: &Q,
+        k: usize,
+        ph: &'static str,
+        media: Media,
+        mark: &mut FaultMark,
+    ) -> Result<(Vec<E>, bool), EmError> {
+        let span = self.model.span(ph);
+        let mut s = Vec::new();
+        match media.query(self.d_structure(), q, 0, &mut s) {
+            Ok(()) => Ok((select_top_k(&self.model, &s, k), true)),
+            Err(e) => {
+                drop(span);
+                let _g = self.model.span(phase::DEGRADE);
+                mark.note(&self.model);
+                if s.is_empty() {
+                    Err(e)
+                } else {
+                    Ok((select_top_k(&self.model, &s, k), false))
                 }
             }
         }
@@ -618,17 +494,10 @@ where
     PB: PrioritizedBuilder<E, Q>,
 {
     fn query_topk(&self, q: &Q, k: usize, out: &mut Vec<E>) {
-        if k == 0 || self.data.is_empty() {
-            return;
-        }
-        if k <= self.f {
-            // Treat as top-f, then k-select (§3.2).
-            let mut top_f = self.base.query_topf(&self.model, q, 0);
-            top_f.truncate(k);
-            out.extend(top_f);
-        } else {
-            self.query_large_k(q, k, out);
-        }
+        let (items, _) = self
+            .top_k(q, k, Media::Perfect, &mut FaultMark::default())
+            .expect("perfect media cannot fail");
+        out.extend(items);
     }
 
     fn space_blocks(&self) -> u64 {
@@ -642,30 +511,9 @@ where
     }
 
     fn try_query_topk(&self, q: &Q, k: usize, retrier: &Retrier) -> Result<TopKAnswer<E>, EmError> {
-        if k == 0 || self.data.is_empty() {
-            return Ok(TopKAnswer::Exact(Vec::new()));
-        }
         let mut mark = FaultMark::default();
-        let res = if k <= self.f {
-            self.base
-                .try_query_topf(&self.model, q, 0, retrier, &mut mark)
-                .map(|(mut items, exact)| {
-                    items.truncate(k);
-                    (items, exact)
-                })
-        } else {
-            self.try_query_large_k(q, k, retrier, &mut mark)
-        };
-        res.map(|(items, exact)| {
-            if exact {
-                TopKAnswer::Exact(items)
-            } else {
-                TopKAnswer::Degraded {
-                    items,
-                    extra_ios: mark.extra(&self.model),
-                }
-            }
-        })
+        let body = self.top_k(q, k, Media::Retried(retrier), &mut mark);
+        mark.answer(&self.model, body)
     }
 }
 
@@ -788,27 +636,41 @@ mod tests {
 
     #[test]
     fn try_query_topk_is_exact_under_inert_plan() {
-        let model = CostModel::new(emsim::EmConfig::new(64));
+        // Two identical pooled meters: `query_topk` runs on one,
+        // `try_query_topk` on the other. With B = 16, f ≈ 530, so the ks
+        // cover the top-f hierarchy, the doubling ladder and the k ≥ n/2
+        // scan.
         let items = mk_items(2_000, 13);
-        let t1 = WorstCaseTopK::build(
-            &model,
-            &PrefixBuilder,
-            items.clone(),
-            Theorem1Params::new(1.0).with_seed(7),
-        );
-        let retrier = Retrier::default();
+        let build = || {
+            let model = CostModel::with_faults(
+                emsim::EmConfig::with_memory(16, 32),
+                emsim::FaultPlan::none(),
+            );
+            let t1 = WorstCaseTopK::build(
+                &model,
+                &PrefixBuilder,
+                items.clone(),
+                Theorem1Params::new(1.0).with_seed(7),
+            );
+            (model, t1)
+        };
+        let (ma, a) = build();
+        let (mb, b) = build();
+        assert!(a.f() < 700 && a.ladder_rungs() > 0);
         for &qx in &[0u64, 700, 1_999] {
-            for &k in &[1usize, 9, 130, 1_500] {
+            for &k in &[1usize, 9, 130, 700, 1_500] {
                 let q = PrefixQuery { x_max: qx };
-                let mut want = Vec::new();
-                t1.query_topk(&q, k, &mut want);
-                let got = t1.try_query_topk(&q, k, &retrier).unwrap();
-                assert!(got.is_exact(), "q={qx} k={k}");
-                assert_eq!(
-                    got.items().iter().map(|e| e.w).collect::<Vec<_>>(),
-                    want.iter().map(|e| e.w).collect::<Vec<_>>(),
-                    "q={qx} k={k}"
+                crate::traits::parity::assert_query_agrees(
+                    &format!("q={qx} k={k}"),
+                    (&ma, &a),
+                    (&mb, &b),
+                    &q,
+                    k,
                 );
+                let mut got = Vec::new();
+                a.query_topk(&q, k, &mut got);
+                let want = brute::top_k(&items, |e| e.x <= qx, k);
+                assert_eq!(got, want, "q={qx} k={k}");
             }
         }
     }

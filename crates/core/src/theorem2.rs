@@ -43,9 +43,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::traits::{
-    select_top_k, DynamicIndex, Element, FaultMark, MaxBuilder, MaxIndex, Monitored,
-    PrioritizedBuilder,
-    PrioritizedIndex, TopKAnswer, TopKIndex, Weight,
+    select_top_k, DynamicIndex, Element, FaultMark, MaxBuilder, Media, Monitored,
+    PrioritizedBuilder, PrioritizedIndex, TopKAnswer, TopKIndex, Weight,
 };
 
 /// Tunables of the Theorem 2 construction.
@@ -188,86 +187,100 @@ where
         self.data.is_empty()
     }
 
-    /// Naive path: read all of `D` and k-select (`O(n/B)`).
-    fn naive(&self, q: &Q, k: usize, out: &mut Vec<E>) {
+    /// The query body behind both [`TopKIndex`] entry points: the `k` (at
+    /// most) heaviest of `q(D)` and whether they are exact.
+    fn top_k(
+        &self,
+        q: &Q,
+        k: usize,
+        media: Media,
+        mark: &mut FaultMark,
+    ) -> Result<(Vec<E>, bool), EmError> {
+        if k == 0 || self.data.is_empty() {
+            return Ok((Vec::new(), true));
+        }
+        let n = self.data.len();
+
+        // k below B·Q_max: treat as top-K_1, then k-select (§4 "Query").
+        // No levels (n ≤ 4K_1): naive.
+        let Some(&k1) = self.ks.first() else {
+            return self.naive_scan(q, k, media, mark);
+        };
+        let k_eff = (k1.ceil() as usize).max(k);
+
+        // k beyond K_h: naive O(n/B) = O(k/B).
+        if k_eff as f64 > *self.ks.last().unwrap() || k_eff >= n {
+            return self.naive_scan(q, k, media, mark);
+        }
+
+        // Smallest i with K_i ≥ k_eff; then rounds j = i..h.
+        let i = self.ks.partition_point(|&kj| kj < k_eff as f64);
+        for j in i..self.ks.len() {
+            if let Some(result) = self.round_at(q, k, j, media, mark) {
+                return Ok((result, true));
+            }
+        }
+        // All rounds failed (probability ≤ 0.91^h): naive.
+        self.naive_scan(q, k, media, mark)
+    }
+
+    /// Naive path: read all of `D` and k-select (`O(n/B)`). Exact when the
+    /// full prioritized query survives (even if earlier rounds lost
+    /// structures), degraded to the partial visitor prefix when it
+    /// doesn't, `Err` when nothing was recovered.
+    fn naive_scan(
+        &self,
+        q: &Q,
+        k: usize,
+        media: Media,
+        mark: &mut FaultMark,
+    ) -> Result<(Vec<E>, bool), EmError> {
         // A black-box reduction cannot evaluate predicates on raw elements,
         // so "read the whole D" is a full prioritized query with τ = -∞
         // (cost Q_pri + O(n/B) = O(n/B) for any sane Q_pri).
-        let _g = self.model.span(phase::SCAN);
+        let scan = self.model.span(phase::SCAN);
         let mut s = Vec::new();
-        self.pri.query(q, 0, &mut s);
-        out.extend(select_top_k(&self.model, &s, k));
-        let _ = q;
+        match media.query(&self.pri, q, 0, &mut s) {
+            Ok(()) => Ok((select_top_k(&self.model, &s, k), true)),
+            Err(e) => {
+                drop(scan);
+                let _g = self.model.span(phase::DEGRADE);
+                mark.note(&self.model);
+                if s.is_empty() {
+                    Err(e)
+                } else {
+                    Ok((select_top_k(&self.model, &s, k), false))
+                }
+            }
+        }
     }
 
     /// One round of the §4 query procedure at level `j` (0-based into
-    /// `self.ks`). Returns `Some(result)` on success.
-    fn round(&self, q: &Q, k: usize, j: usize) -> Option<Vec<E>> {
-        let cap = self.ks[j].ceil() as usize;
-
-        // Step 1: if |q(D)| ≤ 4K_j the monitored query completes.
-        let mut s1 = Vec::new();
-        let m1 = {
-            let _g = self.model.span(phase::PROBE);
-            self.pri.query_monitored(q, 0, 4 * cap, &mut s1)
-        };
-        if m1 == Monitored::Complete {
-            let _g = self.model.span(phase::SELECT);
-            return Some(select_top_k(&self.model, &s1, k));
-        }
-
-        // Step 2: heaviest sampled element from the max structure on R_j.
-        let e = {
-            let _g = self.model.span(phase::SAMPLE);
-            self.maxes[j].query_max(q)
-        };
-        let tau = match &e {
-            Some(e) => e.weight(),
-            // Empty q(R_j): dummy with w = -∞; the τ=0 query just ran and
-            // was truncated, so this round fails (step 4, case 3(b)).
-            None => return None,
-        };
-
-        // Step 3: prioritized query with τ = w(e), cost-monitored at 4K_j.
-        let mut s = Vec::new();
-        let m = {
-            let _g = self.model.span(phase::PROBE);
-            self.pri.query_monitored(q, tau, 4 * cap, &mut s)
-        };
-
-        // Steps 4–5: succeed iff the fetch is complete and provably contains
-        // the top-k. The paper requires |S| > K_j; |S| ≥ k suffices for
-        // exactness (K_j ≥ k), and accepting it only lowers the failure
-        // probability below the 0.91 of the analysis.
-        if m == Monitored::Complete && s.len() >= k {
-            let _g = self.model.span(phase::SELECT);
-            return Some(select_top_k(&self.model, &s, k));
-        }
-        None
-    }
-
-    /// Fallible `round`: any unrecoverable fault inside the round makes it
-    /// fail (return `None`) and the query escalates `j` — the paper's own
-    /// escalation handles structure loss for free. A `Some` answer is
-    /// always exact: the round's self-verification (`Complete` fetch with
-    /// `≥ k` results) holds regardless of how the pivot was obtained.
-    fn try_round(
+    /// `self.ks`). Returns `Some(result)` on success. Any unrecoverable
+    /// fault inside the round makes it fail and the query escalates `j` —
+    /// the paper's own escalation handles structure loss for free. A
+    /// `Some` answer is always exact: the round's self-verification
+    /// (`Complete` fetch with `≥ k` results) holds regardless of how the
+    /// pivot was obtained.
+    fn round_at(
         &self,
         q: &Q,
         k: usize,
         j: usize,
-        retrier: &Retrier,
+        media: Media,
         mark: &mut FaultMark,
     ) -> Option<Vec<E>> {
         let cap = self.ks[j].ceil() as usize;
 
+        // Step 1: if |q(D)| ≤ 4K_j the monitored query completes.
         let mut s1 = Vec::new();
         let first = {
             let _g = self.model.span(phase::PROBE);
-            self.pri.try_query_monitored(q, 0, 4 * cap, retrier, &mut s1)
+            media.query_monitored(&self.pri, q, 0, 4 * cap, &mut s1)
         };
         match first {
             Ok(Monitored::Complete) => {
+                let _g = self.model.span(phase::SELECT);
                 return Some(select_top_k(&self.model, &s1, k));
             }
             Ok(Monitored::Truncated) => {}
@@ -277,66 +290,42 @@ where
             }
         }
 
+        // Step 2: heaviest sampled element from the max structure on R_j.
         let max_query = {
             let _g = self.model.span(phase::SAMPLE);
-            self.maxes[j].try_query_max(q, retrier)
+            media.query_max(&self.maxes[j], q)
         };
-        let Ok(e) = max_query else {
-            mark.note(&self.model);
-            return None;
-        };
-        let tau = match &e {
-            Some(e) => e.weight(),
-            None => return None,
+        let tau = match max_query {
+            Ok(Some(e)) => e.weight(),
+            // Empty q(R_j): dummy with w = -∞; the τ=0 query just ran and
+            // was truncated, so this round fails (step 4, case 3(b)).
+            Ok(None) => return None,
+            Err(_) => {
+                mark.note(&self.model);
+                return None;
+            }
         };
 
+        // Step 3: prioritized query with τ = w(e), cost-monitored at 4K_j.
         let mut s = Vec::new();
         let tau_query = {
             let _g = self.model.span(phase::PROBE);
-            self.pri.try_query_monitored(q, tau, 4 * cap, retrier, &mut s)
+            media.query_monitored(&self.pri, q, tau, 4 * cap, &mut s)
         };
+
+        // Steps 4–5: succeed iff the fetch is complete and provably contains
+        // the top-k. The paper requires |S| > K_j; |S| ≥ k suffices for
+        // exactness (K_j ≥ k), and accepting it only lowers the failure
+        // probability below the 0.91 of the analysis.
         match tau_query {
             Ok(Monitored::Complete) if s.len() >= k => {
+                let _g = self.model.span(phase::SELECT);
                 Some(select_top_k(&self.model, &s, k))
             }
             Ok(_) => None,
             Err(_) => {
                 mark.note(&self.model);
                 None
-            }
-        }
-    }
-
-    /// Fallible `naive`: exact when the full prioritized query survives
-    /// (even if earlier rounds lost structures), degraded to the partial
-    /// visitor prefix when it doesn't, `Err` when nothing was recovered.
-    fn try_naive(
-        &self,
-        q: &Q,
-        k: usize,
-        retrier: &Retrier,
-        mark: &mut FaultMark,
-    ) -> Result<TopKAnswer<E>, EmError> {
-        let mut s = Vec::new();
-        let full = {
-            let _g = self.model.span(phase::SCAN);
-            self.pri.try_query(q, 0, retrier, &mut s)
-        };
-        match full {
-            Ok(()) => Ok(TopKAnswer::Exact(select_top_k(&self.model,
-                &s,
-                k))),
-            Err(e) => {
-                let _g = self.model.span(phase::DEGRADE);
-                mark.note(&self.model);
-                if s.is_empty() {
-                    Err(e)
-                } else {
-                    Ok(TopKAnswer::Degraded {
-                        items: select_top_k(&self.model, &s, k),
-                        extra_ios: mark.extra(&self.model),
-                    })
-                }
             }
         }
     }
@@ -433,37 +422,10 @@ where
     MB: MaxBuilder<E, Q>,
 {
     fn query_topk(&self, q: &Q, k: usize, out: &mut Vec<E>) {
-        if k == 0 || self.data.is_empty() {
-            return;
-        }
-        let n = self.data.len();
-
-        // k below B·Q_max: treat as top-K_1, then k-select (§4 "Query").
-        let k_eff = match self.ks.first() {
-            Some(&k1) => (k1.ceil() as usize).max(k),
-            None => {
-                // No levels (n ≤ 4K_1): naive.
-                self.naive(q, k, out);
-                return;
-            }
-        };
-
-        // k beyond K_h: naive O(n/B) = O(k/B).
-        if k_eff as f64 > *self.ks.last().unwrap() || k_eff >= n {
-            self.naive(q, k, out);
-            return;
-        }
-
-        // Smallest i with K_i ≥ k_eff; then rounds j = i..h.
-        let i = self.ks.partition_point(|&kj| kj < k_eff as f64);
-        for j in i..self.ks.len() {
-            if let Some(result) = self.round(q, k, j) {
-                out.extend(result);
-                return;
-            }
-        }
-        // All rounds failed (probability ≤ 0.91^h): naive.
-        self.naive(q, k, out);
+        let (items, _) = self
+            .top_k(q, k, Media::Perfect, &mut FaultMark::default())
+            .expect("perfect media cannot fail");
+        out.extend(items);
     }
 
     fn space_blocks(&self) -> u64 {
@@ -475,27 +437,9 @@ where
     }
 
     fn try_query_topk(&self, q: &Q, k: usize, retrier: &Retrier) -> Result<TopKAnswer<E>, EmError> {
-        if k == 0 || self.data.is_empty() {
-            return Ok(TopKAnswer::Exact(Vec::new()));
-        }
-        let n = self.data.len();
         let mut mark = FaultMark::default();
-
-        let k_eff = match self.ks.first() {
-            Some(&k1) => (k1.ceil() as usize).max(k),
-            None => return self.try_naive(q, k, retrier, &mut mark),
-        };
-        if k_eff as f64 > *self.ks.last().unwrap() || k_eff >= n {
-            return self.try_naive(q, k, retrier, &mut mark);
-        }
-
-        let i = self.ks.partition_point(|&kj| kj < k_eff as f64);
-        for j in i..self.ks.len() {
-            if let Some(result) = self.try_round(q, k, j, retrier, &mut mark) {
-                return Ok(TopKAnswer::Exact(result));
-            }
-        }
-        self.try_naive(q, k, retrier, &mut mark)
+        let body = self.top_k(q, k, Media::Retried(retrier), &mut mark);
+        mark.answer(&self.model, body)
     }
 }
 
@@ -760,27 +704,38 @@ mod tests {
 
     #[test]
     fn try_query_topk_is_exact_under_inert_plan() {
-        let model = CostModel::new(EmConfig::new(64));
+        // Two identical pooled meters: `query_topk` runs on one,
+        // `try_query_topk` on the other. k = 2 000 exceeds K_h and takes
+        // the naive path; the other ks run rounds.
         let items = mk_items(5_000, 9);
-        let t2 = ExpectedTopK::build(
-            &model,
-            PrefixBuilder,
-            PrefixMaxBuilder,
-            items.clone(),
-            Theorem2Params::default(),
-        );
-        let retrier = Retrier::default();
+        let build = || {
+            let model =
+                CostModel::with_faults(EmConfig::with_memory(64, 32), emsim::FaultPlan::none());
+            let t2 = ExpectedTopK::build(
+                &model,
+                PrefixBuilder,
+                PrefixMaxBuilder,
+                items.clone(),
+                Theorem2Params::default(),
+            );
+            (model, t2)
+        };
+        let (ma, a) = build();
+        let (mb, b) = build();
         for &qx in &[0u64, 2_500, 4_999] {
-            for &k in &[1usize, 5, 100, 1_000] {
+            for &k in &[1usize, 5, 100, 1_000, 2_000] {
                 let q = PrefixQuery { x_max: qx };
-                let got = t2.try_query_topk(&q, k, &retrier).unwrap();
-                assert!(got.is_exact(), "q={qx} k={k}");
-                let want = brute::top_k(&items, |e| e.x <= qx, k);
-                assert_eq!(
-                    got.items().iter().map(|e| e.w).collect::<Vec<_>>(),
-                    want.iter().map(|e| e.w).collect::<Vec<_>>(),
-                    "q={qx} k={k}"
+                crate::traits::parity::assert_query_agrees(
+                    &format!("q={qx} k={k}"),
+                    (&ma, &a),
+                    (&mb, &b),
+                    &q,
+                    k,
                 );
+                let mut got = Vec::new();
+                a.query_topk(&q, k, &mut got);
+                let want = brute::top_k(&items, |e| e.x <= qx, k);
+                assert_eq!(got, want, "q={qx} k={k}");
             }
         }
     }

@@ -13,7 +13,7 @@
 //! structures *on arbitrary subsets* of the input — the reductions build
 //! them on core-sets and random samples.
 
-use emsim::{CostModel, EmError, Retrier};
+use emsim::{BlockArray, CostModel, EmError, Retrier};
 
 /// Weights are unsigned 64-bit and pairwise distinct (paper §1.1). Because
 /// they are distinct, a weight doubles as a unique element identifier, which
@@ -122,6 +122,109 @@ impl FaultMark {
     pub(crate) fn extra(&self, model: &CostModel) -> u64 {
         self.at
             .map_or(0, |m| model.report().total().saturating_sub(m))
+    }
+
+    /// Turn a query body's `(items, exact)` into a [`TopKAnswer`], charging
+    /// a degraded answer with the I/Os spent since the first noted fault.
+    pub(crate) fn answer<E>(
+        &self,
+        model: &CostModel,
+        body: Result<(Vec<E>, bool), EmError>,
+    ) -> Result<TopKAnswer<E>, EmError> {
+        body.map(|(items, exact)| {
+            if exact {
+                TopKAnswer::Exact(items)
+            } else {
+                TopKAnswer::Degraded {
+                    items,
+                    extra_ios: self.extra(model),
+                }
+            }
+        })
+    }
+}
+
+/// How a query body reads its structures. Each reduction has one query
+/// body; `query_topk` runs it on [`Media::Perfect`] and `try_query_topk`
+/// on [`Media::Retried`]. This is the only place that picks between the
+/// infallible accessors and their fallible `try_*` twins, so the fault
+/// plan is consulted exactly when the caller asked for the fallible path.
+#[derive(Clone, Copy)]
+pub(crate) enum Media<'a> {
+    /// The infallible accessors: perfect media, never an `Err`, and the
+    /// meter's fault plan is never consulted.
+    Perfect,
+    /// The `try_*` accessors under the meter's fault plan, retrying
+    /// transient faults with this retrier.
+    Retried(&'a Retrier),
+}
+
+impl Media<'_> {
+    /// [`PrioritizedIndex::query_monitored`] or its fallible twin.
+    pub(crate) fn query_monitored<E: Element, Q>(
+        self,
+        idx: &impl PrioritizedIndex<E, Q>,
+        q: &Q,
+        tau: Weight,
+        limit: usize,
+        out: &mut Vec<E>,
+    ) -> Result<Monitored, EmError> {
+        match self {
+            Media::Perfect => Ok(idx.query_monitored(q, tau, limit, out)),
+            Media::Retried(r) => idx.try_query_monitored(q, tau, limit, r, out),
+        }
+    }
+
+    /// [`PrioritizedIndex::query`] or its fallible twin.
+    pub(crate) fn query<E: Element, Q>(
+        self,
+        idx: &impl PrioritizedIndex<E, Q>,
+        q: &Q,
+        tau: Weight,
+        out: &mut Vec<E>,
+    ) -> Result<(), EmError> {
+        match self {
+            Media::Perfect => {
+                idx.query(q, tau, out);
+                Ok(())
+            }
+            Media::Retried(r) => idx.try_query(q, tau, r, out),
+        }
+    }
+
+    /// [`MaxIndex::query_max`] or its fallible twin.
+    pub(crate) fn query_max<E: Element, Q>(
+        self,
+        idx: &impl MaxIndex<E, Q>,
+        q: &Q,
+    ) -> Result<Option<E>, EmError> {
+        match self {
+            Media::Perfect => Ok(idx.query_max(q)),
+            Media::Retried(r) => idx.try_query_max(q, r),
+        }
+    }
+
+    /// [`BlockArray::get`] or [`BlockArray::try_get`].
+    pub(crate) fn get<T>(self, arr: &BlockArray<T>, i: usize) -> Result<&T, EmError> {
+        match self {
+            Media::Perfect => Ok(arr.get(i)),
+            Media::Retried(r) => arr.try_get(i, r),
+        }
+    }
+
+    /// [`BlockArray::scan_while`] or [`BlockArray::try_scan_while`]; on
+    /// `Err`, the number of items visited before the unreadable block.
+    pub(crate) fn scan_while<T>(
+        self,
+        arr: &BlockArray<T>,
+        lo: usize,
+        hi: usize,
+        f: impl FnMut(&T) -> bool,
+    ) -> Result<usize, (usize, EmError)> {
+        match self {
+            Media::Perfect => Ok(arr.scan_while(lo, hi, f)),
+            Media::Retried(r) => arr.try_scan_while(lo, hi, r, f),
+        }
     }
 }
 
@@ -340,6 +443,100 @@ pub fn log_b(n: usize, b: usize) -> f64 {
     let n = n.max(2) as f64;
     let b = (b.max(2)) as f64;
     (n.ln() / b.ln()).max(1.0)
+}
+
+/// Path parity: a query answered by `query_topk` on one meter and by
+/// `try_query_topk` under an inert plan on an identical second meter must
+/// give the same answer, the same meter deltas and the same per-phase
+/// EXPLAIN table.
+#[cfg(test)]
+pub(crate) mod parity {
+    use std::collections::BTreeMap;
+    use std::fmt::Debug;
+
+    use emsim::{CostModel, CostReport, EmError, Retrier};
+
+    use super::{Element, TopKAnswer, TopKIndex};
+
+    type Counts = (u64, u64, u64, u64);
+
+    fn totals(model: &CostModel) -> Counts {
+        let r = model.report();
+        (r.reads, r.writes, r.pool_hits, r.pool_misses)
+    }
+
+    fn phases(report: &CostReport) -> BTreeMap<&'static str, Counts> {
+        report
+            .phases
+            .iter()
+            .map(|(&name, p)| (name, (p.reads, p.writes, p.pool_hits, p.pool_misses)))
+            .collect()
+    }
+
+    fn explained<R>(
+        model: &CostModel,
+        run: impl FnOnce() -> R,
+    ) -> (R, Counts, BTreeMap<&'static str, Counts>) {
+        let before = totals(model);
+        let (out, report) = model.explain(run);
+        let after = totals(model);
+        let delta = (
+            after.0 - before.0,
+            after.1 - before.1,
+            after.2 - before.2,
+            after.3 - before.3,
+        );
+        (out, delta, phases(&report))
+    }
+
+    /// Run the infallible `perfect` and the fallible `retried` form of the
+    /// same queries, each on its own meter, and assert they agree.
+    pub(crate) fn assert_runs_agree<E: PartialEq + Debug>(
+        what: &str,
+        perfect: (&CostModel, impl FnOnce() -> Vec<Vec<E>>),
+        retried: (
+            &CostModel,
+            impl FnOnce() -> Vec<Result<TopKAnswer<E>, EmError>>,
+        ),
+    ) {
+        let (want, want_totals, want_phases) = explained(perfect.0, perfect.1);
+        let (got, got_totals, got_phases) = explained(retried.0, retried.1);
+        let got: Vec<Vec<E>> = got
+            .into_iter()
+            .map(|a| match a {
+                Ok(TopKAnswer::Exact(items)) => items,
+                other => panic!("{what}: inert plan gave {other:?}"),
+            })
+            .collect();
+        assert_eq!(got, want, "{what}: answers");
+        assert_eq!(
+            got_totals, want_totals,
+            "{what}: (reads, writes, pool_hits, pool_misses)"
+        );
+        assert_eq!(got_phases, want_phases, "{what}: per-phase EXPLAIN");
+    }
+
+    /// [`assert_runs_agree`] for one solo query: `query_topk` on `perfect`,
+    /// `try_query_topk` on `retried`.
+    pub(crate) fn assert_query_agrees<E: Element + PartialEq + Debug, Q>(
+        what: &str,
+        perfect: (&CostModel, &impl TopKIndex<E, Q>),
+        retried: (&CostModel, &impl TopKIndex<E, Q>),
+        q: &Q,
+        k: usize,
+    ) {
+        assert_runs_agree(
+            what,
+            (perfect.0, || {
+                let mut out = Vec::new();
+                perfect.1.query_topk(q, k, &mut out);
+                vec![out]
+            }),
+            (retried.0, || {
+                vec![retried.1.try_query_topk(q, k, &Retrier::default())]
+            }),
+        );
+    }
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@ use geom::point::PointD;
 use structures::kdtree::{DominanceRegion, KdPoint, KdTree};
 use structures::rangetree::{PlanarPoint, RangeTree2D};
 use topk_core::{
-    log_b, Element, ExpectedTopK, MaxBuilder, MaxIndex, PrioritizedBuilder, PrioritizedIndex,
-    Theorem2Params, TopKIndex, Weight,
+    log_b, Element, EmError, ExpectedTopK, MaxBuilder, MaxIndex, PrioritizedBuilder,
+    PrioritizedIndex, Retrier, Theorem2Params, TopKAnswer, TopKIndex, Weight,
 };
 
 /// A weighted point in ℝ³ (e.g. a hotel: price, distance, 100 − rating).
@@ -187,6 +187,14 @@ impl TopKIndex<Hotel, [f64; 3]> for TopKDominance {
     }
     fn space_blocks(&self) -> u64 {
         self.inner.space_blocks()
+    }
+    fn try_query_topk(
+        &self,
+        q: &[f64; 3],
+        k: usize,
+        retrier: &Retrier,
+    ) -> Result<TopKAnswer<Hotel>, EmError> {
+        self.inner.try_query_topk(q, k, retrier)
     }
 }
 

@@ -29,8 +29,9 @@ use geom::Point2;
 use interval::{HasInterval, SegStabG, StaticStabMaxG};
 use structures::segtree::{SegTreeOfSets, Summary};
 use topk_core::{
-    log_b, Element, ExpectedTopK, MaxBuilder, MaxIndex, PrioritizedBuilder, PrioritizedIndex,
-    Theorem1Params, Theorem2Params, TopKIndex, Weight, WorstCaseTopK,
+    log_b, Element, EmError, ExpectedTopK, MaxBuilder, MaxIndex, PrioritizedBuilder,
+    PrioritizedIndex, Retrier, Theorem1Params, Theorem2Params, TopKAnswer, TopKIndex, Weight,
+    WorstCaseTopK,
 };
 
 /// A weighted axis-parallel rectangle `[x1, x2] × [y1, y2]`.
@@ -244,6 +245,14 @@ impl TopKIndex<Rect, Point2> for TopKEnclosure {
     fn space_blocks(&self) -> u64 {
         self.inner.space_blocks()
     }
+    fn try_query_topk(
+        &self,
+        q: &Point2,
+        k: usize,
+        retrier: &Retrier,
+    ) -> Result<TopKAnswer<Rect>, EmError> {
+        self.inner.try_query_topk(q, k, retrier)
+    }
 }
 
 /// Theorem 1 top-k point enclosure (worst-case bounds, Theorem 5 bullet 2).
@@ -267,6 +276,14 @@ impl TopKIndex<Rect, Point2> for TopKEnclosureWorstCase {
     }
     fn space_blocks(&self) -> u64 {
         self.inner.space_blocks()
+    }
+    fn try_query_topk(
+        &self,
+        q: &Point2,
+        k: usize,
+        retrier: &Retrier,
+    ) -> Result<TopKAnswer<Rect>, EmError> {
+        self.inner.try_query_topk(q, k, retrier)
     }
 }
 

@@ -18,8 +18,8 @@ use structures::kdtree::{KdPoint, KdTree};
 use structures::weight_tree::WeightTreeBuilder;
 use structures::{ReportingBuilder, ReportingIndex};
 use topk_core::{
-    log_b, Element, ExpectedTopK, MaxBuilder, MaxIndex, Theorem1Params, Theorem2Params,
-    TopKIndex, Weight, WorstCaseTopK,
+    log_b, Element, EmError, ExpectedTopK, MaxBuilder, MaxIndex, Retrier, Theorem1Params,
+    Theorem2Params, TopKAnswer, TopKIndex, Weight, WorstCaseTopK,
 };
 
 /// A weighted point in `ℝ^D`.
@@ -173,6 +173,14 @@ impl<const D: usize> TopKIndex<WPointD<D>, HalfspaceD<D>> for TopKHalfspaceWorst
     fn space_blocks(&self) -> u64 {
         self.inner.space_blocks()
     }
+    fn try_query_topk(
+        &self,
+        q: &HalfspaceD<D>,
+        k: usize,
+        retrier: &Retrier,
+    ) -> Result<TopKAnswer<WPointD<D>>, EmError> {
+        self.inner.try_query_topk(q, k, retrier)
+    }
 }
 
 /// Theorem 2 top-k halfspace reporting in `ℝ^D` (for comparison with the
@@ -206,6 +214,14 @@ impl<const D: usize> TopKIndex<WPointD<D>, HalfspaceD<D>> for TopKHalfspaceExpec
     }
     fn space_blocks(&self) -> u64 {
         self.inner.space_blocks()
+    }
+    fn try_query_topk(
+        &self,
+        q: &HalfspaceD<D>,
+        k: usize,
+        retrier: &Retrier,
+    ) -> Result<TopKAnswer<WPointD<D>>, EmError> {
+        self.inner.try_query_topk(q, k, retrier)
     }
 }
 

@@ -10,7 +10,7 @@
 use emsim::CostModel;
 use geom::Halfplane;
 use structures::weight_tree::WeightTreeBuilder;
-use topk_core::{ExpectedTopK, Theorem2Params, TopKIndex};
+use topk_core::{EmError, ExpectedTopK, Retrier, Theorem2Params, TopKAnswer, TopKIndex};
 
 use crate::max2d::WeightHullTreeBuilder;
 use crate::reporting2d::ConvexLayersBuilder;
@@ -67,6 +67,14 @@ impl TopKIndex<WPoint2, Halfplane> for TopKHalfplane {
     }
     fn space_blocks(&self) -> u64 {
         self.inner.space_blocks()
+    }
+    fn try_query_topk(
+        &self,
+        q: &Halfplane,
+        k: usize,
+        retrier: &Retrier,
+    ) -> Result<TopKAnswer<WPoint2>, EmError> {
+        self.inner.try_query_topk(q, k, retrier)
     }
 }
 

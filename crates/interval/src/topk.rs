@@ -9,7 +9,8 @@
 
 use emsim::CostModel;
 use topk_core::{
-    DynamicIndex, ExpectedTopK, Theorem1Params, Theorem2Params, TopKIndex, Weight, WorstCaseTopK,
+    DynamicIndex, EmError, ExpectedTopK, Retrier, Theorem1Params, Theorem2Params, TopKAnswer,
+    TopKIndex, Weight, WorstCaseTopK,
 };
 
 use crate::dynamic::{DynStabbingBuilder, DynStabbingMaxBuilder};
@@ -62,6 +63,14 @@ impl TopKIndex<Interval, f64> for TopKStabbing {
     fn space_blocks(&self) -> u64 {
         self.inner.space_blocks()
     }
+    fn try_query_topk(
+        &self,
+        q: &f64,
+        k: usize,
+        retrier: &Retrier,
+    ) -> Result<TopKAnswer<Interval>, EmError> {
+        self.inner.try_query_topk(q, k, retrier)
+    }
 }
 
 /// Theorem 1 top-k interval stabbing (worst case), over the linear-space
@@ -91,6 +100,14 @@ impl TopKIndex<Interval, f64> for TopKStabbingWorstCase {
     }
     fn space_blocks(&self) -> u64 {
         self.inner.space_blocks()
+    }
+    fn try_query_topk(
+        &self,
+        q: &f64,
+        k: usize,
+        retrier: &Retrier,
+    ) -> Result<TopKAnswer<Interval>, EmError> {
+        self.inner.try_query_topk(q, k, retrier)
     }
 }
 
@@ -146,6 +163,14 @@ impl TopKIndex<Interval, f64> for DynTopKStabbing {
     fn space_blocks(&self) -> u64 {
         self.inner.space_blocks()
     }
+    fn try_query_topk(
+        &self,
+        q: &f64,
+        k: usize,
+        retrier: &Retrier,
+    ) -> Result<TopKAnswer<Interval>, EmError> {
+        self.inner.try_query_topk(q, k, retrier)
+    }
 }
 
 #[cfg(test)]
@@ -182,6 +207,9 @@ mod tests {
                     want.iter().map(|iv| iv.weight).collect::<Vec<_>>(),
                     "q={q} k={k}"
                 );
+                // The fallible path runs the same reduction body.
+                let tried = idx.try_query_topk(&q, k, &Retrier::default()).unwrap();
+                assert_eq!(tried, TopKAnswer::Exact(got), "try_query_topk q={q} k={k}");
             }
         }
     }
