@@ -1,4 +1,4 @@
-//! Run every experiment E1–E25 (see DESIGN.md §4), fanned out across
+//! Run every experiment (E1–E23 and E25, see DESIGN.md §4), fanned out across
 //! threads, then print the buffered tables in E-order and write a
 //! machine-readable `BENCH_results.json` for cross-PR perf tracking.
 //!

@@ -1,9 +1,8 @@
-//! The experiments E1–E25 (see DESIGN.md §4 for the index).
+//! The experiments E1–E23 and E25 (see DESIGN.md §4 for the index).
 
 pub mod ablation;
 pub mod baseline;
 pub mod batch;
-pub mod compress;
 pub mod faults;
 pub mod kernels;
 pub mod persist;

@@ -40,7 +40,7 @@ pub struct Experiment {
     pub run: fn(Scale) -> Table,
 }
 
-/// The full registry, in the E1–E25 order of DESIGN.md §4.
+/// The full registry, in the E-order of DESIGN.md §4.
 pub fn all_experiments() -> &'static [Experiment] {
     &[
         Experiment { name: "lemma1", run: experiments::sampling::exp_lemma1 },
@@ -66,7 +66,6 @@ pub fn all_experiments() -> &'static [Experiment] {
         Experiment { name: "trace", run: experiments::trace::exp_trace },
         Experiment { name: "kernels", run: experiments::kernels::exp_kernels },
         Experiment { name: "persist", run: experiments::persist::exp_persist },
-        Experiment { name: "compress", run: experiments::compress::exp_compress },
         Experiment { name: "serve", run: experiments::serve::exp_serve },
     ]
 }
@@ -308,10 +307,10 @@ mod tests {
     #[test]
     fn registry_is_complete_and_uniquely_named() {
         let exps = all_experiments();
-        assert_eq!(exps.len(), 25);
+        assert_eq!(exps.len(), 24);
         let mut names: Vec<&str> = exps.iter().map(|e| e.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 25, "duplicate experiment names");
+        assert_eq!(names.len(), 24, "duplicate experiment names");
     }
 }

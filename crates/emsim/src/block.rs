@@ -55,9 +55,7 @@ pub(crate) fn encode_header(
 }
 
 /// `(kind, seed_id, block, items, per_block, checksum)` of a header image,
-/// or `None` when the bytes are not a valid header. The kind word carries
-/// the payload codec's wire tag in bits 8..16 (see [`encode_image`]);
-/// callers split it with [`split_kind`].
+/// or `None` when the bytes are not a valid header.
 fn decode_header(bytes: &[u8]) -> Option<(u32, u64, u64, u32, u32, u64)> {
     if bytes.len() < HEADER_LEN {
         return None;
@@ -68,40 +66,6 @@ fn decode_header(bytes: &[u8]) -> Option<(u32, u64, u64, u32, u32, u64)> {
         return None;
     }
     Some((u32_at(4), u64_at(8), u64_at(16), u32_at(24), u32_at(28), u64_at(32)))
-}
-
-/// Split a header kind word into `(kind, codec_tag)`.
-fn split_kind(kind: u32) -> (u32, u8) {
-    (kind & 0xFF, ((kind >> 8) & 0xFF) as u8)
-}
-
-/// Assemble a complete block image: 40-byte header followed by `payload`
-/// run through `codec`, with the codec's wire tag stamped into bits 8..16
-/// of the header's kind word so the image is self-describing — a store
-/// written under one `EMSIM_CODEC` opens correctly under any other. The
-/// header itself always stays raw (recovery must parse it before knowing
-/// any codec), and header-only images (`payload` empty — anonymous-array
-/// and B-tree mirrors) skip the codec entirely: tag 0, byte-identical to
-/// the pre-codec format. Device-level CRCs are computed over the image as
-/// written, so torn-write detection covers compressed payloads for free.
-#[allow(clippy::too_many_arguments)] // mirrors encode_header's field list + codec/payload
-pub(crate) fn encode_image(
-    codec: &dyn crate::codec::BlockCodec,
-    kind: u32,
-    seed_id: u64,
-    block: u64,
-    items: u32,
-    per_block: u32,
-    checksum: u64,
-    payload: &[u8],
-) -> Vec<u8> {
-    if payload.is_empty() {
-        return encode_header(kind, seed_id, block, items, per_block, checksum);
-    }
-    let kind = kind | (u32::from(codec.tag()) << 8);
-    let mut image = encode_header(kind, seed_id, block, items, per_block, checksum);
-    image.extend_from_slice(&codec.encode(payload));
-    image
 }
 
 /// A fixed-size, byte-oriented serialization contract for items that can
@@ -224,18 +188,15 @@ impl<T> BlockArray<T> {
 
     /// Mirror every block's header image under this meter's namespace.
     fn mirror_headers(&self) {
-        let codec = crate::codec::active_codec();
         for b in 0..self.blocks() {
             self.model.device_write(self.array_id, b, || {
-                encode_image(
-                    codec,
+                encode_header(
                     KIND_HEADER,
                     self.seed_id,
                     b,
                     self.block_items(b) as u32,
                     self.per_block as u32,
                     self.checksum(b),
-                    &[],
                 )
             });
         }
@@ -456,24 +417,21 @@ impl<T: Persist> BlockArray<T> {
         let array_id = model.new_array_id();
         let arr = BlockArray::with_seed(model, data, array_id, seed);
         let dev = model.device();
-        let codec = crate::codec::active_codec();
         for b in 0..arr.blocks() {
             let lo = b as usize * arr.per_block;
             let items = arr.block_items(b);
-            let mut payload = Vec::with_capacity(items * T::SIZE);
-            for item in &arr.data[lo..lo + items] {
-                item.to_bytes(&mut payload);
-            }
-            let image = encode_image(
-                codec,
+            // The 40-byte header, then the items' bytes verbatim.
+            let mut image = encode_header(
                 KIND_PAYLOAD,
                 seed,
                 b,
                 items as u32,
                 arr.per_block as u32,
                 arr.checksum(b),
-                &payload,
             );
+            for item in &arr.data[lo..lo + items] {
+                item.to_bytes(&mut image);
+            }
             dev.write(BlockId { ns: device::NAMED_NS, array: seed, block: b }, &image)?;
         }
         Ok(arr)
@@ -502,15 +460,13 @@ impl<T: Persist> BlockArray<T> {
             let image = dev
                 .read(BlockId { ns: device::NAMED_NS, array: seed, block: b })?
                 .ok_or_else(|| corrupt(b))?;
-            let (kind_word, seed_read, block_read, items, per, checksum) =
+            let (kind, seed_read, block_read, items, per, checksum) =
                 decode_header(&image).ok_or_else(|| corrupt(b))?;
-            let (kind, codec_tag) = split_kind(kind_word);
+            // Compressing builds stamped a payload codec tag into bits 8..16
+            // of the kind word; such a store fails this check as corrupt.
             if kind != KIND_PAYLOAD || seed_read != seed || block_read != b {
                 return Err(corrupt(b));
             }
-            // The header tag, not the ambient codec, decides decoding: a
-            // store written under any `EMSIM_CODEC` opens under any other.
-            let codec = crate::codec::codec_by_tag(codec_tag).ok_or_else(|| corrupt(b))?;
             let per = per as usize;
             if *per_block.get_or_insert(per) != per {
                 return Err(corrupt(b));
@@ -525,7 +481,7 @@ impl<T: Persist> BlockArray<T> {
             if block_checksum(seed, b, items as u64) != checksum {
                 return Err(corrupt(b));
             }
-            let payload = codec.decode(&image[HEADER_LEN..]).ok_or_else(|| corrupt(b))?;
+            let payload = &image[HEADER_LEN..];
             if payload.len() != items * T::SIZE {
                 return Err(corrupt(b));
             }
@@ -738,24 +694,32 @@ mod tests {
 
     #[test]
     fn named_array_roundtrips_on_one_device() {
-        let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new());
-        let m = meter_on(dev.clone());
-        let original: Vec<u64> = (0..150).map(|i| i * 7).collect();
-        let a = BlockArray::new_named(&m, "idx", original.clone()).expect("persist");
-        assert_eq!(a.raw(), &original[..]);
-        dev.sync().expect("sync");
-        // A different meter on the same device finds it by name.
-        let m2 = meter_on(dev);
-        let b: BlockArray<u64> = BlockArray::open_named(&m2, "idx").expect("reopen");
-        assert_eq!(b.raw(), &original[..]);
-        assert_eq!(b.blocks(), a.blocks());
-        assert_eq!(
-            m2.report().reads,
-            a.blocks(),
-            "recovery charges one sequential read per block"
-        );
-        for blk in 0..b.blocks() {
-            assert_eq!(b.verify(blk), Ok(()), "sentinels survive the name round-trip");
+        let cases: [Vec<u64>; 5] = [
+            (0..150).map(|i| i * 7).collect(),
+            vec![42],
+            vec![u64::MAX; 200],
+            vec![0; 200],
+            vec![u64::MAX, 0],
+        ];
+        for original in cases {
+            let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new());
+            let m = meter_on(dev.clone());
+            let a = BlockArray::new_named(&m, "idx", original.clone()).expect("persist");
+            assert_eq!(a.raw(), &original[..]);
+            dev.sync().expect("sync");
+            // A different meter on the same device finds it by name.
+            let m2 = meter_on(dev);
+            let b: BlockArray<u64> = BlockArray::open_named(&m2, "idx").expect("reopen");
+            assert_eq!(b.raw(), &original[..]);
+            assert_eq!(b.blocks(), a.blocks());
+            assert_eq!(
+                m2.report().reads,
+                a.blocks(),
+                "recovery charges one sequential read per block"
+            );
+            for blk in 0..b.blocks() {
+                assert_eq!(b.verify(blk), Ok(()), "sentinels survive the name round-trip");
+            }
         }
     }
 
@@ -781,6 +745,38 @@ mod tests {
         let r = Retrier::default();
         assert_eq!(b.try_get(42, &r).copied(), Ok((42, 42 * 42)));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_named_blocks_are_corrupt_on_reopen() {
+        let plan = FaultPlan::new(7).with_torn_write(1.0);
+        let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::with_plan(plan));
+        BlockArray::new_named(&meter_on(dev.clone()), "torn", (0u64..500).collect())
+            .expect("torn writes still return Ok; the damage surfaces on read");
+        let got = BlockArray::<u64>::open_named(&meter_on(dev), "torn");
+        assert!(matches!(got, Err(EmError::Corrupt { .. })), "got {got:?}");
+    }
+
+    #[test]
+    fn nonzero_tag_byte_in_payload_image_is_corrupt() {
+        let seed = super::name_id("tagged");
+        for tag in [0u32, 1, 2] {
+            let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new());
+            // A block that is valid in every field but the tag byte.
+            let mut image =
+                encode_header(KIND_PAYLOAD | tag << 8, seed, 0, 3, 64, block_checksum(seed, 0, 3));
+            for x in [5u64, 6, 7] {
+                x.to_bytes(&mut image);
+            }
+            dev.write(BlockId { ns: device::NAMED_NS, array: seed, block: 0 }, &image)
+                .expect("write");
+            let got = BlockArray::<u64>::open_named(&meter_on(dev), "tagged");
+            if tag == 0 {
+                assert_eq!(got.expect("tag 0 is the raw format").raw(), &[5, 6, 7]);
+            } else {
+                assert!(matches!(got, Err(EmError::Corrupt { block: 0, .. })), "tag {tag}: {got:?}");
+            }
+        }
     }
 
     #[test]

@@ -222,19 +222,14 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
     /// node's address, so in-place key mutation never invalidates the
     /// mirror — one write per allocation suffices.
     fn mirror_node(&self, id: usize) {
-        // Routed through the codec-aware image chokepoint like every other
-        // mirror; node images are header-only (payload lives in native
-        // memory), so every codec leaves them byte-identical.
         self.model.device_write(self.array_id, id as u64, || {
-            crate::block::encode_image(
-                crate::codec::active_codec(),
+            crate::block::encode_header(
                 crate::block::KIND_HEADER,
                 self.array_id,
                 id as u64,
                 0,
                 self.fanout as u32,
                 node_checksum(self.array_id, id as u64),
-                &[],
             )
         });
     }

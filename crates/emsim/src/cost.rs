@@ -465,7 +465,7 @@ impl CostModel {
     /// `pwrite` / `sync` counts and payload bytes, from the shared
     /// [`device::DeviceLedger`]. Purely observational — nothing here feeds
     /// back into the logical meter, which is what keeps golden baselines
-    /// codec- and device-independent.
+    /// device-independent.
     pub fn physical(&self) -> device::DeviceCounts {
         self.inner.device.counts()
     }

@@ -821,8 +821,7 @@ pub struct DeviceCounts {
     pub pwrites: u64,
     /// `sync` calls.
     pub syncs: u64,
-    /// Payload bytes returned by successful, non-empty `read` calls —
-    /// the quantity a block codec actually shrinks (see `emsim::codec`).
+    /// Payload bytes returned by successful, non-empty `read` calls.
     pub bytes_read: u64,
     /// Payload bytes submitted to `write` calls.
     pub bytes_written: u64,

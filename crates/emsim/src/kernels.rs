@@ -493,129 +493,6 @@ unsafe fn filter_ge_avx2(keys: &[u64], threshold: u64) -> Vec<usize> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// vbyte_decode: LEB128 varint decoding (the codec layer's read hot loop).
-// ---------------------------------------------------------------------------
-
-/// Decode `count` LEB128 varints (7 data bits per byte, high bit =
-/// continuation, least-significant group first) from the front of `input`,
-/// dispatched to the active backend. Returns the decoded words plus the
-/// number of input bytes consumed, or `None` when the stream is truncated,
-/// a varint overflows `u64`, or a continuation chain exceeds ten bytes.
-///
-/// This is `emsim::codec`'s read-side hot loop: every persistent-block
-/// open decodes one varint per stored word. All backends are byte-for-byte
-/// identical in output *and* consumed length — the same stream-position
-/// contract the kernel-property suite pins.
-pub fn vbyte_decode(input: &[u8], count: usize) -> Option<(Vec<u64>, usize)> {
-    match active_backend() {
-        // SAFETY: `active_backend` only returns `Avx2` after
-        // `is_x86_feature_detected!("avx2")` confirmed CPU support (both
-        // the detection path and the `with_backend` override clamp), which
-        // is the sole precondition of `vbyte_decode_avx2`.
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { vbyte_decode_avx2(input, count) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => vbyte_decode_unrolled(input, count),
-        Backend::Unrolled => vbyte_decode_unrolled(input, count),
-        Backend::Scalar => vbyte_decode_scalar(input, count),
-    }
-}
-
-/// Decode one varint starting at `*pos`, advancing `*pos` past it. The
-/// shared step for every backend's slow path, so malformed-stream
-/// rejection is identical regardless of dispatch.
-#[inline]
-fn vbyte_step(input: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut acc = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *input.get(*pos)?;
-        *pos += 1;
-        // The tenth byte carries only the top bit of a u64: anything above
-        // 0x01 (spare payload bits or an eleventh-byte continuation) cannot
-        // come from a valid encoder.
-        if shift == 63 && b > 1 {
-            return None;
-        }
-        acc |= u64::from(b & 0x7F) << shift;
-        if b & 0x80 == 0 {
-            return Some(acc);
-        }
-        shift += 7;
-        if shift > 63 {
-            return None;
-        }
-    }
-}
-
-fn vbyte_decode_scalar(input: &[u8], count: usize) -> Option<(Vec<u64>, usize)> {
-    let mut out = Vec::with_capacity(count);
-    let mut pos = 0usize;
-    for _ in 0..count {
-        out.push(vbyte_step(input, &mut pos)?);
-    }
-    Some((out, pos))
-}
-
-fn vbyte_decode_unrolled(input: &[u8], count: usize) -> Option<(Vec<u64>, usize)> {
-    let mut out = Vec::with_capacity(count);
-    let mut pos = 0usize;
-    while out.len() < count {
-        // Word-at-a-time fast path: one 8-byte load whose continuation bits
-        // are all clear is eight complete one-byte varints — the common case
-        // for delta-coded sorted runs, where gaps are small.
-        if count - out.len() >= 8 && pos + 8 <= input.len() {
-            let word = u64::from_le_bytes(input[pos..pos + 8].try_into().unwrap());
-            if word & 0x8080_8080_8080_8080 == 0 {
-                for i in 0..8 {
-                    out.push((word >> (8 * i)) & 0x7F);
-                }
-                pos += 8;
-                continue;
-            }
-        }
-        out.push(vbyte_step(input, &mut pos)?);
-    }
-    Some((out, pos))
-}
-
-/// # Safety
-/// Caller must ensure the CPU supports AVX2 (`is_x86_feature_detected!`
-/// before dispatching here). No alignment precondition: the only wide load
-/// is `_mm256_loadu_si256`, which permits unaligned addresses, and the
-/// `pos + 32 <= input.len()` guard keeps every 32-byte load fully inside
-/// the slice; all other byte accesses are safe indexing.
-// SAFETY: see the `# Safety` section above — the `#[target_feature]`
-// boundary is the one unsafe obligation, discharged by runtime detection.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// `loadu` is the unaligned load; the 1→32-byte pointer cast is its calling
-// convention, not an alignment claim.
-#[allow(clippy::cast_ptr_alignment)]
-unsafe fn vbyte_decode_avx2(input: &[u8], count: usize) -> Option<(Vec<u64>, usize)> {
-    use std::arch::x86_64::{__m256i, _mm256_loadu_si256, _mm256_movemask_epi8};
-    let mut out = Vec::with_capacity(count);
-    let mut pos = 0usize;
-    while out.len() < count {
-        // 32 bytes whose continuation-bit movemask is zero are 32 complete
-        // one-byte varints; any set bit falls back to the shared step so
-        // outputs (and rejection of malformed streams) stay identical.
-        if count - out.len() >= 32 && pos + 32 <= input.len() {
-            let v = _mm256_loadu_si256(input.as_ptr().add(pos).cast::<__m256i>());
-            if _mm256_movemask_epi8(v) == 0 {
-                for i in 0..32 {
-                    out.push(u64::from(input[pos + i]));
-                }
-                pos += 32;
-                continue;
-            }
-        }
-        out.push(vbyte_step(input, &mut pos)?);
-    }
-    Some((out, pos))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,63 +559,6 @@ mod tests {
                     let got = with_backend(b, || filter_ge_indices(&ks, t));
                     assert_eq!(got, want, "n={n} t={t} backend={b:?}");
                 }
-            }
-        }
-    }
-
-    /// Reference LEB128 encoder for the decode tests (the production
-    /// encoder lives in `emsim::codec`; duplicating three lines here keeps
-    /// the kernel tests self-contained).
-    fn leb128(vals: &[u64]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for &v in vals {
-            let mut v = v;
-            while v >= 0x80 {
-                out.push((v as u8 & 0x7F) | 0x80);
-                v >>= 7;
-            }
-            out.push(v as u8);
-        }
-        out
-    }
-
-    #[test]
-    fn backends_agree_on_vbyte_decode() {
-        let cases: Vec<Vec<u64>> = vec![
-            vec![],
-            vec![0],
-            vec![u64::MAX],
-            (0..100).collect(),                       // all one-byte: SIMD fast path
-            (0..100).map(|i| i * 1_000_003).collect(), // mixed widths
-            vec![127, 128, 16383, 16384, u64::MAX, 0, 1],
-        ];
-        for vals in &cases {
-            let enc = leb128(vals);
-            // Trailing garbage past the requested count must be left alone.
-            let mut padded = enc.clone();
-            padded.extend_from_slice(&[0xFF, 0xAB, 0x80]);
-            let want = vbyte_decode_scalar(&padded, vals.len());
-            assert_eq!(want, Some((vals.clone(), enc.len())));
-            for b in backends() {
-                let got = with_backend(b, || vbyte_decode(&padded, vals.len()));
-                assert_eq!(got, want, "n={} backend={b:?}", vals.len());
-            }
-        }
-    }
-
-    #[test]
-    fn vbyte_decode_rejects_malformed_streams_on_every_backend() {
-        let truncated = leb128(&[u64::MAX]);
-        let truncated = &truncated[..truncated.len() - 1];
-        let eleven_bytes = [0x80u8; 11];
-        let overflow_tenth = {
-            let mut v = leb128(&[u64::MAX]);
-            *v.last_mut().unwrap() = 0x03; // spare payload bits in byte 10
-            v
-        };
-        for bad in [truncated, &eleven_bytes[..], &overflow_tenth[..]] {
-            for b in backends() {
-                assert_eq!(with_backend(b, || vbyte_decode(bad, 1)), None, "{b:?}");
             }
         }
     }

@@ -33,12 +33,8 @@
 //!   append-only data file + checksummed, generation-stamped catalog
 //!   committed via write-temp/fsync/rename). Metering stays purely
 //!   logical — `EMSIM_DEVICE=mem|file` never moves a golden baseline —
-//!   and E23 validates the meter against counted physical I/Os.
-//! * [`codec`] — block payload compression between the meter and the
-//!   device: a [`BlockCodec`] (`raw` / `vbyte` / `delta`, selected via
-//!   `EMSIM_CODEC`) applied to persistent block images. Logical charges
-//!   are codec-independent; the physical-bytes ledger
-//!   ([`CostModel::physical`]) records the savings.
+//!   and E23 validates the meter against counted physical I/Os
+//!   ([`CostModel::physical`]).
 //! * [`fault`] / [`error`] — deterministic fault injection ([`FaultPlan`])
 //!   with typed failures ([`EmError`]) and bounded-retry recovery
 //!   ([`Retrier`]); the `try_*` accessors on [`BlockArray`] / [`BTree`]
@@ -57,7 +53,6 @@
 
 pub mod block;
 pub mod btree;
-pub mod codec;
 pub mod cost;
 pub mod device;
 pub mod error;
@@ -72,7 +67,6 @@ pub mod trace;
 
 pub use block::{BlockArray, Persist};
 pub use btree::BTree;
-pub use codec::{ambient_codec, with_codec, BlockCodec, DeltaVByte, Raw, VByte};
 pub use cost::{
     credit_thread, thread_charged, CostModel, EmConfig, IoReport, PoolPolicy, ScopedMeter,
 };

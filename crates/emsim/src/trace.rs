@@ -309,8 +309,7 @@ impl CostReport {
             }
         }
         // Physical-traffic families (no `phase` label: the device below the
-        // meter is not span-attributed). `emsim_physical_bytes_*` are the
-        // counters the codec layer shrinks; the op counts contextualize them.
+        // meter is not span-attributed).
         let ph = &self.physical;
         let physical: [(&str, u64); 5] = [
             ("emsim_physical_preads", ph.preads),

@@ -136,49 +136,6 @@ proptest! {
         )?;
     }
 
-    /// The varint-decode kernel (the codec hot loop) is byte-identical
-    /// across backends: same decoded words, same consumed length, and the
-    /// same accept/reject verdict on arbitrary (possibly malformed) input.
-    #[test]
-    fn backends_agree_on_vbyte_decode_bytes(
-        vals in prop::collection::vec(any::<u64>(), 0..200),
-        garbage in prop::collection::vec(any::<u8>(), 0..64),
-        ask_extra in 0usize..4,
-    ) {
-        // A valid LEB128 stream followed by trailing garbage, decoded for
-        // `vals.len()` values — and over-asked by `ask_extra` to probe the
-        // malformed/truncated paths too.
-        let mut stream = Vec::new();
-        for &v in &vals {
-            let mut x = v;
-            loop {
-                let byte = (x & 0x7F) as u8;
-                x >>= 7;
-                if x == 0 {
-                    stream.push(byte);
-                    break;
-                }
-                stream.push(byte | 0x80);
-            }
-        }
-        stream.extend_from_slice(&garbage);
-        for count in [vals.len(), vals.len() + ask_extra] {
-            let reference = with_backend(Backend::Scalar, || {
-                emsim::kernels::vbyte_decode(&stream, count)
-            });
-            if count == vals.len() {
-                let r = reference.clone();
-                prop_assert!(r.is_some(), "scalar rejected a valid stream");
-                let (decoded, _) = r.unwrap();
-                prop_assert_eq!(&decoded, &vals, "scalar decode vs encoder input");
-            }
-            for b in backends() {
-                let got = with_backend(b, || emsim::kernels::vbyte_decode(&stream, count));
-                prop_assert_eq!(&got, &reference, "vbyte_decode differs on {:?}", b);
-            }
-        }
-    }
-
     /// Armed chaos plans on both pool policies: injected faults and retry
     /// traffic land identically whatever backend the selection ran on.
     #[test]

@@ -23,7 +23,6 @@ pub const RULES: &[RuleId] = &[
     ATOMICS_AUDIT,
     STALE_ALLOW,
     DEVICE_HYGIENE,
-    CODEC_CONFINEMENT,
 ];
 
 /// INV01: block storage may only be reached through metered accessors.
@@ -60,11 +59,6 @@ pub const STALE_ALLOW: RuleId = RuleId {
 pub const DEVICE_HYGIENE: RuleId = RuleId {
     id: "INV07",
     name: "device-hygiene",
-};
-/// INV08: block-image encode/decode confined to `emsim::codec`.
-pub const CODEC_CONFINEMENT: RuleId = RuleId {
-    id: "INV08",
-    name: "codec-confinement",
 };
 
 /// Look a rule up by ID or name (both are accepted on the CLI and in

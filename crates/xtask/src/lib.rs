@@ -16,7 +16,6 @@
 //! | INV05 | atomics-audit     | atomic orderings match `atomics.expect`  |
 //! | INV06 | stale-allow       | every allowlist marker still suppresses something |
 //! | INV07 | device-hygiene    | persistent I/O only via `emsim::device`, syncs say `// DURABILITY:` |
-//! | INV08 | codec-confinement | block-image encode/decode only inside `emsim::codec` |
 //!
 //! Deliberate exceptions are written in the source as
 //! `// allow_invariant(<rule>): <reason>` directly above the excused
@@ -76,7 +75,6 @@ pub fn analyze_contexts(root: &Path, ctxs: &[FileCtx], only: Option<RuleId>) -> 
         rules::unsafe_hygiene::check(c, &mut raw);
         rules::phases::check(c, &registry, &mut raw);
         rules::device::check(c, &mut raw);
-        rules::codec::check(c, &mut raw);
         atomic_sites.extend(rules::atomics::collect(c));
     }
 

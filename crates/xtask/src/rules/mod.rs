@@ -4,7 +4,6 @@
 
 pub mod atomics;
 pub mod chokepoint;
-pub mod codec;
 pub mod device;
 pub mod meter;
 pub mod phases;

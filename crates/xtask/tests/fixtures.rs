@@ -8,7 +8,7 @@
 use std::path::{Path, PathBuf};
 
 use xtask::diag::{
-    Diagnostic, ATOMICS_AUDIT, CODEC_CONFINEMENT, DEVICE_HYGIENE, METER_SOUNDNESS, PHASE_TAXONOMY,
+    Diagnostic, ATOMICS_AUDIT, DEVICE_HYGIENE, METER_SOUNDNESS, PHASE_TAXONOMY,
     SELECT_CHOKEPOINT, STALE_ALLOW, UNSAFE_HYGIENE,
 };
 use xtask::{analyze, Analysis};
@@ -211,36 +211,6 @@ fn inv07_accepts_documented_sync_marker_and_test_code() {
     let a = run("inv07_device");
     assert!(
         a.diagnostics.iter().all(|d| ![16, 21, 28, 29].contains(&d.line)),
-        "{}",
-        render(&a.diagnostics)
-    );
-}
-
-#[test]
-fn inv08_flags_codec_entry_points_outside_emsim() {
-    let a = run("inv08_codec");
-    assert_eq!(a.diagnostics.len(), 2, "{}", render(&a.diagnostics));
-
-    let kernel = &a.diagnostics[0];
-    assert_eq!(kernel.rule, CODEC_CONFINEMENT);
-    assert_eq!(kernel.rule.id, "INV08");
-    assert_eq!(kernel.file, Path::new("crates/app/src/lib.rs"));
-    assert_eq!(kernel.line, 5);
-    assert!(kernel.message.contains("vbyte_decode"), "{}", kernel.message);
-
-    let registry = &a.diagnostics[1];
-    assert_eq!(registry.rule, CODEC_CONFINEMENT);
-    assert_eq!(registry.line, 11);
-    assert!(registry.message.contains("codec_by_tag"), "{}", registry.message);
-}
-
-#[test]
-fn inv08_accepts_codec_selection_marker_and_test_code() {
-    // Codec selection via `with_codec` (line 16), the excused oracle
-    // (line 21), and the test-module decode must all pass.
-    let a = run("inv08_codec");
-    assert!(
-        a.diagnostics.iter().all(|d| ![16, 21, 28].contains(&d.line)),
         "{}",
         render(&a.diagnostics)
     );
