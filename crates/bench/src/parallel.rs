@@ -239,27 +239,19 @@ mod tests {
         assert_eq!(d.writes, 8);
     }
 
-    /// Scoped child meters under a *sharded* pool policy roll up into the
-    /// parent with zero drift: the parent's totals equal the sum of the
-    /// per-trial reports exactly, and parallel fan-out is bit-identical to
-    /// sequential. (The sharded pool's absorbed-stats path is what makes
-    /// this exact — child pool hits/misses fold into pool-level counters
-    /// without disturbing per-shard stats.)
+    /// Scoped child meters over pooled LRU meters roll up into the parent
+    /// with zero drift: the parent's totals equal the sum of the per-trial
+    /// reports exactly, and parallel fan-out is bit-identical to
+    /// sequential.
     #[test]
-    fn map_trials_scoped_sharded_meters_roll_up_without_drift() {
-        use emsim::PoolPolicy;
-
+    fn map_trials_scoped_pooled_meters_roll_up_without_drift() {
         let run = |threads: usize| {
-            let parent = CostModel::with_policy(
-                EmConfig::with_memory(64, 8),
-                PoolPolicy::sharded_default(),
-            );
+            let parent = CostModel::new(EmConfig::with_memory(64, 8));
             let reports = map_trials((0..16u64).collect::<Vec<_>>(), threads, |i, x| {
                 let trial = parent.scoped();
-                assert_eq!(trial.pool_policy(), parent.pool_policy());
                 for j in 0..(8 + i as u64 % 4) {
                     trial.touch(x, j % 4); // first touch of the block: miss
-                    trial.touch(x, j % 4); // immediate re-touch: shard hit
+                    trial.touch(x, j % 4); // immediate re-touch: pool hit
                 }
                 trial.charge_writes(i as u64);
                 trial.report()

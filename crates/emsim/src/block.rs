@@ -333,23 +333,6 @@ impl<T> BlockArray<T> {
         Ok(&self.data[i])
     }
 
-    /// Fallible [`BlockArray::scan_range`]: read `[lo, hi)` sequentially,
-    /// stopping at the first block that stays unreadable after retries.
-    pub fn try_scan_range(
-        &self,
-        lo: usize,
-        hi: usize,
-        retrier: &Retrier,
-        mut f: impl FnMut(&T),
-    ) -> Result<(), EmError> {
-        self.try_scan_while(lo, hi, retrier, |item| {
-            f(item);
-            true
-        })
-        .map(|_| ())
-        .map_err(|(_, e)| e)
-    }
-
     /// Fallible [`BlockArray::scan_while`]: scan `[lo, hi)` until `f`
     /// returns `false`, a fault survives its retries, or the range ends.
     ///
@@ -379,28 +362,6 @@ impl<T> BlockArray<T> {
             }
         }
         Ok(visited)
-    }
-
-    /// Fallible [`BlockArray::partition_point`]: binary search under the
-    /// fault plan. An unreadable probe block aborts the search — a binary
-    /// search cannot route around a missing pivot.
-    pub fn try_partition_point(
-        &self,
-        retrier: &Retrier,
-        mut pred: impl FnMut(&T) -> bool,
-    ) -> Result<usize, EmError> {
-        let mut lo = 0usize;
-        let mut hi = self.data.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            self.try_read_block((mid / self.per_block) as u64, retrier)?;
-            if pred(&self.data[mid]) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(lo)
     }
 }
 
@@ -611,13 +572,15 @@ mod tests {
         m.reset();
         let r = Retrier::default();
         assert_eq!(a.try_get(123, &r).copied(), Ok(123));
+        assert_eq!(a.try_get(499, &r).copied(), Ok(499));
         let mut sum = 0u64;
-        a.try_scan_range(0, 500, &r, |&x| sum += x).unwrap();
+        let visited = a.try_scan_while(0, 500, &r, |&x| {
+            sum += x;
+            true
+        });
+        assert_eq!(visited, Ok(500));
         assert_eq!(sum, 499 * 500 / 2);
-        assert_eq!(
-            a.try_partition_point(&r, |&x| x < 250),
-            Ok(250)
-        );
+        assert_eq!(a.try_scan_while(0, 500, &r, |&x| x < 250), Ok(251));
         assert_eq!(m.report().faults, 0);
     }
 
@@ -629,9 +592,7 @@ mod tests {
         // A generous budget makes full-scan success overwhelmingly likely
         // (100 blocks × 2^-12 residual failure probability).
         let r = Retrier::new(11);
-        let mut cnt = 0usize;
-        a.try_scan_range(0, 6400, &r, |_| cnt += 1).unwrap();
-        assert_eq!(cnt, 6400);
+        assert_eq!(a.try_scan_while(0, 6400, &r, |_| true), Ok(6400));
         let rep = m.report();
         assert_eq!(rep.faults as i64, rep.reads as i64 - 100,
             "every read beyond the 100 payload blocks was a charged, retried failure");
@@ -669,7 +630,7 @@ mod tests {
         let e = a.try_get(0, &r).unwrap_err();
         assert!(matches!(e, EmError::Corrupt { .. }));
         assert_eq!(m.report().faults, 1);
-        assert!(a.try_scan_range(0, 64, &r, |_| ()).is_err());
+        assert!(a.try_scan_while(0, 64, &r, |_| true).is_err());
         // The infallible path still reads "successfully" — corruption is
         // silent by definition and only checksums catch it.
         assert_eq!(*a.get(5), 5);

@@ -33,7 +33,6 @@ use crate::device::{self, BlockDevice, BlockId, DeviceClass};
 use crate::error::EmError;
 use crate::fault::{self, FaultPlan};
 use crate::pool::LruPool;
-use crate::sharded::ShardedPool;
 use crate::trace::{self, CostReport, RecordingSink, SpanGuard, TraceEvent, TraceSink};
 
 /// Lock a mutex, recovering from poisoning: the protected state (counters,
@@ -44,116 +43,17 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Which buffer-pool implementation a [`CostModel`] routes block touches
-/// through. See DESIGN.md "Batched execution & buffer-pool concurrency".
+/// The buffer-pool policy a [`CostModel`] is built with. The pool is
+/// always one exact-LRU pool behind a single mutex: golden I/O baselines
+/// (`golden_smoke_ios.json`) and the fault-soak determinism checks are
+/// recorded against exact-LRU residency, so its hit/miss outcomes are what
+/// those pins mean. The enum has one variant so that callers of
+/// [`CostModel::with_device`] that name it keep compiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PoolPolicy {
-    /// One exact-LRU pool behind a single mutex — the default. Golden I/O
-    /// baselines (`golden_smoke_ios.json`) and the fault-soak determinism
-    /// checks are recorded against exact-LRU residency, so this policy must
-    /// stay the default: its hit/miss outcomes are what those pins mean.
+    /// Exact LRU over `M/B` frames.
     #[default]
     Lru,
-    /// [`ShardedPool`]: `shards` independently-locked CLOCK rings keyed by
-    /// a hash of `(array_id, block_idx)`. For meters shared by many query
-    /// threads; eviction approximates LRU (second chance), so residency —
-    /// and thus hit counts under eviction pressure — may differ from
-    /// [`PoolPolicy::Lru`].
-    ShardedClock {
-        /// Number of shards (each gets an equal slice of the `M/B` frames).
-        shards: usize,
-    },
-}
-
-impl PoolPolicy {
-    /// A sharded pool with a shard count suited to multi-thread runs:
-    /// enough shards that a preempted lock-holder rarely blocks anyone.
-    pub fn sharded_default() -> Self {
-        PoolPolicy::ShardedClock { shards: 16 }
-    }
-}
-
-/// The buffer pool behind a meter, dispatched on [`PoolPolicy`]. The LRU
-/// arm must stay charge-for-charge identical to the pre-policy code path.
-#[derive(Debug)]
-enum PoolImpl {
-    Lru(Mutex<LruPool>),
-    Sharded(ShardedPool),
-}
-
-impl PoolImpl {
-    fn new(policy: PoolPolicy, capacity: usize) -> Self {
-        match policy {
-            PoolPolicy::Lru => PoolImpl::Lru(Mutex::new(LruPool::new(capacity))),
-            PoolPolicy::ShardedClock { shards } => {
-                PoolImpl::Sharded(ShardedPool::new(capacity, shards))
-            }
-        }
-    }
-
-    fn access(&self, array_id: u64, block_idx: u64) -> bool {
-        match self {
-            PoolImpl::Lru(p) => lock_recover(p).access(array_id, block_idx),
-            PoolImpl::Sharded(p) => p.access(array_id, block_idx),
-        }
-    }
-
-    fn probe(&self, array_id: u64, block_idx: u64) -> bool {
-        match self {
-            PoolImpl::Lru(p) => lock_recover(p).probe(array_id, block_idx),
-            PoolImpl::Sharded(p) => p.probe(array_id, block_idx),
-        }
-    }
-
-    fn admit(&self, array_id: u64, block_idx: u64) {
-        match self {
-            PoolImpl::Lru(p) => lock_recover(p).admit(array_id, block_idx),
-            PoolImpl::Sharded(p) => p.admit(array_id, block_idx),
-        }
-    }
-
-    fn record_miss(&self, array_id: u64, block_idx: u64) {
-        match self {
-            PoolImpl::Lru(p) => lock_recover(p).record_miss(),
-            PoolImpl::Sharded(p) => p.record_miss(array_id, block_idx),
-        }
-    }
-
-    fn stats(&self) -> (u64, u64) {
-        match self {
-            PoolImpl::Lru(p) => lock_recover(p).stats(),
-            PoolImpl::Sharded(p) => p.stats(),
-        }
-    }
-
-    /// Per-shard `(hits, misses)`; the LRU pool is one "shard".
-    fn shard_stats(&self) -> Vec<(u64, u64)> {
-        match self {
-            PoolImpl::Lru(p) => vec![lock_recover(p).stats()],
-            PoolImpl::Sharded(p) => p.shard_stats(),
-        }
-    }
-
-    fn reset_stats(&self) {
-        match self {
-            PoolImpl::Lru(p) => lock_recover(p).reset_stats(),
-            PoolImpl::Sharded(p) => p.reset_stats(),
-        }
-    }
-
-    fn absorb_stats(&self, hits: u64, misses: u64) {
-        match self {
-            PoolImpl::Lru(p) => lock_recover(p).absorb_stats(hits, misses),
-            PoolImpl::Sharded(p) => p.absorb_stats(hits, misses),
-        }
-    }
-
-    fn clear(&self) {
-        match self {
-            PoolImpl::Lru(p) => lock_recover(p).clear(),
-            PoolImpl::Sharded(p) => p.clear(),
-        }
-    }
 }
 
 /// Parameters of the external-memory machine.
@@ -239,10 +139,9 @@ static NEXT_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new
 #[derive(Debug)]
 struct Inner {
     config: EmConfig,
-    policy: PoolPolicy,
     reads: AtomicU64,
     writes: AtomicU64,
-    pool: PoolImpl,
+    pool: Mutex<LruPool>,
     next_array_id: AtomicU64,
     /// The physical storage under this meter (see [`crate::device`]),
     /// always behind a [`device::CountingDevice`] so physical operations
@@ -360,42 +259,33 @@ impl CostModel {
         CostModel::with_faults(config, fault::ambient_plan())
     }
 
-    /// Create a meter whose fallible accessors are subject to `plan`.
+    /// Create a meter whose fallible accessors are subject to `plan`, with
+    /// the device inherited from the process ambient
+    /// ([`device::ambient_device`]): a private [`crate::MemDevice`] unless
+    /// `EMSIM_DEVICE=file` selected the shared file-backed store.
     pub fn with_faults(config: EmConfig, plan: FaultPlan) -> Self {
-        CostModel::with_faults_and_policy(config, plan, PoolPolicy::default())
-    }
-
-    /// Create a meter with an explicit buffer-pool policy (ambient faults).
-    pub fn with_policy(config: EmConfig, policy: PoolPolicy) -> Self {
-        CostModel::with_faults_and_policy(config, fault::ambient_plan(), policy)
-    }
-
-    /// Machine, fault plan, and pool policy, with the device inherited from
-    /// the process ambient ([`device::ambient_device`]): a private
-    /// [`crate::MemDevice`] unless `EMSIM_DEVICE=file` selected the shared
-    /// file-backed store.
-    pub fn with_faults_and_policy(config: EmConfig, plan: FaultPlan, policy: PoolPolicy) -> Self {
         let dev = device::ambient_device()
             .unwrap_or_else(|| Arc::new(device::MemDevice::with_plan(plan)));
-        CostModel::with_device(config, plan, policy, dev)
+        CostModel::with_device(config, plan, PoolPolicy::Lru, dev)
     }
 
-    /// The fully-general constructor: machine, fault plan, pool policy and
-    /// an explicit [`BlockDevice`]. The plan is scope-filtered to the
-    /// device's class ([`FaultPlan::for_class`]), so a file-scoped plan is
-    /// inert on an in-memory meter and vice versa. The trace sink is
-    /// inherited from the process ambient ([`trace::ambient_sink`]): none
-    /// unless a global sink was installed.
+    /// The fully-general constructor: machine, fault plan and an explicit
+    /// [`BlockDevice`]; the pool is always exact LRU (see [`PoolPolicy`]).
+    /// The plan is scope-filtered to the device's class
+    /// ([`FaultPlan::for_class`]), so a file-scoped plan is inert on an
+    /// in-memory meter and vice versa. The trace sink is inherited from the
+    /// process ambient ([`trace::ambient_sink`]): none unless a global sink
+    /// was installed.
     pub fn with_device(
         config: EmConfig,
         plan: FaultPlan,
-        policy: PoolPolicy,
+        _policy: PoolPolicy,
         device: Arc<dyn BlockDevice>,
     ) -> Self {
         // One counting wrapper per meter family: physical traffic from this
         // meter and every `scoped` child lands on the same ledger, feeding
         // `physical()` and the EXPLAIN physical-bytes row.
-        CostModel::with_counting(config, plan, policy, Arc::new(device::CountingDevice::new(device)))
+        CostModel::with_counting(config, plan, Arc::new(device::CountingDevice::new(device)))
     }
 
     /// Shared-ledger constructor: `scoped` children re-use the parent's
@@ -403,7 +293,6 @@ impl CostModel {
     fn with_counting(
         config: EmConfig,
         plan: FaultPlan,
-        policy: PoolPolicy,
         device: Arc<device::CountingDevice>,
     ) -> Self {
         let plan = plan.for_class(device.class());
@@ -412,10 +301,9 @@ impl CostModel {
         CostModel {
             inner: Arc::new(Inner {
                 config,
-                policy,
                 reads: AtomicU64::new(0),
                 writes: AtomicU64::new(0),
-                pool: PoolImpl::new(policy, config.mem_blocks),
+                pool: Mutex::new(LruPool::new(config.mem_blocks)),
                 next_array_id: AtomicU64::new(0),
                 device,
                 ns: NEXT_NS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
@@ -614,20 +502,6 @@ impl CostModel {
         self.inner.config
     }
 
-    /// The buffer-pool policy this meter was built with.
-    pub fn pool_policy(&self) -> PoolPolicy {
-        self.inner.policy
-    }
-
-    /// Per-shard `(hits, misses)` of the buffer pool, in shard order — the
-    /// load-balance view for [`PoolPolicy::ShardedClock`] meters. An LRU
-    /// meter reports its single pool as one shard. Statistics absorbed from
-    /// scoped children are excluded (they have no shard); the totals in
-    /// [`CostModel::report`] include them.
-    pub fn shard_stats(&self) -> Vec<(u64, u64)> {
-        self.inner.pool.shard_stats()
-    }
-
     /// Words per block (`B`).
     pub fn b(&self) -> usize {
         self.inner.config.b
@@ -648,14 +522,12 @@ impl CostModel {
     pub fn scoped(&self) -> ScopedMeter {
         // The child inherits this meter's fault plan (not the ambient
         // one), so a trial fanned out under an explicitly-armed meter
-        // sees the same fault universe — its pool policy, so sharded-mode
-        // trials measure sharded-mode residency — and its *device*, so
+        // sees the same fault universe — and its *device*, so
         // trials against a file-backed or counting store hit the same
         // store (the child still gets a private namespace on it).
         let child = CostModel::with_counting(
             self.inner.config,
             self.fault_plan(),
-            self.inner.policy,
             self.inner.device.clone(),
         );
         // Likewise the trace sink: a fanned-out trial keeps attributing to
@@ -674,7 +546,7 @@ impl CostModel {
         self.inner.reads.fetch_add(r.reads, Relaxed);
         self.inner.writes.fetch_add(r.writes, Relaxed);
         self.inner.faults.fetch_add(r.faults, Relaxed);
-        self.inner.pool.absorb_stats(r.pool_hits, r.pool_misses);
+        lock_recover(&self.inner.pool).absorb_stats(r.pool_hits, r.pool_misses);
     }
 
     /// Charge the read of one specific block, going through the buffer pool:
@@ -684,7 +556,7 @@ impl CostModel {
     /// and never fails. Use [`CostModel::try_touch`] for fallible reads.
     pub fn touch(&self, array_id: u64, block_idx: u64) {
         let pooled = self.inner.config.mem_blocks != 0;
-        if pooled && self.inner.pool.access(array_id, block_idx) {
+        if pooled && lock_recover(&self.inner.pool).access(array_id, block_idx) {
             self.emit(TraceEvent::PoolHit);
             return; // pool hit: free
         }
@@ -718,7 +590,7 @@ impl CostModel {
             return Ok(());
         }
         let pooled = self.inner.config.mem_blocks != 0;
-        if pooled && self.inner.pool.probe(array_id, block_idx) {
+        if pooled && lock_recover(&self.inner.pool).probe(array_id, block_idx) {
             self.emit(TraceEvent::PoolHit);
             return Ok(());
         }
@@ -734,8 +606,8 @@ impl CostModel {
         }
         if pooled {
             match outcome {
-                Ok(()) => self.inner.pool.admit(array_id, block_idx),
-                Err(_) => self.inner.pool.record_miss(array_id, block_idx),
+                Ok(()) => lock_recover(&self.inner.pool).admit(array_id, block_idx),
+                Err(_) => lock_recover(&self.inner.pool).record_miss(),
             }
             self.emit(TraceEvent::PoolMiss);
         }
@@ -771,7 +643,7 @@ impl CostModel {
             return self.try_touch(array_id, block_idx, attempt);
         }
         let pooled = self.inner.config.mem_blocks != 0;
-        if pooled && self.inner.pool.probe(array_id, block_idx) {
+        if pooled && lock_recover(&self.inner.pool).probe(array_id, block_idx) {
             self.emit(TraceEvent::PoolHit);
             return Ok(());
         }
@@ -790,8 +662,8 @@ impl CostModel {
         let outcome = outcome.and_then(|()| self.device_verify(array_id, block_idx));
         if pooled {
             match outcome {
-                Ok(()) => self.inner.pool.admit(array_id, block_idx),
-                Err(_) => self.inner.pool.record_miss(array_id, block_idx),
+                Ok(()) => lock_recover(&self.inner.pool).admit(array_id, block_idx),
+                Err(_) => lock_recover(&self.inner.pool).record_miss(),
             }
             self.emit(TraceEvent::PoolMiss);
         }
@@ -879,7 +751,7 @@ impl CostModel {
 
     /// Read the counters.
     pub fn report(&self) -> IoReport {
-        let (pool_hits, pool_misses) = self.inner.pool.stats();
+        let (pool_hits, pool_misses) = lock_recover(&self.inner.pool).stats();
         IoReport {
             reads: self.inner.reads.load(Relaxed),
             writes: self.inner.writes.load(Relaxed),
@@ -902,13 +774,13 @@ impl CostModel {
         self.inner.reads.store(0, Relaxed);
         self.inner.writes.store(0, Relaxed);
         self.inner.faults.store(0, Relaxed);
-        self.inner.pool.reset_stats();
+        lock_recover(&self.inner.pool).reset_stats();
     }
 
     /// Empty the buffer pool, so the next measurement starts cold. Hit/miss
     /// statistics are kept; [`CostModel::reset`] zeroes those.
     pub fn clear_pool(&self) {
-        self.inner.pool.clear();
+        lock_recover(&self.inner.pool).clear();
     }
 
     /// Run `f` and return its result together with the I/Os it charged.
@@ -1227,12 +1099,7 @@ mod tests {
                     // lock_recover (not lock().unwrap()) here too: a helper
                     // that unwraps would itself panic on a lock poisoned by
                     // an *earlier* iteration, defeating what this verifies.
-                    "pool" => {
-                        _pool = match &m2.inner.pool {
-                            PoolImpl::Lru(p) => lock_recover(p),
-                            PoolImpl::Sharded(_) => unreachable!("default policy is LRU"),
-                        }
-                    }
+                    "pool" => _pool = lock_recover(&m2.inner.pool),
                     "trace" => _trace = lock_recover(&m2.inner.trace),
                     _ => _fault = lock_recover(&m2.inner.fault),
                 }
@@ -1252,49 +1119,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_policy_pools_hits_and_reports_per_shard() {
-        let m = CostModel::with_policy(
-            EmConfig::with_memory(64, 8),
-            PoolPolicy::ShardedClock { shards: 4 },
-        );
-        assert_eq!(m.pool_policy(), PoolPolicy::ShardedClock { shards: 4 });
-        m.touch(0, 0);
-        m.touch(0, 0); // resident: free
-        let r = m.report();
-        assert_eq!(r.reads, 1);
-        assert_eq!((r.pool_hits, r.pool_misses), (1, 1));
-        let per = m.shard_stats();
-        assert_eq!(per.len(), 4);
-        assert_eq!(per.iter().map(|s| s.0 + s.1).sum::<u64>(), 2);
-        m.clear_pool();
-        m.touch(0, 0); // cold again
-        assert_eq!(m.report().reads, 2);
-    }
-
-    #[test]
-    fn lru_meter_reports_one_shard() {
-        let m = CostModel::new(EmConfig::with_memory(64, 4));
-        assert_eq!(m.pool_policy(), PoolPolicy::Lru);
-        m.touch(0, 0);
-        m.touch(0, 0);
-        assert_eq!(m.shard_stats(), vec![(1, 1)]);
-    }
-
-    #[test]
-    fn scoped_child_inherits_pool_policy_and_rolls_up() {
-        let parent =
-            CostModel::with_policy(EmConfig::with_memory(64, 8), PoolPolicy::sharded_default());
+    fn scoped_child_gets_a_private_lru_pool_and_rolls_up() {
+        let parent = CostModel::new(EmConfig::with_memory(64, 8));
         {
             let trial = parent.scoped();
-            assert_eq!(trial.pool_policy(), PoolPolicy::sharded_default());
             trial.touch(0, 0);
-            trial.touch(0, 0);
+            trial.touch(0, 0); // resident in the child's pool: free
         }
         let r = parent.report();
         assert_eq!(r.reads, 1);
         assert_eq!((r.pool_hits, r.pool_misses), (1, 1));
-        // Rolled-up stats are absorbed, not attributed to any parent shard.
-        assert_eq!(parent.shard_stats().iter().map(|s| s.0 + s.1).sum::<u64>(), 0);
+        parent.touch(0, 0); // the child's residency never reached the parent
+        assert_eq!(parent.report().reads, 2);
     }
 
     #[test]

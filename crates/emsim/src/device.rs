@@ -496,11 +496,12 @@ impl FileDevice {
         // Stale temp catalogs from an interrupted commit are garbage by
         // construction (the rename never happened) — drop them.
         let _ = fs::remove_file(self.dir.join(CATALOG_TMP_NAME));
+        // A forged offset near `u64::MAX` can pass the catalog CRC; an
+        // extent that overflows is a corrupt catalog, not a panic.
         let extent = committed
             .values()
-            .map(|e| e.offset + u64::from(e.len))
-            .max()
-            .unwrap_or(0);
+            .try_fold(0u64, |m, e| Some(m.max(e.offset.checked_add(u64::from(e.len))?)))
+            .ok_or_else(catalog_corrupt)?;
         let data_path = self.data_path();
         let data_len = state
             .data
@@ -523,11 +524,16 @@ impl FileDevice {
                 .map_err(|e| EmError::io("fsync", data_path.clone(), 0, e))?;
         }
         // Eagerly re-verify every committed payload: recovery's promise is
-        // that surviving blocks are either intact or *known* corrupt.
+        // that surviving blocks are either intact or *known* corrupt. An
+        // extent past the end of the data file is corrupt without reading
+        // (or allocating) anything.
+        let data_len = data_len.min(extent);
         for (id, entry) in &committed {
-            let mut buf = vec![0u8; entry.len as usize];
-            let intact = state.data.read_exact_at(&mut buf, entry.offset).is_ok()
-                && payload_crc(*id, &buf) == entry.crc;
+            let intact = entry.offset + u64::from(entry.len) <= data_len && {
+                let mut buf = vec![0u8; entry.len as usize];
+                state.data.read_exact_at(&mut buf, entry.offset).is_ok()
+                    && payload_crc(*id, &buf) == entry.crc
+            };
             if !intact {
                 report.corrupt_blocks += 1;
             }
@@ -645,10 +651,11 @@ fn parse_catalog(bytes: &[u8]) -> Result<(u64, HashMap<BlockId, CatEntry>), EmEr
         return Err(catalog_corrupt());
     }
     let generation = take_u64(bytes, 8);
-    let count = take_u64(bytes, 16) as usize;
-    if bytes.len() != 32 + count * 44 {
+    let count = take_u64(bytes, 16);
+    if count.checked_mul(44).and_then(|n| n.checked_add(32)) != Some(bytes.len() as u64) {
         return Err(catalog_corrupt());
     }
+    let count = count as usize;
     let mut entries = HashMap::with_capacity(count);
     for i in 0..count {
         let at = 24 + i * 44;
@@ -1183,6 +1190,50 @@ mod tests {
         let err = FileDevice::open(&dir).expect_err("corrupt catalog");
         assert_eq!(err, EmError::Corrupt { array_id: u64::MAX, block: u64::MAX });
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Install `catalog` as the committed catalog of a fresh store and
+    /// open it.
+    fn open_with_forged_catalog(name: &str, catalog: &[u8]) -> Result<FileDevice, EmError> {
+        let dir = tmp_dir(name);
+        fs::create_dir_all(&dir).expect("mkdir");
+        fs::write(dir.join(CATALOG_NAME), catalog).expect("write catalog");
+        let opened = FileDevice::open(&dir);
+        let _ = fs::remove_dir_all(&dir);
+        opened
+    }
+
+    #[test]
+    fn forged_entry_count_is_corrupt_not_an_overflow() {
+        let mut catalog = CATALOG_MAGIC.to_vec();
+        catalog.extend_from_slice(&1u64.to_le_bytes());
+        catalog.extend_from_slice(&(u64::MAX / 40).to_le_bytes());
+        let footer = crc64(&catalog); // a valid CRC over a forged count
+        catalog.extend_from_slice(&footer.to_le_bytes());
+        let err = open_with_forged_catalog("forged-count", &catalog).expect_err("forged count");
+        assert_eq!(err, catalog_corrupt());
+    }
+
+    #[test]
+    fn forged_extent_past_u64_max_is_corrupt_not_an_overflow() {
+        let entry = CatEntry { offset: u64::MAX - 2, len: 16, crc: 0 };
+        let catalog = serialize_catalog(1, &HashMap::from([(id(0, 0, 0), entry)]));
+        let err = open_with_forged_catalog("forged-extent", &catalog).expect_err("forged extent");
+        assert_eq!(err, catalog_corrupt());
+    }
+
+    #[test]
+    fn entry_past_the_data_file_is_a_corrupt_block() {
+        // A 4 GiB and a 64-byte extent over an empty data file: recovery
+        // counts both as corrupt without reading them, and a read is
+        // `Corrupt`.
+        let huge = CatEntry { offset: 0, len: u32::MAX, crc: 0 };
+        let small = CatEntry { offset: 0, len: 64, crc: 0 };
+        let catalog =
+            serialize_catalog(1, &HashMap::from([(id(0, 0, 0), huge), (id(0, 0, 1), small)]));
+        let dev = open_with_forged_catalog("forged-len", &catalog).expect("open");
+        assert_eq!(dev.recovery().corrupt_blocks, 2);
+        assert!(matches!(dev.read(id(0, 0, 1)), Err(EmError::Corrupt { .. })));
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //! * [`BlockArray`] — a typed array packed `⌊B / words(T)⌋` items per block;
 //!   scans and random accesses charge the meter per *distinct block touched*,
 //!   optionally filtered through a buffer pool of `M/B` frames. The pool is
-//!   exact LRU by default; [`PoolPolicy::ShardedClock`] swaps in a
-//!   [`ShardedPool`] (per-shard locks, CLOCK eviction) for meters shared by
-//!   many query threads.
+//!   exact LRU ([`LruPool`]): golden I/O baselines depend on its residency.
 //! * [`BTree`] — an external B-tree (fanout `Θ(B)`) with search, range
 //!   reporting, insert and delete, charging one I/O per node visited.
 //! * [`select`] — EM k-selection (`O(n/B)` I/Os expected), the primitive the
@@ -60,7 +58,6 @@ pub mod fault;
 pub mod kernels;
 pub mod pool;
 pub mod select;
-pub mod sharded;
 pub mod sort;
 pub(crate) mod sync;
 pub mod trace;
@@ -80,7 +77,6 @@ pub use fault::{
 };
 pub use kernels::{active_backend, with_backend, Backend, KernelKey, KeyType};
 pub use pool::LruPool;
-pub use sharded::ShardedPool;
 pub use trace::{
     ambient_sink, clear_global_sink, install_global_sink, phase_scope, ChromeTraceSink, CostReport,
     Histogram, NoopSink, PhaseScope, PhaseStats, RecordingSink, SpanGuard, TraceEvent, TraceSink,

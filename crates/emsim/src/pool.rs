@@ -274,24 +274,45 @@ mod tests {
 
     #[test]
     fn stress_against_reference_model() {
-        // Compare with a simple Vec-based LRU model.
+        // Compare with a simple Vec-based LRU model, over the combined
+        // `access` and the fallible read path's split protocol: `probe`,
+        // then `admit` when the disk read succeeds or `record_miss` when
+        // it fails.
         let mut p = LruPool::new(3);
         let mut model: Vec<(u64, u64)> = Vec::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
         let mut x: u64 = 12345;
         for _ in 0..10_000 {
             x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
             let key = (x >> 61, (x >> 33) % 6);
-            let hit = p.access(key.0, key.1);
             let model_hit = if let Some(pos) = model.iter().position(|&k| k == key) {
                 model.remove(pos);
                 model.insert(0, key);
+                hits += 1;
                 true
             } else {
-                model.insert(0, key);
-                model.truncate(3);
+                misses += 1;
                 false
             };
+            let read_fails = (x >> 20) % 3 == 2;
+            if !model_hit && !read_fails {
+                model.insert(0, key);
+                model.truncate(3);
+            }
+            let hit = if !read_fails && x & (1 << 24) == 0 {
+                p.access(key.0, key.1)
+            } else {
+                let hit = p.probe(key.0, key.1);
+                if !hit && read_fails {
+                    p.record_miss();
+                } else if !hit {
+                    p.admit(key.0, key.1);
+                }
+                hit
+            };
             assert_eq!(hit, model_hit);
+            assert_eq!(p.stats(), (hits, misses));
+            assert_eq!(p.len(), model.len());
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Property suite pinning the PR-6 kernel-equivalence invariant: for any
-//! input, any `k`, any pool policy (exact LRU / sharded CLOCK), and any
+//! input, any `k`, any traffic through the LRU buffer pool, and any
 //! fault plan, every kernel backend (scalar reference, 4-lane unrolled,
 //! AVX2 where the CPU has it) produces
 //!
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use emsim::kernels::{avx2_available, with_backend, Backend};
 use emsim::select::{top_k_by_ord, top_k_by_weight};
 use emsim::trace::{phase, RecordingSink};
-use emsim::{CostModel, EmConfig, FaultPlan, PoolPolicy};
+use emsim::{CostModel, EmConfig, FaultPlan};
 use proptest::prelude::*;
 
 fn backends() -> Vec<Backend> {
@@ -41,14 +41,12 @@ fn observe(
     backend: Backend,
     items: &[u64],
     k: usize,
-    policy: PoolPolicy,
     plan: &FaultPlan,
     touches: &[(u64, u64)],
 ) -> (Vec<u64>, u64, u64, PhaseSums) {
     with_backend(backend, || {
         let sink = Arc::new(RecordingSink::new());
-        let model =
-            CostModel::with_faults_and_policy(EmConfig::with_memory(8, 4), *plan, policy);
+        let model = CostModel::with_faults(EmConfig::with_memory(8, 4), *plan);
         model.set_trace_sink(sink.clone());
         // Pool / fault traffic interleaved with selection: the kernels must
         // not perturb (or be perturbed by) pool state or armed plans.
@@ -78,18 +76,17 @@ fn observe(
 fn check_equivalence(
     items: &[u64],
     k: usize,
-    policy: PoolPolicy,
     plan: &FaultPlan,
     touches: &[(u64, u64)],
 ) -> Result<(), TestCaseError> {
-    let reference = observe(Backend::Scalar, items, k, policy, plan, touches);
+    let reference = observe(Backend::Scalar, items, k, plan, touches);
     // The scalar path must itself agree with a sort-based oracle.
     let mut oracle = items.to_vec();
     oracle.sort_unstable_by(|a, b| b.cmp(a));
     oracle.truncate(k);
     prop_assert_eq!(&reference.0, &oracle, "scalar backend vs sort oracle");
     for b in backends() {
-        let got = observe(b, items, k, policy, plan, touches);
+        let got = observe(b, items, k, plan, touches);
         prop_assert_eq!(&got.0, &reference.0, "answers differ on {:?}", b);
         prop_assert_eq!(got.1, reference.1, "read counts differ on {:?}", b);
         prop_assert_eq!(got.2, reference.2, "write counts differ on {:?}", b);
@@ -117,26 +114,20 @@ proptest! {
         k in 0usize..64,
         touches in prop::collection::vec((0u64..3, 0u64..16), 0..40),
     ) {
-        check_equivalence(&items, k, PoolPolicy::Lru, &FaultPlan::none(), &touches)?;
+        check_equivalence(&items, k, &FaultPlan::none(), &touches)?;
     }
 
-    /// Sharded-CLOCK pool, perfect media, wide keys.
+    /// LRU pool, perfect media, wide keys.
     #[test]
-    fn backends_agree_under_sharded_clock(
+    fn backends_agree_on_wide_keys(
         items in prop::collection::vec(0u64..u64::MAX, 0..400),
         k in 0usize..64,
         touches in prop::collection::vec((0u64..3, 0u64..16), 0..40),
     ) {
-        check_equivalence(
-            &items,
-            k,
-            PoolPolicy::ShardedClock { shards: 4 },
-            &FaultPlan::none(),
-            &touches,
-        )?;
+        check_equivalence(&items, k, &FaultPlan::none(), &touches)?;
     }
 
-    /// Armed chaos plans on both pool policies: injected faults and retry
+    /// Armed chaos plans: injected faults and retry
     /// traffic land identically whatever backend the selection ran on.
     #[test]
     fn backends_agree_under_faults(
@@ -146,13 +137,6 @@ proptest! {
         seed in 0u64..16,
     ) {
         let plan = FaultPlan::chaos(seed, 0.1);
-        check_equivalence(&items, k, PoolPolicy::Lru, &plan, &touches)?;
-        check_equivalence(
-            &items,
-            k,
-            PoolPolicy::ShardedClock { shards: 4 },
-            &plan,
-            &touches,
-        )?;
+        check_equivalence(&items, k, &plan, &touches)?;
     }
 }

@@ -8,10 +8,10 @@
 //! ```
 //!
 //! Each model spins up a handful of threads against a deliberately tiny
-//! structure — a `ShardedPool` small enough that CLOCK eviction fires on
-//! nearly every admit, a `CostModel` whose scoped children roll up
-//! concurrently — and asserts the invariants the sequential tests pin,
-//! but now across every thread schedule the checker explores. With the
+//! structure — a `CostModel` whose scoped children roll up concurrently,
+//! or one meter charged directly from several threads — and asserts the
+//! invariants the sequential tests pin, but now across every thread
+//! schedule the checker explores. With the
 //! offline loom shim that exploration is randomized preemption rather
 //! than exhaustive DPOR (see `shims/README.md`); the models themselves
 //! are written against the real loom API, so a registry build upgrades
@@ -19,85 +19,8 @@
 
 #![cfg(feature = "loom")]
 
-use emsim::{CostModel, EmConfig, PoolPolicy, ShardedPool};
-use loom::sync::Arc;
+use emsim::{CostModel, EmConfig};
 use loom::thread;
-
-/// Counter soundness under contention: hits + misses equals the exact
-/// number of accesses issued, no matter how probes, admits, and CLOCK
-/// sweeps interleave, and residency never exceeds capacity.
-#[test]
-fn sharded_pool_counters_exact_under_contention() {
-    loom::model(|| {
-        const THREADS: u64 = 3;
-        const ACCESSES: u64 = 8;
-        // 2 shards × 2 frames: with 6 distinct blocks in flight the clock
-        // hand sweeps constantly, so eviction races get exercised.
-        let pool = Arc::new(ShardedPool::new(4, 2));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let pool = Arc::clone(&pool);
-                thread::spawn(move || {
-                    for i in 0..ACCESSES {
-                        // Overlapping but not identical block sets per
-                        // thread, so shards see both contention and reuse.
-                        pool.access(0, (t + i) % 6);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let (hits, misses) = pool.stats();
-        assert_eq!(
-            hits + misses,
-            THREADS * ACCESSES,
-            "every access must be counted exactly once (hits={hits}, misses={misses})"
-        );
-        assert!(
-            pool.len() <= pool.capacity(),
-            "CLOCK eviction must keep residency within capacity ({} > {})",
-            pool.len(),
-            pool.capacity()
-        );
-    });
-}
-
-/// The split probe → record_miss/admit protocol (the `try_*` read path)
-/// must stay consistent when the disk-outcome half races with other
-/// threads' probes on the same shard.
-#[test]
-fn sharded_pool_split_protocol_counts_every_outcome() {
-    loom::model(|| {
-        let pool = Arc::new(ShardedPool::new(2, 1));
-        let handles: Vec<_> = (0..2u64)
-            .map(|t| {
-                let pool = Arc::clone(&pool);
-                thread::spawn(move || {
-                    for i in 0..6u64 {
-                        let block = (t * 2 + i) % 4;
-                        if !pool.probe(0, block) {
-                            // Simulate the disk read: even blocks succeed
-                            // and cache, odd blocks fail and must not.
-                            if block % 2 == 0 {
-                                pool.admit(0, block);
-                            } else {
-                                pool.record_miss(0, block);
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let (hits, misses) = pool.stats();
-        assert_eq!(hits + misses, 12, "12 accesses issued, all must be tallied");
-        assert!(pool.len() <= pool.capacity());
-    });
-}
 
 /// Scoped-meter rollup: concurrent trials charging isolated children must
 /// leave the parent with exactly the sum of the children's I/Os once all
@@ -107,10 +30,7 @@ fn scoped_meter_rollup_is_exact() {
     loom::model(|| {
         const THREADS: u64 = 3;
         const TOUCHES: u64 = 4;
-        let parent = CostModel::with_policy(
-            EmConfig::with_memory(4, 2),
-            PoolPolicy::ShardedClock { shards: 2 },
-        );
+        let parent = CostModel::new(EmConfig::with_memory(64, 8));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let scoped = parent.scoped();

@@ -1,9 +1,8 @@
 //! Property test pinning the tracing reconciliation invariant (the PR-5
 //! satellite): per-phase event totals recorded by a [`RecordingSink`] sum
 //! *exactly* to the meter's aggregate [`IoReport`](emsim::IoReport) — for
-//! arbitrary interleavings of metered operations and span nesting, under
-//! both pool policies (exact LRU and sharded CLOCK), with and without an
-//! armed [`FaultPlan`].
+//! arbitrary interleavings of metered operations and span nesting, through
+//! the LRU buffer pool, with and without an armed [`FaultPlan`].
 //!
 //! The invariant holds because every counter bump in `cost.rs` is paired
 //! with exactly one sink event, and charges outside any span land in the
@@ -12,7 +11,7 @@
 use std::sync::Arc;
 
 use emsim::trace::{phase, RecordingSink};
-use emsim::{CostModel, EmConfig, FaultPlan, PoolPolicy};
+use emsim::{CostModel, EmConfig, FaultPlan};
 use proptest::prelude::*;
 
 /// Span labels the driver rotates through (including "no span", which
@@ -26,15 +25,11 @@ const PHASES: [Option<&str>; 6] = [
     Some(phase::DEGRADE),
 ];
 
-/// Replay `ops` against a fresh meter with the given policy and plan, and
-/// check that the sink's per-phase sums reconcile with the aggregate.
-fn check_reconciliation(
-    ops: &[(u8, u8, u64)],
-    policy: PoolPolicy,
-    plan: FaultPlan,
-) -> Result<(), TestCaseError> {
+/// Replay `ops` against a fresh meter with the given plan, and check that
+/// the sink's per-phase sums reconcile with the aggregate.
+fn check_reconciliation(ops: &[(u8, u8, u64)], plan: FaultPlan) -> Result<(), TestCaseError> {
     let sink = Arc::new(RecordingSink::new());
-    let model = CostModel::with_faults_and_policy(EmConfig::with_memory(64, 6), plan, policy);
+    let model = CostModel::with_faults(EmConfig::with_memory(64, 6), plan);
     model.set_trace_sink(sink.clone());
     for &(op, ph, block) in ops {
         let _g = PHASES[ph as usize % PHASES.len()].map(|p| model.span(p));
@@ -72,22 +67,10 @@ proptest! {
     fn phase_sums_reconcile_under_lru(
         ops in prop::collection::vec((0u8..6, 0u8..6, 0u64..48), 1..250),
     ) {
-        check_reconciliation(&ops, PoolPolicy::Lru, FaultPlan::none())?;
+        check_reconciliation(&ops, FaultPlan::none())?;
     }
 
-    /// Sharded-CLOCK pool, perfect media.
-    #[test]
-    fn phase_sums_reconcile_under_sharded_clock(
-        ops in prop::collection::vec((0u8..6, 0u8..6, 0u64..48), 1..250),
-    ) {
-        check_reconciliation(
-            &ops,
-            PoolPolicy::ShardedClock { shards: 4 },
-            FaultPlan::none(),
-        )?;
-    }
-
-    /// Both policies with an armed chaos plan: injected faults and retry
+    /// An armed chaos plan: injected faults and retry
     /// attempts must land in the same phase buckets as the charges they
     /// accompany, and the sums must still be exact.
     #[test]
@@ -95,11 +78,6 @@ proptest! {
         ops in prop::collection::vec((0u8..6, 0u8..6, 0u64..48), 1..250),
         seed in 0u64..32,
     ) {
-        check_reconciliation(&ops, PoolPolicy::Lru, FaultPlan::chaos(seed, 0.08))?;
-        check_reconciliation(
-            &ops,
-            PoolPolicy::ShardedClock { shards: 4 },
-            FaultPlan::chaos(seed, 0.08),
-        )?;
+        check_reconciliation(&ops, FaultPlan::chaos(seed, 0.08))?;
     }
 }
