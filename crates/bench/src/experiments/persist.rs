@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use emsim::{
     BlockArray, BlockDevice, CostModel, CountingDevice, EmConfig, EmError, FaultPlan, FaultScope,
-    FileDevice, PoolPolicy, Retrier,
+    FileDevice, Media, PoolPolicy, Retrier,
 };
 use topk_core::toy::{PrefixBuilder, PrefixQuery, ToyElem};
 use topk_core::{brute, BinarySearchTopK, TopKAnswer, TopKIndex};
@@ -263,7 +263,8 @@ pub fn exp_persist(scale: Scale) -> Table {
             x ^= x >> 7;
             x ^= x << 17;
             let i = (x % n as u64) as usize;
-            assert_eq!(*arr.try_get(i, &retrier).expect("fault-free probe"), i as u64);
+            let got = arr.try_get(i, Media::Retried(&retrier)).expect("fault-free probe");
+            assert_eq!(*got, i as u64);
         }
         let rep = m.report();
         let counts = counting.counts();

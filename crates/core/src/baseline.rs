@@ -12,12 +12,12 @@
 //!   closure — unlike the reductions, which are black-box.)
 
 use emsim::trace::phase;
-use emsim::{BlockArray, CostModel, EmError, Retrier};
+use emsim::{BlockArray, CostModel, EmError, Media, Retrier};
 
 use crate::batch::{BatchKey, BatchTopK};
 use crate::traits::{
-    select_top_k, Element, FaultMark, Media, PrioritizedBuilder, PrioritizedIndex, TopKAnswer,
-    TopKIndex, Weight,
+    query, query_monitored, select_top_k, Element, FaultMark, PrioritizedBuilder, PrioritizedIndex,
+    TopKAnswer, TopKIndex, Weight,
 };
 
 /// The binary-search reduction of \[28\] (eqs. (1)–(2)).
@@ -77,7 +77,7 @@ where
                 mark.note(&self.model);
                 let _g = self.model.span(phase::DEGRADE);
                 let mut s = Vec::new();
-                match media.query(&self.pri, q, 0, &mut s) {
+                match query(media, &self.pri, q, 0, &mut s) {
                     Ok(()) => Ok((select_top_k(&self.model, &s, k), true)),
                     Err(_) if !s.is_empty() => Ok((select_top_k(&self.model, &s, k), false)),
                     Err(e) => Err(e),
@@ -93,7 +93,7 @@ where
         // prioritized query (cost Q_pri + O(k/B)).
         let count_from = |tau: Weight| -> Result<usize, EmError> {
             let mut out = Vec::new();
-            media.query_monitored(&self.pri, q, tau, k, &mut out)?;
+            query_monitored(media, &self.pri, q, tau, k, &mut out)?;
             Ok(out.len())
         };
         let n = self.weights.len();
@@ -104,20 +104,20 @@ where
         let mut hi = n; // exclusive; count above weights[hi] < k
         let search = self.model.span(phase::PROBE);
         // Quick check: fewer than k matches in total?
-        if count_from(*media.get(&self.weights, 0)?)? < k {
+        if count_from(*self.weights.try_get(0, media)?)? < k {
             drop(search);
             // Entire q(D) has < k elements; report all of it.
             let mut all = Vec::new();
             {
                 let _g = self.model.span(phase::FALLBACK);
-                media.query(&self.pri, q, 0, &mut all)?;
+                query(media, &self.pri, q, 0, &mut all)?;
             }
             let _g = self.model.span(phase::SELECT);
             return Ok(select_top_k(&self.model, &all, k));
         }
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if count_from(*media.get(&self.weights, mid)?)? >= k {
+            if count_from(*self.weights.try_get(mid, media)?)? >= k {
                 lo = mid;
             } else {
                 hi = mid;
@@ -125,9 +125,9 @@ where
         }
         // τ* = weights[lo]: at least k matches at or above it, fewer than k
         // strictly above the next weight. Fetch and k-select.
-        let tau = *media.get(&self.weights, lo)?;
+        let tau = *self.weights.try_get(lo, media)?;
         let mut s = Vec::new();
-        media.query(&self.pri, q, tau, &mut s)?;
+        query(media, &self.pri, q, tau, &mut s)?;
         drop(search);
         let _g = self.model.span(phase::SELECT);
         Ok(select_top_k(&self.model, &s, k))
@@ -222,7 +222,7 @@ where
         }
         let mut candidates: Vec<Vec<E>> = queries.iter().map(|_| Vec::new()).collect();
         let scan_span = self.model.span(phase::SCAN);
-        let scan = media.scan_while(&self.data, 0, self.data.len(), |e| {
+        let scan = self.data.try_scan_while(0, self.data.len(), media, |e| {
             for (q, c) in queries.iter().zip(candidates.iter_mut()) {
                 if (self.matches)(q, e) {
                     c.push(e.clone());

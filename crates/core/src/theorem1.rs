@@ -36,14 +36,14 @@
 //! affects only the (expected, rare) cost of the fallback.
 
 use emsim::trace::phase;
-use emsim::{BlockArray, CostModel, EmError, Retrier};
+use emsim::{BlockArray, CostModel, EmError, Media, Retrier};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::coreset::{core_set, CoreSetParams};
 use crate::traits::{
-    select_top_k, Element, FaultMark, Media, Monitored, PrioritizedBuilder, PrioritizedIndex,
-    TopKAnswer, TopKIndex,
+    query, query_monitored, select_top_k, Element, FaultMark, Monitored, PrioritizedBuilder,
+    PrioritizedIndex, TopKAnswer, TopKIndex,
 };
 
 /// Tunables of the Theorem 1 construction.
@@ -154,7 +154,7 @@ impl<I> Hierarchy<I> {
         let mut out = Vec::new();
         let first = {
             let _g = model.span(ph);
-            media.query_monitored(idx, q, 0, 4 * self.f, &mut out)
+            query_monitored(media, idx, q, 0, 4 * self.f, &mut out)
         };
         match first {
             Ok(Monitored::Complete) => {
@@ -175,7 +175,7 @@ impl<I> Hierarchy<I> {
                             let mut s = Vec::new();
                             let tau_query = {
                                 let _g = model.span(ph);
-                                media.query_monitored(idx, q, tau, 4 * self.f, &mut s)
+                                query_monitored(media, idx, q, tau, 4 * self.f, &mut s)
                             };
                             match tau_query {
                                 Ok(Monitored::Complete) if s.len() >= self.f => {
@@ -202,7 +202,7 @@ impl<I> Hierarchy<I> {
                 // Verified fallback: exact full prioritized query on Rᵢ.
                 let fallback = model.span(phase::FALLBACK);
                 let mut all = Vec::new();
-                match media.query(idx, q, 0, &mut all) {
+                match query(media, idx, q, 0, &mut all) {
                     Ok(()) => Ok((select_top_k(model, &all, self.f), true)),
                     Err(e) => {
                         drop(fallback);
@@ -398,7 +398,7 @@ where
         let mut s1 = Vec::new();
         let first = {
             let _g = self.model.span(phase::PROBE);
-            media.query_monitored(d, q, 0, 4 * cap, &mut s1)
+            query_monitored(media, d, q, 0, 4 * cap, &mut s1)
         };
         match first {
             Ok(Monitored::Complete) => {
@@ -414,7 +414,7 @@ where
                         let mut s = Vec::new();
                         let tau_query = {
                             let _g = self.model.span(phase::PROBE);
-                            media.query_monitored(d, q, tau, 4 * cap, &mut s)
+                            query_monitored(media, d, q, tau, 4 * cap, &mut s)
                         };
                         match tau_query {
                             Ok(Monitored::Complete) if s.len() >= k => {
@@ -472,7 +472,7 @@ where
     ) -> Result<(Vec<E>, bool), EmError> {
         let span = self.model.span(ph);
         let mut s = Vec::new();
-        match media.query(self.d_structure(), q, 0, &mut s) {
+        match query(media, self.d_structure(), q, 0, &mut s) {
             Ok(()) => Ok((select_top_k(&self.model, &s, k), true)),
             Err(e) => {
                 drop(span);

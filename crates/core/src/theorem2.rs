@@ -38,13 +38,13 @@
 use std::collections::HashMap;
 
 use emsim::trace::phase;
-use emsim::{CostModel, EmError, Retrier};
+use emsim::{CostModel, EmError, Media, Retrier};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::traits::{
-    select_top_k, DynamicIndex, Element, FaultMark, MaxBuilder, Media, Monitored,
-    PrioritizedBuilder, PrioritizedIndex, TopKAnswer, TopKIndex, Weight,
+    query, query_max, query_monitored, select_top_k, DynamicIndex, Element, FaultMark, MaxBuilder,
+    Monitored, PrioritizedBuilder, PrioritizedIndex, TopKAnswer, TopKIndex, Weight,
 };
 
 /// Tunables of the Theorem 2 construction.
@@ -240,7 +240,7 @@ where
         // (cost Q_pri + O(n/B) = O(n/B) for any sane Q_pri).
         let scan = self.model.span(phase::SCAN);
         let mut s = Vec::new();
-        match media.query(&self.pri, q, 0, &mut s) {
+        match query(media, &self.pri, q, 0, &mut s) {
             Ok(()) => Ok((select_top_k(&self.model, &s, k), true)),
             Err(e) => {
                 drop(scan);
@@ -276,7 +276,7 @@ where
         let mut s1 = Vec::new();
         let first = {
             let _g = self.model.span(phase::PROBE);
-            media.query_monitored(&self.pri, q, 0, 4 * cap, &mut s1)
+            query_monitored(media, &self.pri, q, 0, 4 * cap, &mut s1)
         };
         match first {
             Ok(Monitored::Complete) => {
@@ -293,7 +293,7 @@ where
         // Step 2: heaviest sampled element from the max structure on R_j.
         let max_query = {
             let _g = self.model.span(phase::SAMPLE);
-            media.query_max(&self.maxes[j], q)
+            query_max(media, &self.maxes[j], q)
         };
         let tau = match max_query {
             Ok(Some(e)) => e.weight(),
@@ -310,7 +310,7 @@ where
         let mut s = Vec::new();
         let tau_query = {
             let _g = self.model.span(phase::PROBE);
-            media.query_monitored(&self.pri, q, tau, 4 * cap, &mut s)
+            query_monitored(media, &self.pri, q, tau, 4 * cap, &mut s)
         };
 
         // Steps 4–5: succeed iff the fetch is complete and provably contains

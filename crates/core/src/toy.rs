@@ -12,7 +12,7 @@
 //!   output-sensitive, which is fine for correctness tests (and is honestly
 //!   reflected in its `query_cost`).
 
-use emsim::{BlockArray, CostModel, EmError, Retrier};
+use emsim::{BlockArray, CostModel, EmError, Media, Retrier};
 
 use crate::traits::{
     log_b, Element, MaxBuilder, MaxIndex, PrioritizedBuilder, PrioritizedIndex, Weight,
@@ -98,34 +98,28 @@ impl WeightSortedArray {
         }
     }
 
-    fn for_each_desc_while(&self, tau: Weight, mut f: impl FnMut(&ToyElem) -> bool) {
-        self.arr.scan_while(0, self.arr.len(), |e| {
-            if e.w < tau {
-                return false;
-            }
-            f(e)
-        });
-    }
-
-    /// Fallible twin of [`WeightSortedArray::for_each_desc_while`]: reads
-    /// through the `try_*` substrate accessors so injected faults surface.
-    /// On `Err`, `f` has received the (weight-descending, hence correct)
-    /// prefix up to the failing block.
-    fn try_for_each_desc_while(
+    /// Visit the weight-descending prefix down to `tau` on `media` until
+    /// `f` returns `false`. On `Err`, `f` has received the
+    /// (weight-descending, hence correct) prefix up to the failing block.
+    fn for_each_desc_while(
         &self,
         tau: Weight,
-        retrier: &Retrier,
+        media: Media,
         mut f: impl FnMut(&ToyElem) -> bool,
     ) -> Result<(), EmError> {
         self.arr
-            .try_scan_while(0, self.arr.len(), retrier, |e| {
-                if e.w < tau {
-                    return false;
-                }
-                f(e)
-            })
+            .try_scan_while(0, self.arr.len(), media, |e| e.w >= tau && f(e))
             .map(|_| ())
             .map_err(|(_, e)| e)
+    }
+
+    /// The heaviest element on `media`, if any.
+    fn first(&self, media: Media) -> Result<Option<ToyElem>, EmError> {
+        if self.arr.is_empty() {
+            Ok(None)
+        } else {
+            self.arr.try_get(0, media).map(|e| Some(*e))
+        }
     }
 }
 
@@ -135,7 +129,9 @@ pub struct AllIndex(WeightSortedArray);
 
 impl PrioritizedIndex<ToyElem, AllQuery> for AllIndex {
     fn for_each_at_least(&self, _q: &AllQuery, tau: Weight, visit: &mut dyn FnMut(&ToyElem) -> bool) {
-        self.0.for_each_desc_while(tau, |e| visit(e));
+        self.0
+            .for_each_desc_while(tau, Media::Perfect, visit)
+            .expect("perfect media never fails");
     }
     fn try_for_each_at_least(
         &self,
@@ -144,7 +140,8 @@ impl PrioritizedIndex<ToyElem, AllQuery> for AllIndex {
         retrier: &Retrier,
         visit: &mut dyn FnMut(&ToyElem) -> bool,
     ) -> Result<(), EmError> {
-        self.0.try_for_each_desc_while(tau, retrier, |e| visit(e))
+        self.0
+            .for_each_desc_while(tau, Media::Retried(retrier), visit)
     }
     fn space_blocks(&self) -> u64 {
         self.0.arr.blocks()
@@ -156,18 +153,12 @@ impl PrioritizedIndex<ToyElem, AllQuery> for AllIndex {
 
 impl MaxIndex<ToyElem, AllQuery> for AllIndex {
     fn query_max(&self, _q: &AllQuery) -> Option<ToyElem> {
-        if self.0.arr.is_empty() {
-            None
-        } else {
-            Some(*self.0.arr.get(0))
-        }
+        self.0
+            .first(Media::Perfect)
+            .expect("perfect media never fails")
     }
     fn try_query_max(&self, _q: &AllQuery, retrier: &Retrier) -> Result<Option<ToyElem>, EmError> {
-        if self.0.arr.is_empty() {
-            Ok(None)
-        } else {
-            self.0.arr.try_get(0, retrier).map(|e| Some(*e))
-        }
+        self.0.first(Media::Retried(retrier))
     }
     fn space_blocks(&self) -> u64 {
         self.0.arr.blocks()
@@ -211,6 +202,31 @@ impl MaxBuilder<ToyElem, AllQuery> for AllMaxBuilder {
 /// simple, not output-sensitive.
 pub struct PrefixIndex(WeightSortedArray);
 
+impl PrefixIndex {
+    /// Visit the matches of `q` with weight `≥ tau`, heaviest first, on
+    /// `media` until `visit` returns `false`.
+    fn matches_while(
+        &self,
+        q: &PrefixQuery,
+        tau: Weight,
+        media: Media,
+        mut visit: impl FnMut(&ToyElem) -> bool,
+    ) -> Result<(), EmError> {
+        self.0
+            .for_each_desc_while(tau, media, |e| e.x > q.x_max || visit(e))
+    }
+
+    /// The heaviest match of `q` on `media`, if any.
+    fn first_match(&self, q: &PrefixQuery, media: Media) -> Result<Option<ToyElem>, EmError> {
+        let mut found = None;
+        self.matches_while(q, 0, media, |e| {
+            found = Some(*e);
+            false
+        })?;
+        Ok(found)
+    }
+}
+
 impl PrioritizedIndex<ToyElem, PrefixQuery> for PrefixIndex {
     fn for_each_at_least(
         &self,
@@ -218,13 +234,8 @@ impl PrioritizedIndex<ToyElem, PrefixQuery> for PrefixIndex {
         tau: Weight,
         visit: &mut dyn FnMut(&ToyElem) -> bool,
     ) {
-        self.0.for_each_desc_while(tau, |e| {
-            if e.x <= q.x_max {
-                visit(e)
-            } else {
-                true
-            }
-        });
+        self.matches_while(q, tau, Media::Perfect, visit)
+            .expect("perfect media never fails");
     }
     fn try_for_each_at_least(
         &self,
@@ -233,13 +244,7 @@ impl PrioritizedIndex<ToyElem, PrefixQuery> for PrefixIndex {
         retrier: &Retrier,
         visit: &mut dyn FnMut(&ToyElem) -> bool,
     ) -> Result<(), EmError> {
-        self.0.try_for_each_desc_while(tau, retrier, |e| {
-            if e.x <= q.x_max {
-                visit(e)
-            } else {
-                true
-            }
-        })
+        self.matches_while(q, tau, Media::Retried(retrier), visit)
     }
     fn space_blocks(&self) -> u64 {
         self.0.arr.blocks()
@@ -251,28 +256,11 @@ impl PrioritizedIndex<ToyElem, PrefixQuery> for PrefixIndex {
 
 impl MaxIndex<ToyElem, PrefixQuery> for PrefixIndex {
     fn query_max(&self, q: &PrefixQuery) -> Option<ToyElem> {
-        let mut found = None;
-        self.0.for_each_desc_while(0, |e| {
-            if e.x <= q.x_max {
-                found = Some(*e);
-                false
-            } else {
-                true
-            }
-        });
-        found
+        self.first_match(q, Media::Perfect)
+            .expect("perfect media never fails")
     }
     fn try_query_max(&self, q: &PrefixQuery, retrier: &Retrier) -> Result<Option<ToyElem>, EmError> {
-        let mut found = None;
-        self.0.try_for_each_desc_while(0, retrier, |e| {
-            if e.x <= q.x_max {
-                found = Some(*e);
-                false
-            } else {
-                true
-            }
-        })?;
-        Ok(found)
+        self.first_match(q, Media::Retried(retrier))
     }
     fn space_blocks(&self) -> u64 {
         self.0.arr.blocks()

@@ -13,7 +13,7 @@
 //! structures *on arbitrary subsets* of the input — the reductions build
 //! them on core-sets and random samples.
 
-use emsim::{BlockArray, CostModel, EmError, Retrier};
+use emsim::{CostModel, EmError, Media, Retrier};
 
 /// Weights are unsigned 64-bit and pairwise distinct (paper §1.1). Because
 /// they are distinct, a weight doubles as a unique element identifier, which
@@ -144,87 +144,52 @@ impl FaultMark {
     }
 }
 
-/// How a query body reads its structures. Each reduction has one query
-/// body; `query_topk` runs it on [`Media::Perfect`] and `try_query_topk`
-/// on [`Media::Retried`]. This is the only place that picks between the
-/// infallible accessors and their fallible `try_*` twins, so the fault
-/// plan is consulted exactly when the caller asked for the fallible path.
-#[derive(Clone, Copy)]
-pub(crate) enum Media<'a> {
-    /// The infallible accessors: perfect media, never an `Err`, and the
-    /// meter's fault plan is never consulted.
-    Perfect,
-    /// The `try_*` accessors under the meter's fault plan, retrying
-    /// transient faults with this retrier.
-    Retried(&'a Retrier),
+/// [`PrioritizedIndex::query_monitored`] on `media`. Each reduction has one
+/// query body; `query_topk` runs it on [`Media::Perfect`] and
+/// `try_query_topk` on [`Media::Retried`]. This function, [`query`] and
+/// [`query_max`] are the only core code that picks between a structure's
+/// infallible queries and their fallible `try_*` twins, so the fault plan is
+/// consulted exactly when the caller asked for the fallible path.
+pub(crate) fn query_monitored<E: Element, Q>(
+    media: Media,
+    idx: &impl PrioritizedIndex<E, Q>,
+    q: &Q,
+    tau: Weight,
+    limit: usize,
+    out: &mut Vec<E>,
+) -> Result<Monitored, EmError> {
+    match media {
+        Media::Perfect => Ok(idx.query_monitored(q, tau, limit, out)),
+        Media::Retried(r) => idx.try_query_monitored(q, tau, limit, r, out),
+    }
 }
 
-impl Media<'_> {
-    /// [`PrioritizedIndex::query_monitored`] or its fallible twin.
-    pub(crate) fn query_monitored<E: Element, Q>(
-        self,
-        idx: &impl PrioritizedIndex<E, Q>,
-        q: &Q,
-        tau: Weight,
-        limit: usize,
-        out: &mut Vec<E>,
-    ) -> Result<Monitored, EmError> {
-        match self {
-            Media::Perfect => Ok(idx.query_monitored(q, tau, limit, out)),
-            Media::Retried(r) => idx.try_query_monitored(q, tau, limit, r, out),
+/// [`PrioritizedIndex::query`] on `media` (see [`query_monitored`]).
+pub(crate) fn query<E: Element, Q>(
+    media: Media,
+    idx: &impl PrioritizedIndex<E, Q>,
+    q: &Q,
+    tau: Weight,
+    out: &mut Vec<E>,
+) -> Result<(), EmError> {
+    match media {
+        Media::Perfect => {
+            idx.query(q, tau, out);
+            Ok(())
         }
+        Media::Retried(r) => idx.try_query(q, tau, r, out),
     }
+}
 
-    /// [`PrioritizedIndex::query`] or its fallible twin.
-    pub(crate) fn query<E: Element, Q>(
-        self,
-        idx: &impl PrioritizedIndex<E, Q>,
-        q: &Q,
-        tau: Weight,
-        out: &mut Vec<E>,
-    ) -> Result<(), EmError> {
-        match self {
-            Media::Perfect => {
-                idx.query(q, tau, out);
-                Ok(())
-            }
-            Media::Retried(r) => idx.try_query(q, tau, r, out),
-        }
-    }
-
-    /// [`MaxIndex::query_max`] or its fallible twin.
-    pub(crate) fn query_max<E: Element, Q>(
-        self,
-        idx: &impl MaxIndex<E, Q>,
-        q: &Q,
-    ) -> Result<Option<E>, EmError> {
-        match self {
-            Media::Perfect => Ok(idx.query_max(q)),
-            Media::Retried(r) => idx.try_query_max(q, r),
-        }
-    }
-
-    /// [`BlockArray::get`] or [`BlockArray::try_get`].
-    pub(crate) fn get<T>(self, arr: &BlockArray<T>, i: usize) -> Result<&T, EmError> {
-        match self {
-            Media::Perfect => Ok(arr.get(i)),
-            Media::Retried(r) => arr.try_get(i, r),
-        }
-    }
-
-    /// [`BlockArray::scan_while`] or [`BlockArray::try_scan_while`]; on
-    /// `Err`, the number of items visited before the unreadable block.
-    pub(crate) fn scan_while<T>(
-        self,
-        arr: &BlockArray<T>,
-        lo: usize,
-        hi: usize,
-        f: impl FnMut(&T) -> bool,
-    ) -> Result<usize, (usize, EmError)> {
-        match self {
-            Media::Perfect => Ok(arr.scan_while(lo, hi, f)),
-            Media::Retried(r) => arr.try_scan_while(lo, hi, r, f),
-        }
+/// [`MaxIndex::query_max`] on `media` (see [`query_monitored`]).
+pub(crate) fn query_max<E: Element, Q>(
+    media: Media,
+    idx: &impl MaxIndex<E, Q>,
+    q: &Q,
+) -> Result<Option<E>, EmError> {
+    match media {
+        Media::Perfect => Ok(idx.query_max(q)),
+        Media::Retried(r) => idx.try_query_max(q, r),
     }
 }
 

@@ -6,20 +6,21 @@
 //! `O(n/B)` I/Os and random probes cost one I/O each (modulo buffer-pool
 //! hits), matching the model of §1.1.
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, Media};
 use crate::device::{self, BlockId};
 use crate::error::EmError;
-use crate::fault::{self, Retrier};
+use crate::fault;
 
 /// The sentinel checksum of block `block` of array `seed_id` when it holds
 /// `items` items. It is a pure function of the block's address (the
 /// payload itself lives in a native `Vec`, which the simulator never
 /// physically scrambles), so it is recomputed on demand rather than
-/// stored; an injected corruption XORs a nonzero mask into the value read
-/// back, so verification fails exactly on the blocks the
-/// [`crate::FaultPlan`] corrupted. `seed_id` is the array id for
-/// anonymous arrays and the stable name hash for named ones, so a named
-/// array's sentinels survive reopening under a fresh array id.
+/// stored. It travels in the block's header image on the device and is
+/// re-checked when a named array is reopened; at run time
+/// [`CostModel::read`] fails exactly the blocks the [`crate::FaultPlan`]
+/// corrupted. `seed_id` is the array id for anonymous arrays and the
+/// stable name hash for named ones, so a named array's sentinels survive
+/// reopening under a fresh array id.
 fn block_checksum(seed_id: u64, block: u64, items: u64) -> u64 {
     fault::mix(fault::mix(seed_id ^ 0xC0DE_C0DE) ^ fault::mix(block) ^ items)
 }
@@ -134,10 +135,10 @@ fn name_id(name: &str) -> u64 {
 
 /// A typed array stored in blocks of the simulated disk.
 ///
-/// Every block carries a sentinel checksum derived from its address; the
-/// `try_*` accessors re-verify it after each successful read, so silent
-/// corruption injected by the meter's [`crate::FaultPlan`] surfaces as
-/// [`EmError::Corrupt`] instead of wrong answers.
+/// Every block carries a sentinel checksum derived from its address. Each
+/// accessor reads through [`CostModel::read`], so on [`Media::Retried`]
+/// silent corruption injected by the meter's [`crate::FaultPlan`] surfaces
+/// as [`EmError::Corrupt`] instead of wrong answers.
 #[derive(Debug)]
 pub struct BlockArray<T> {
     data: Vec<T>,
@@ -224,8 +225,16 @@ impl<T> BlockArray<T> {
 
     /// Random access to item `i`: charges the block containing `i`.
     pub fn get(&self, i: usize) -> &T {
-        self.model.touch(self.array_id, (i / self.per_block) as u64);
-        &self.data[i]
+        self.try_get(i, Media::Perfect)
+            .expect("perfect media never fails")
+    }
+
+    /// [`BlockArray::get`] on `media`: on [`Media::Retried`], a fault that
+    /// survives its retries, or a corrupt block, is an `Err`.
+    pub fn try_get(&self, i: usize, media: Media) -> Result<&T, EmError> {
+        self.model
+            .read(self.array_id, (i / self.per_block) as u64, media)?;
+        Ok(&self.data[i])
     }
 
     /// Read items `[lo, hi)` sequentially, charging each block in the range
@@ -253,14 +262,34 @@ impl<T> BlockArray<T> {
     /// Scan `[lo, hi)` but stop early when `f` returns `false`. Blocks are
     /// charged lazily, only as the scan reaches them. Returns the number of
     /// items visited.
-    pub fn scan_while(&self, lo: usize, hi: usize, mut f: impl FnMut(&T) -> bool) -> usize {
+    pub fn scan_while(&self, lo: usize, hi: usize, f: impl FnMut(&T) -> bool) -> usize {
+        self.try_scan_while(lo, hi, Media::Perfect, f)
+            .expect("perfect media never fails")
+    }
+
+    /// [`BlockArray::scan_while`] on `media`: scan `[lo, hi)` until `f`
+    /// returns `false`, a block read fails, or the range ends.
+    ///
+    /// Returns the number of items visited; on error, the pair of (items
+    /// visited before the failing block, error) — the partial prefix is the
+    /// raw material of graceful degradation, so callers can still answer
+    /// from whatever was read.
+    pub fn try_scan_while(
+        &self,
+        lo: usize,
+        hi: usize,
+        media: Media,
+        mut f: impl FnMut(&T) -> bool,
+    ) -> Result<usize, (usize, EmError)> {
         assert!(lo <= hi && hi <= self.data.len(), "scan range out of bounds");
         let mut visited = 0;
-        let mut current_block = usize::MAX;
+        let mut current_block = u64::MAX;
         for i in lo..hi {
-            let b = i / self.per_block;
+            let b = (i / self.per_block) as u64;
             if b != current_block {
-                self.model.touch(self.array_id, b as u64);
+                self.model
+                    .read(self.array_id, b, media)
+                    .map_err(|e| (visited, e))?;
                 current_block = b;
             }
             visited += 1;
@@ -268,7 +297,7 @@ impl<T> BlockArray<T> {
                 break;
             }
         }
-        visited
+        Ok(visited)
     }
 
     /// Binary search by a key extractor over an array sorted by that key.
@@ -294,74 +323,6 @@ impl<T> BlockArray<T> {
     /// by build-time code that has already accounted for its passes.
     pub fn raw(&self) -> &[T] {
         &self.data
-    }
-
-    /// Verify block `block`'s checksum against what the device reads back.
-    /// A mismatch (silent corruption injected by the meter's fault plan) is
-    /// recorded on the meter and surfaced as [`EmError::Corrupt`].
-    pub fn verify(&self, block: u64) -> Result<(), EmError> {
-        assert!(block < self.blocks(), "block {block} out of range");
-        let stored = self.checksum(block);
-        let plan = self.model.fault_plan();
-        let read_back = if plan.is_corrupted(self.array_id, block) {
-            stored ^ plan.corruption_mask(self.array_id, block)
-        } else {
-            stored
-        };
-        if read_back != stored {
-            self.model.record_fault();
-            return Err(EmError::Corrupt {
-                array_id: self.array_id,
-                block,
-            });
-        }
-        Ok(())
-    }
-
-    /// Read one block fallibly: retry transient faults under `retrier`
-    /// (each attempt charges one read I/O on a pool miss), then verify the
-    /// checksum.
-    fn try_read_block(&self, block: u64, retrier: &Retrier) -> Result<(), EmError> {
-        retrier.run(|attempt| self.model.try_fetch(self.array_id, block, attempt))?;
-        self.verify(block)
-    }
-
-    /// Fallible [`BlockArray::get`]: random access to item `i` under the
-    /// meter's fault plan, retrying transient faults with `retrier`.
-    pub fn try_get(&self, i: usize, retrier: &Retrier) -> Result<&T, EmError> {
-        self.try_read_block((i / self.per_block) as u64, retrier)?;
-        Ok(&self.data[i])
-    }
-
-    /// Fallible [`BlockArray::scan_while`]: scan `[lo, hi)` until `f`
-    /// returns `false`, a fault survives its retries, or the range ends.
-    ///
-    /// Returns the number of items visited; on error, the pair of (items
-    /// visited before the failing block, error) — the partial prefix is the
-    /// raw material of graceful degradation, so callers can still answer
-    /// from whatever was read.
-    pub fn try_scan_while(
-        &self,
-        lo: usize,
-        hi: usize,
-        retrier: &Retrier,
-        mut f: impl FnMut(&T) -> bool,
-    ) -> Result<usize, (usize, EmError)> {
-        assert!(lo <= hi && hi <= self.data.len(), "scan range out of bounds");
-        let mut visited = 0;
-        let mut current_block = u64::MAX;
-        for i in lo..hi {
-            let b = (i / self.per_block) as u64;
-            if b != current_block {
-                self.try_read_block(b, retrier).map_err(|e| (visited, e))?;
-                current_block = b;
-            }
-            visited += 1;
-            if !f(&self.data[i]) {
-                break;
-            }
-        }
-        Ok(visited)
     }
 }
 
@@ -559,6 +520,7 @@ mod tests {
         assert!(a.is_empty());
     }
 
+    use crate::cost::Media;
     use crate::fault::{FaultPlan, Retrier};
 
     fn faulty_model(plan: FaultPlan) -> CostModel {
@@ -571,16 +533,19 @@ mod tests {
         let a = BlockArray::new(&m, (0u64..500).collect());
         m.reset();
         let r = Retrier::default();
-        assert_eq!(a.try_get(123, &r).copied(), Ok(123));
-        assert_eq!(a.try_get(499, &r).copied(), Ok(499));
+        assert_eq!(a.try_get(123, Media::Retried(&r)).copied(), Ok(123));
+        assert_eq!(a.try_get(499, Media::Retried(&r)).copied(), Ok(499));
         let mut sum = 0u64;
-        let visited = a.try_scan_while(0, 500, &r, |&x| {
+        let visited = a.try_scan_while(0, 500, Media::Retried(&r), |&x| {
             sum += x;
             true
         });
         assert_eq!(visited, Ok(500));
         assert_eq!(sum, 499 * 500 / 2);
-        assert_eq!(a.try_scan_while(0, 500, &r, |&x| x < 250), Ok(251));
+        assert_eq!(
+            a.try_scan_while(0, 500, Media::Retried(&r), |&x| x < 250),
+            Ok(251)
+        );
         assert_eq!(m.report().faults, 0);
     }
 
@@ -592,7 +557,10 @@ mod tests {
         // A generous budget makes full-scan success overwhelmingly likely
         // (100 blocks × 2^-12 residual failure probability).
         let r = Retrier::new(11);
-        assert_eq!(a.try_scan_while(0, 6400, &r, |_| true), Ok(6400));
+        assert_eq!(
+            a.try_scan_while(0, 6400, Media::Retried(&r), |_| true),
+            Ok(6400)
+        );
         let rep = m.report();
         assert_eq!(rep.faults as i64, rep.reads as i64 - 100,
             "every read beyond the 100 payload blocks was a charged, retried failure");
@@ -604,7 +572,7 @@ mod tests {
         let m = faulty_model(FaultPlan::new(8).with_permanent(0.2));
         let a = BlockArray::new(&m, (0u64..6400).collect());
         let r = Retrier::new(3);
-        match a.try_scan_while(0, 6400, &r, |_| true) {
+        match a.try_scan_while(0, 6400, Media::Retried(&r), |_| true) {
             Ok(n) => {
                 // No bad block in this array's id-universe: all visited.
                 assert_eq!(n, 6400);
@@ -627,10 +595,12 @@ mod tests {
         let a = BlockArray::new(&m, (0u64..64).collect());
         m.reset();
         let r = Retrier::default();
-        let e = a.try_get(0, &r).unwrap_err();
+        let e = a.try_get(0, Media::Retried(&r)).unwrap_err();
         assert!(matches!(e, EmError::Corrupt { .. }));
         assert_eq!(m.report().faults, 1);
-        assert!(a.try_scan_while(0, 64, &r, |_| true).is_err());
+        assert!(a
+            .try_scan_while(0, 64, Media::Retried(&r), |_| true)
+            .is_err());
         // The infallible path still reads "successfully" — corruption is
         // silent by definition and only checksums catch it.
         assert_eq!(*a.get(5), 5);
@@ -640,8 +610,9 @@ mod tests {
     fn verify_passes_on_clean_blocks() {
         let m = faulty_model(FaultPlan::none());
         let a = BlockArray::new(&m, (0u64..200).collect());
+        let r = Retrier::default();
         for b in 0..a.blocks() {
-            assert_eq!(a.verify(b), Ok(()));
+            assert_eq!(m.read(a.array_id, b, Media::Retried(&r)), Ok(()));
         }
     }
 
@@ -678,8 +649,13 @@ mod tests {
                 a.blocks(),
                 "recovery charges one sequential read per block"
             );
+            let r = Retrier::default();
             for blk in 0..b.blocks() {
-                assert_eq!(b.verify(blk), Ok(()), "sentinels survive the name round-trip");
+                assert_eq!(
+                    m2.read(b.array_id, blk, Media::Retried(&r)),
+                    Ok(()),
+                    "sentinels survive the name round-trip"
+                );
             }
         }
     }
@@ -704,7 +680,10 @@ mod tests {
         assert_eq!(b.raw(), &data[..]);
         // Fallible reads verify clean against the reopened mirror.
         let r = Retrier::default();
-        assert_eq!(b.try_get(42, &r).copied(), Ok((42, 42 * 42)));
+        assert_eq!(
+            b.try_get(42, Media::Retried(&r)).copied(),
+            Ok((42, 42 * 42))
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,16 +9,14 @@
 //! Supports bulk build from sorted data, point lookup, predecessor search,
 //! in-order range reporting, insert, and delete with rebalancing.
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, Media};
 use crate::error::EmError;
-use crate::fault::{self, Retrier};
+use crate::fault;
 
 /// The sentinel checksum of node `node` of tree `array_id` — the same
 /// address-derived scheme as [`crate::BlockArray`] (see
-/// `block::block_checksum`), recomputed on demand rather than stored:
-/// corruption injected by the fault plan XORs a nonzero mask into the
-/// value read back, so verification fails exactly on the nodes the plan
-/// corrupted.
+/// `block::block_checksum`), recomputed on demand rather than stored and
+/// carried in the node's header image on the device.
 fn node_checksum(array_id: u64, node: u64) -> u64 {
     fault::mix(fault::mix(array_id ^ 0xB7EE_B7EE) ^ fault::mix(node))
 }
@@ -234,10 +232,6 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
         });
     }
 
-    fn touch(&self, node: usize) {
-        self.model.touch(self.array_id, node as u64);
-    }
-
     /// Number of key-value pairs stored.
     pub fn len(&self) -> usize {
         self.len
@@ -266,15 +260,22 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
 
     /// Point lookup, `O(log_B n)` I/Os.
     pub fn get(&self, key: &K) -> Option<&V> {
+        self.try_search(key, Media::Perfect)
+            .expect("perfect media never fails")
+    }
+
+    /// [`BTree::get`] on `media`: on [`Media::Retried`], a root-to-leaf
+    /// path that stays unreadable after retries surfaces as `Err`.
+    pub fn try_search(&self, key: &K, media: Media) -> Result<Option<&V>, EmError> {
         let mut u = self.root;
         loop {
-            self.touch(u);
+            self.model.read(self.array_id, u as u64, media)?;
             let node = &self.nodes[u];
             if node.is_leaf() {
-                return match node.keys.binary_search(key) {
+                return Ok(match node.keys.binary_search(key) {
                     Ok(i) => Some(&node.vals[i]),
                     Err(_) => None,
-                };
+                });
             }
             let i = node.keys.partition_point(|k| k <= key);
             u = node.children[i];
@@ -292,36 +293,57 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
 
     /// Like [`BTree::range`] but stops as soon as `f` returns `false`
     /// (cost-monitored reporting in the sense of §3.2).
-    pub fn range_while(&self, lo: &K, hi: &K, mut f: impl FnMut(&K, &V) -> bool) {
-        if self.len == 0 || lo > hi {
-            return;
-        }
-        self.range_rec(self.root, lo, hi, &mut f);
+    pub fn range_while(&self, lo: &K, hi: &K, f: impl FnMut(&K, &V) -> bool) {
+        self.try_range_while(lo, hi, Media::Perfect, f)
+            .expect("perfect media never fails");
     }
 
-    fn range_rec(&self, u: usize, lo: &K, hi: &K, f: &mut impl FnMut(&K, &V) -> bool) -> bool {
-        self.touch(u);
+    /// [`BTree::range_while`] on `media`: in-order reporting that stops at
+    /// the first subtree whose root stays unreadable after retries. Pairs
+    /// already delivered to `f` remain valid — callers can degrade to the
+    /// partial prefix.
+    pub fn try_range_while(
+        &self,
+        lo: &K,
+        hi: &K,
+        media: Media,
+        mut f: impl FnMut(&K, &V) -> bool,
+    ) -> Result<(), EmError> {
+        if self.len == 0 || lo > hi {
+            return Ok(());
+        }
+        self.range_rec(self.root, lo, hi, media, &mut f).map(|_| ())
+    }
+
+    /// `Ok(true)` to keep reporting, `Ok(false)` when the range or `f`
+    /// stopped the scan.
+    fn range_rec(
+        &self,
+        u: usize,
+        lo: &K,
+        hi: &K,
+        media: Media,
+        f: &mut impl FnMut(&K, &V) -> bool,
+    ) -> Result<bool, EmError> {
+        self.model.read(self.array_id, u as u64, media)?;
         let node = &self.nodes[u];
         if node.is_leaf() {
             let start = node.keys.partition_point(|k| k < lo);
             for i in start..node.keys.len() {
-                if node.keys[i] > *hi {
-                    return false;
-                }
-                if !f(&node.keys[i], &node.vals[i]) {
-                    return false;
+                if node.keys[i] > *hi || !f(&node.keys[i], &node.vals[i]) {
+                    return Ok(false);
                 }
             }
-            return true;
+            return Ok(true);
         }
         let first = node.keys.partition_point(|k| k <= lo);
         let last = node.keys.partition_point(|k| k <= hi);
         for i in first..=last {
-            if !self.range_rec(node.children[i], lo, hi, f) {
-                return false;
+            if !self.range_rec(node.children[i], lo, hi, media, f)? {
+                return Ok(false);
             }
         }
-        true
+        Ok(true)
     }
 
     /// Insert; returns the previous value if the key was present.
@@ -349,7 +371,7 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
     }
 
     fn insert_rec(&mut self, u: usize, key: K, value: V) -> InsertResult<K, V> {
-        self.touch(u);
+        self.model.touch(self.array_id, u as u64);
         if self.nodes[u].is_leaf() {
             match self.nodes[u].keys.binary_search(&key) {
                 Ok(i) => {
@@ -421,7 +443,7 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
     }
 
     fn remove_rec(&mut self, u: usize, key: &K) -> Option<V> {
-        self.touch(u);
+        self.model.touch(self.array_id, u as u64);
         if self.nodes[u].is_leaf() {
             return match self.nodes[u].keys.binary_search(key) {
                 Ok(i) => {
@@ -454,7 +476,7 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
         // Try borrowing from a sibling, else merge.
         if i > 0 {
             let left = self.nodes[u].children[i - 1];
-            self.touch(left);
+            self.model.touch(self.array_id, left as u64);
             let lsize = if self.nodes[left].is_leaf() {
                 self.nodes[left].keys.len()
             } else {
@@ -468,7 +490,7 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
             return;
         }
         let right = self.nodes[u].children[i + 1];
-        self.touch(right);
+        self.model.touch(self.array_id, right as u64);
         let rsize = if self.nodes[right].is_leaf() {
             self.nodes[right].keys.len()
         } else {
@@ -559,105 +581,6 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
             self.nodes[left].keys.append(&mut rnode.keys);
             self.nodes[left].children.append(&mut rnode.children);
         }
-    }
-
-    /// Verify node `node`'s checksum against what the device reads back.
-    /// A mismatch (silent corruption injected by the meter's fault plan) is
-    /// recorded on the meter and surfaced as [`EmError::Corrupt`].
-    pub fn verify(&self, node: u64) -> Result<(), EmError> {
-        assert!(
-            (node as usize) < self.nodes.len(),
-            "node {node} out of range"
-        );
-        let stored = node_checksum(self.array_id, node);
-        let plan = self.model.fault_plan();
-        let read_back = if plan.is_corrupted(self.array_id, node) {
-            stored ^ plan.corruption_mask(self.array_id, node)
-        } else {
-            stored
-        };
-        if read_back != stored {
-            self.model.record_fault();
-            return Err(EmError::Corrupt {
-                array_id: self.array_id,
-                block: node,
-            });
-        }
-        Ok(())
-    }
-
-    /// Read one node fallibly: retry transient faults under `retrier`, then
-    /// verify the node checksum.
-    fn try_touch_node(&self, node: usize, retrier: &Retrier) -> Result<(), EmError> {
-        retrier.run(|attempt| self.model.try_fetch(self.array_id, node as u64, attempt))?;
-        self.verify(node as u64)
-    }
-
-    /// Fallible [`BTree::get`]: point lookup under the meter's fault plan,
-    /// retrying transient faults with `retrier`. A root-to-leaf path that
-    /// stays unreadable after retries surfaces as `Err`.
-    pub fn try_search(&self, key: &K, retrier: &Retrier) -> Result<Option<&V>, EmError> {
-        let mut u = self.root;
-        loop {
-            self.try_touch_node(u, retrier)?;
-            let node = &self.nodes[u];
-            if node.is_leaf() {
-                return Ok(match node.keys.binary_search(key) {
-                    Ok(i) => Some(&node.vals[i]),
-                    Err(_) => None,
-                });
-            }
-            let i = node.keys.partition_point(|k| k <= key);
-            u = node.children[i];
-        }
-    }
-
-    /// Fallible [`BTree::range_while`]: in-order reporting that stops at
-    /// the first subtree whose root stays unreadable after retries. Pairs
-    /// already delivered to `f` remain valid — callers can degrade to the
-    /// partial prefix.
-    pub fn try_range_while(
-        &self,
-        lo: &K,
-        hi: &K,
-        retrier: &Retrier,
-        mut f: impl FnMut(&K, &V) -> bool,
-    ) -> Result<(), EmError> {
-        if self.len == 0 || lo > hi {
-            return Ok(());
-        }
-        self.try_range_rec(self.root, lo, hi, retrier, &mut f)
-            .map(|_| ())
-    }
-
-    /// `Ok(true)` to keep reporting, `Ok(false)` when `f` stopped the scan.
-    fn try_range_rec(
-        &self,
-        u: usize,
-        lo: &K,
-        hi: &K,
-        retrier: &Retrier,
-        f: &mut impl FnMut(&K, &V) -> bool,
-    ) -> Result<bool, EmError> {
-        self.try_touch_node(u, retrier)?;
-        let node = &self.nodes[u];
-        if node.is_leaf() {
-            let start = node.keys.partition_point(|k| k < lo);
-            for i in start..node.keys.len() {
-                if node.keys[i] > *hi || !f(&node.keys[i], &node.vals[i]) {
-                    return Ok(false);
-                }
-            }
-            return Ok(true);
-        }
-        let first = node.keys.partition_point(|k| k <= lo);
-        let last = node.keys.partition_point(|k| k <= hi);
-        for i in first..=last {
-            if !self.try_range_rec(node.children[i], lo, hi, retrier, f)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
     }
 
     /// Check structural invariants (fill factors, key ordering, child counts).
@@ -930,6 +853,7 @@ mod tests {
         assert!(t.is_empty());
     }
 
+    use crate::cost::Media;
     use crate::fault::{FaultPlan, Retrier};
 
     #[test]
@@ -939,7 +863,10 @@ mod tests {
         let t = BTree::from_sorted(&m, pairs);
         let r = Retrier::default();
         for probe in [0u64, 2, 3, 4_444, 9_998, 10_000] {
-            assert_eq!(t.try_search(&probe, &r).unwrap(), t.get(&probe));
+            assert_eq!(
+                t.try_search(&probe, Media::Retried(&r)).unwrap(),
+                t.get(&probe)
+            );
         }
         assert_eq!(m.report().faults, 0);
     }
@@ -955,7 +882,10 @@ mod tests {
         m.reset();
         let r = Retrier::new(20); // residual failure ~ 0.4^21 per node
         for probe in (0..5_000u64).step_by(97) {
-            assert_eq!(t.try_search(&probe, &r).unwrap(), Some(&probe));
+            assert_eq!(
+                t.try_search(&probe, Media::Retried(&r)).unwrap(),
+                Some(&probe)
+            );
         }
         let rep = m.report();
         assert!(rep.faults > 0, "rate 0.4 across many probes must fault");
@@ -972,7 +902,9 @@ mod tests {
         );
         let pairs: Vec<(u64, u64)> = (0..1_000u64).map(|i| (i, i)).collect();
         let t = BTree::from_sorted(&m, pairs);
-        let e = t.try_search(&5, &Retrier::new(3)).unwrap_err();
+        let e = t
+            .try_search(&5, Media::Retried(&Retrier::new(3)))
+            .unwrap_err();
         assert!(matches!(e, EmError::BadBlock { .. }));
     }
 
@@ -987,7 +919,7 @@ mod tests {
         let r = Retrier::default();
         let mut seen = Vec::new();
         let e = t
-            .try_range_while(&0, &1_999, &r, |&k, _| {
+            .try_range_while(&0, &1_999, Media::Retried(&r), |&k, _| {
                 seen.push(k);
                 true
             })
@@ -995,7 +927,7 @@ mod tests {
         assert!(matches!(e, EmError::Corrupt { .. }));
         m.set_fault_plan(FaultPlan::none());
         let mut clean = Vec::new();
-        t.try_range_while(&100, &200, &r, |&k, _| {
+        t.try_range_while(&100, &200, Media::Retried(&r), |&k, _| {
             clean.push(k);
             true
         })

@@ -31,7 +31,7 @@ use crate::sync::{Arc, Mutex, MutexGuard};
 
 use crate::device::{self, BlockDevice, BlockId, DeviceClass};
 use crate::error::EmError;
-use crate::fault::{self, FaultPlan};
+use crate::fault::{self, FaultPlan, Retrier};
 use crate::pool::LruPool;
 use crate::trace::{self, CostReport, RecordingSink, SpanGuard, TraceEvent, TraceSink};
 
@@ -153,9 +153,9 @@ struct Inner {
     /// restart at 0 per meter, so the namespace is what keeps two meters'
     /// arrays from colliding on one `FileDevice`.
     ns: u64,
-    /// Fast path: `try_fetch` falls back to the pure-logical `try_touch`
-    /// unless the device wants read-back verification (file-backed class,
-    /// or armed device fault kinds).
+    /// Fast path: `try_fetch` reads nothing back from the device unless
+    /// the device wants read-back verification (file-backed class, or
+    /// armed device fault kinds).
     device_checked: AtomicBool,
     /// Fast path: skip the trace mutex entirely unless tracing is on.
     tracing: AtomicBool,
@@ -167,7 +167,8 @@ struct Inner {
     /// fault-free configuration charges exactly as before the fault layer
     /// existed (no meter drift).
     faults_active: AtomicBool,
-    /// The fault plan consulted by [`CostModel::try_touch`].
+    /// The fault plan consulted by [`CostModel::try_fetch`] and the
+    /// sentinel check of [`CostModel::read`].
     fault: Mutex<FaultPlan>,
     /// Fast path: skip the sink mutex entirely unless a structured trace
     /// sink is armed ([`CostModel::set_trace_sink`]) — the disabled-path
@@ -190,6 +191,19 @@ pub struct CostModel {
     inner: Arc<Inner>,
 }
 
+/// How a structure reads its blocks: the read mode of [`CostModel::read`].
+/// Every `BlockArray` / `BTree` accessor has one body that takes a `Media`;
+/// the infallible accessors pass [`Media::Perfect`].
+#[derive(Clone, Copy, Debug)]
+pub enum Media<'a> {
+    /// Perfect media: never an `Err`, and the meter's fault plan and device
+    /// are never consulted.
+    Perfect,
+    /// The meter's fault plan and device, retrying transient faults with
+    /// this retrier.
+    Retried(&'a Retrier),
+}
+
 /// A snapshot of the meter, as returned by [`CostModel::report`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoReport {
@@ -201,8 +215,8 @@ pub struct IoReport {
     pub pool_hits: u64,
     /// Buffer-pool misses (reads that cost an I/O) observed so far.
     pub pool_misses: u64,
-    /// Injected faults observed so far: failed `try_touch` reads plus
-    /// checksum mismatches detected by the storage layer. Each faulted read
+    /// Injected faults observed so far: failed `try_fetch` reads plus
+    /// sentinel mismatches detected by [`CostModel::read`]. Each faulted read
     /// still counts in `reads` (the I/O was spent), so `faults` measures
     /// how much of the read traffic was wasted on failures.
     pub faults: u64,
@@ -385,8 +399,8 @@ impl CostModel {
         let _ = self.inner.device.write(id, &image());
     }
 
-    /// Record a fault detected *above* the read path (a checksum mismatch
-    /// found by [`crate::BlockArray`] / [`crate::BTree`] verification).
+    /// Record a fault detected *above* the disk read (a sentinel mismatch
+    /// found by [`CostModel::read`]).
     pub fn record_fault(&self) {
         self.inner.faults.fetch_add(1, Relaxed);
         self.emit(TraceEvent::Fault);
@@ -553,7 +567,7 @@ impl CostModel {
     /// a pool hit is free, a miss costs one read I/O.
     ///
     /// This path models fault-free media — it never consults the fault plan
-    /// and never fails. Use [`CostModel::try_touch`] for fallible reads.
+    /// and never fails. Use [`CostModel::try_fetch`] for fallible reads.
     pub fn touch(&self, array_id: u64, block_idx: u64) {
         let pooled = self.inner.config.mem_blocks != 0;
         if pooled && lock_recover(&self.inner.pool).access(array_id, block_idx) {
@@ -570,22 +584,32 @@ impl CostModel {
     }
 
     /// Fallible read of one specific block: disk-read `attempt` (0-based;
-    /// a [`crate::fault::Retrier`] increments it) is submitted to the fault
-    /// plan.
+    /// a [`Retrier`] increments it) is submitted to the fault plan and, on a
+    /// charged miss, the mirrored block image is read back from the device
+    /// and its CRC verified, so torn writes and short reads injected *below*
+    /// the meter surface here as [`EmError`]s on the logical address.
     ///
     /// * Pool hit: free and always succeeds — resident blocks are in
-    ///   memory, immune to disk faults.
+    ///   memory, immune to disk and device faults.
     /// * Miss with a successful read: one read I/O, block cached (exactly
     ///   like [`CostModel::touch`]).
     /// * Miss with an injected fault: one read I/O is still charged (the
     ///   failed attempt cost a disk round-trip — this is how retry cost
     ///   shows up in the meter), the block is *not* cached, the `faults`
     ///   counter is bumped, and the error is returned.
-    ///
-    /// With [`FaultPlan::none`] this is charge-for-charge identical to
-    /// [`CostModel::touch`].
-    pub fn try_touch(&self, array_id: u64, block_idx: u64, attempt: u32) -> Result<(), EmError> {
-        if !self.inner.faults_active.load(Relaxed) {
+    /// * With no plan armed on a device that needs no read-back (the
+    ///   default in-memory device) this is exactly [`CostModel::touch`] —
+    ///   same charges, zero meter drift (the golden-baseline invariant).
+    /// * When the device is read back, exactly one physical `read` is
+    ///   issued per charged miss — the 1:1 correspondence E23's
+    ///   simulator-validation table counts. A block with no mirror reads
+    ///   back as absent, which verifies vacuously: mirroring is
+    ///   best-effort, and skipped altogether on a device that cannot damage
+    ///   a block (see [`CostModel::device_write`]).
+    pub fn try_fetch(&self, array_id: u64, block_idx: u64, attempt: u32) -> Result<(), EmError> {
+        let checked = self.inner.device_checked.load(Relaxed);
+        let planned = self.inner.faults_active.load(Relaxed);
+        if !checked && !planned {
             self.touch(array_id, block_idx);
             return Ok(());
         }
@@ -594,9 +618,11 @@ impl CostModel {
             self.emit(TraceEvent::PoolHit);
             return Ok(());
         }
-        let outcome = self
-            .fault_plan()
-            .read_outcome(array_id, block_idx, attempt);
+        let outcome = if planned {
+            self.fault_plan().read_outcome(array_id, block_idx, attempt)
+        } else {
+            Ok(())
+        };
         // The disk attempt happened either way: charge the read.
         self.inner.reads.fetch_add(1, Relaxed);
         tally_reads(1);
@@ -604,6 +630,11 @@ impl CostModel {
         if attempt > 0 {
             self.emit(TraceEvent::Retry);
         }
+        let outcome = if checked {
+            outcome.and_then(|()| self.device_verify(array_id, block_idx))
+        } else {
+            outcome
+        };
         if pooled {
             match outcome {
                 Ok(()) => lock_recover(&self.inner.pool).admit(array_id, block_idx),
@@ -624,58 +655,35 @@ impl CostModel {
         }
     }
 
-    /// [`CostModel::try_touch`] plus physical read-back: on a charged miss
-    /// the mirrored block image is fetched from the device and its CRC
-    /// verified, so torn writes and short reads injected *below* the meter
-    /// surface here as [`EmError`]s on the logical address.
+    /// Read one block of a structure on the given [`Media`] — the one read
+    /// every [`crate::BlockArray`] and [`crate::BTree`] accessor goes
+    /// through.
     ///
-    /// * On the default in-memory device with no device faults armed this
-    ///   is exactly [`CostModel::try_touch`] — same charges, same
-    ///   outcomes, zero meter drift (the golden-baseline invariant).
-    /// * Pool hits remain free and immune: resident blocks are in memory.
-    /// * On a charged miss, exactly one physical `read` is issued — the
-    ///   1:1 correspondence E23's simulator-validation table counts.
-    /// * A block with no mirror reads back as absent, which verifies
-    ///   vacuously: mirroring is best-effort, and skipped altogether on a
-    ///   device that cannot damage a block (see [`CostModel::device_write`]).
-    pub fn try_fetch(&self, array_id: u64, block_idx: u64, attempt: u32) -> Result<(), EmError> {
-        if !self.inner.device_checked.load(Relaxed) {
-            return self.try_touch(array_id, block_idx, attempt);
-        }
-        let pooled = self.inner.config.mem_blocks != 0;
-        if pooled && lock_recover(&self.inner.pool).probe(array_id, block_idx) {
-            self.emit(TraceEvent::PoolHit);
-            return Ok(());
-        }
-        let outcome = if self.inner.faults_active.load(Relaxed) {
-            self.fault_plan().read_outcome(array_id, block_idx, attempt)
-        } else {
-            Ok(())
-        };
-        // The disk attempt happened either way: charge the read.
-        self.inner.reads.fetch_add(1, Relaxed);
-        tally_reads(1);
-        self.emit(TraceEvent::Reads(1));
-        if attempt > 0 {
-            self.emit(TraceEvent::Retry);
-        }
-        let outcome = outcome.and_then(|()| self.device_verify(array_id, block_idx));
-        if pooled {
-            match outcome {
-                Ok(()) => lock_recover(&self.inner.pool).admit(array_id, block_idx),
-                Err(_) => lock_recover(&self.inner.pool).record_miss(),
-            }
-            self.emit(TraceEvent::PoolMiss);
-        }
-        match outcome {
-            Ok(()) => {
-                self.trace_read(array_id);
+    /// * [`Media::Perfect`] is [`CostModel::touch`]: it never fails and
+    ///   never consults the fault plan or the device.
+    /// * [`Media::Retried`] runs [`CostModel::try_fetch`] under the retrier,
+    ///   then checks the block's sentinel. The sentinel is a checksum
+    ///   derived from the block's address, which the simulator never
+    ///   scrambles, so it reads back mismatched exactly on the blocks the
+    ///   plan corrupted ([`FaultPlan::is_corrupted`]). A mismatch is counted
+    ///   as a fault and surfaces as [`EmError::Corrupt`] instead of a wrong
+    ///   answer.
+    #[inline]
+    pub fn read(&self, array_id: u64, block: u64, media: Media) -> Result<(), EmError> {
+        match media {
+            Media::Perfect => {
+                self.touch(array_id, block);
                 Ok(())
             }
-            Err(e) => {
-                self.inner.faults.fetch_add(1, Relaxed);
-                self.emit(TraceEvent::Fault);
-                Err(e)
+            Media::Retried(retrier) => {
+                retrier.run(|attempt| self.try_fetch(array_id, block, attempt))?;
+                if self.inner.faults_active.load(Relaxed)
+                    && self.fault_plan().is_corrupted(array_id, block)
+                {
+                    self.record_fault();
+                    return Err(EmError::Corrupt { array_id, block });
+                }
+                Ok(())
             }
         }
     }
@@ -990,7 +998,7 @@ mod tests {
         let b = CostModel::with_faults(EmConfig::with_memory(64, 2), FaultPlan::none());
         for blk in [0u64, 0, 1, 2, 0, 1] {
             a.touch(0, blk);
-            b.try_touch(0, blk, 0).expect("inert plan never fails");
+            b.try_fetch(0, blk, 0).expect("inert plan never fails");
         }
         assert_eq!(a.report(), b.report(), "no meter drift from the fallible path");
         assert_eq!(a.report().faults, 0);
@@ -1003,7 +1011,7 @@ mod tests {
         let plan = FaultPlan::new(5).with_permanent(1.0);
         let m = CostModel::with_faults(EmConfig::with_memory(64, 4), plan);
         for attempt in 0..3 {
-            assert!(m.try_touch(0, 7, attempt).is_err());
+            assert!(m.try_fetch(0, 7, attempt).is_err());
         }
         let r = m.report();
         assert_eq!(r.reads, 3, "each failed attempt is a real disk read");
@@ -1020,7 +1028,7 @@ mod tests {
         let m = CostModel::with_faults(EmConfig::with_memory(64, 4), FaultPlan::none());
         m.touch(3, 0);
         m.set_fault_plan(FaultPlan::new(5).with_permanent(1.0));
-        assert!(m.try_touch(3, 0, 0).is_ok());
+        assert!(m.try_fetch(3, 0, 0).is_ok());
         let r = m.report();
         assert_eq!(r.reads, 1, "the hit was free");
         assert_eq!(r.pool_hits, 1);
@@ -1051,7 +1059,7 @@ mod tests {
             );
             // A fail-fast sequence of 4 attempts (what Retrier::new(3) does).
             for attempt in 0..4 {
-                assert!(trial.try_touch(0, 0, attempt).is_err());
+                assert!(trial.try_fetch(0, 0, attempt).is_err());
             }
             let c = trial.meter().report();
             assert_eq!(c.reads, 4, "child: one I/O per attempt");
@@ -1075,8 +1083,8 @@ mod tests {
         m.touch(0, 0);
         m.touch(0, 0);
         m.set_fault_plan(plan);
-        assert!(m.try_touch(0, 9, 0).is_err());
-        assert!(m.try_touch(0, 9, 1).is_err());
+        assert!(m.try_fetch(0, 9, 0).is_err());
+        assert!(m.try_fetch(0, 9, 1).is_err());
         let r = m.report();
         assert_eq!((r.pool_hits, r.pool_misses), (2, 3));
         assert!((r.hit_rate() - 0.4).abs() < 1e-12);

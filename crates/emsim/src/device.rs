@@ -384,6 +384,10 @@ pub struct RecoveryReport {
 struct FileState {
     data: fs::File,
     tail: u64,
+    /// Bytes known to exist in `data`: the length recovery left, grown by
+    /// each write. A cataloged extent past it is `Corrupt` without being
+    /// read or allocated.
+    data_len: u64,
     committed: HashMap<BlockId, CatEntry>,
     staged: HashMap<BlockId, CatEntry>,
     generation: u64,
@@ -436,6 +440,7 @@ impl FileDevice {
         let mut state = FileState {
             data,
             tail: 0,
+            data_len: 0,
             committed: HashMap::new(),
             staged: HashMap::new(),
             generation: 0,
@@ -541,6 +546,7 @@ impl FileDevice {
         report.generation = generation;
         report.committed_blocks = committed.len() as u64;
         state.tail = extent;
+        state.data_len = data_len;
         state.committed = committed;
         state.staged.clear();
         state.generation = generation;
@@ -602,6 +608,7 @@ fn state_placeholder() -> FileState {
         // always openable and never read through this placeholder.
         data: fs::File::open("/dev/null").expect("/dev/null exists"),
         tail: 0,
+        data_len: 0,
         committed: HashMap::new(),
         staged: HashMap::new(),
         generation: 0,
@@ -694,6 +701,12 @@ impl BlockDevice for FileDevice {
         let Some(entry) = st.staged.get(&id).or_else(|| st.committed.get(&id)).copied() else {
             return Ok(None);
         };
+        if entry.offset + u64::from(entry.len) > st.data_len {
+            return Err(EmError::Corrupt {
+                array_id: id.array,
+                block: id.block,
+            });
+        }
         let mut buf = vec![0u8; entry.len as usize];
         match st.data.read_exact_at(&mut buf, entry.offset) {
             Ok(()) => {}
@@ -745,6 +758,7 @@ impl BlockDevice for FileDevice {
         // the intended length and CRC, the tail advances past the gap.
         st.staged.insert(id, CatEntry { offset, len: full_len as u32, crc });
         st.tail = offset + full_len as u64;
+        st.data_len = st.data_len.max(offset + persisted.len() as u64);
         Ok(())
     }
 
@@ -1225,14 +1239,18 @@ mod tests {
     #[test]
     fn entry_past_the_data_file_is_a_corrupt_block() {
         // A 4 GiB and a 64-byte extent over an empty data file: recovery
-        // counts both as corrupt without reading them, and a read is
-        // `Corrupt`.
+        // counts both as corrupt without reading them, and reading either
+        // is `Corrupt` without allocating its length.
         let huge = CatEntry { offset: 0, len: u32::MAX, crc: 0 };
         let small = CatEntry { offset: 0, len: 64, crc: 0 };
         let catalog =
             serialize_catalog(1, &HashMap::from([(id(0, 0, 0), huge), (id(0, 0, 1), small)]));
         let dev = open_with_forged_catalog("forged-len", &catalog).expect("open");
         assert_eq!(dev.recovery().corrupt_blocks, 2);
+        assert!(matches!(
+            dev.read(id(0, 0, 0)),
+            Err(EmError::Corrupt { .. })
+        ));
         assert!(matches!(dev.read(id(0, 0, 1)), Err(EmError::Corrupt { .. })));
     }
 

@@ -2,15 +2,15 @@
 //!
 //! A [`FaultPlan`] decides, per `(array_id, block, attempt)` triple, whether
 //! a block read succeeds, fails transiently, hits a permanently bad block,
-//! or returns silently corrupted data (caught by the per-block checksums of
-//! [`crate::BlockArray`] / [`crate::BTree`]). The decisions are pure
+//! or returns silently corrupted data (caught by the per-block sentinel
+//! check of [`crate::CostModel::read`]). The decisions are pure
 //! functions of the plan's seed — the same RNG discipline as the parallel
 //! experiment harness — so a fault sweep is reproducible at any thread
 //! count and a [`Retrier`] replaying an access sees a consistent device.
 //!
 //! The infallible [`crate::CostModel::touch`] path never consults the plan:
 //! fault-free code keeps its exact I/O counts (no meter drift), and only
-//! call sites that opted into the `try_*` accessors observe faults.
+//! reads on [`crate::Media::Retried`] observe faults.
 //!
 //! A process-global plan can be installed with [`install_global_plan`] (or
 //! the `FAULT_RATE` / `FAULT_SEED` environment variables, read once) so a
@@ -262,16 +262,10 @@ impl FaultPlan {
             && unit(self.hash(SALT_CORRUPT, array_id, block, 0)) < self.corrupt
     }
 
-    /// A nonzero mask `XORed` into a corrupted block's stored checksum to
-    /// model the scrambled payload a real device would return.
-    pub fn corruption_mask(&self, array_id: u64, block: u64) -> u64 {
-        self.hash(SALT_CORRUPT ^ 0xFF, array_id, block, 0) | 1
-    }
-
     /// The outcome of disk-read `attempt` (0-based) on a block: `Ok(())` if
     /// the device returned data, or the injected failure. Corruption is
     /// *not* reported here — it is silent by definition and only surfaces
-    /// through the checksum verification of the storage layer.
+    /// through the sentinel check of [`crate::CostModel::read`].
     pub fn read_outcome(&self, array_id: u64, block: u64, attempt: u32) -> Result<(), EmError> {
         if self.is_bad_block(array_id, block) {
             return Err(EmError::BadBlock { array_id, block });
@@ -484,7 +478,6 @@ mod tests {
                 // Silent: the read itself succeeds (unless transient).
                 assert_eq!(p.read_outcome(4, b, 0), Ok(()));
                 assert!(!p.is_bad_block(4, b));
-                assert_ne!(p.corruption_mask(4, b), 0);
             }
         }
         assert!(corrupted > 100, "corrupted = {corrupted}");

@@ -35,8 +35,11 @@
 //!   ([`CostModel::physical`]).
 //! * [`fault`] / [`error`] — deterministic fault injection ([`FaultPlan`])
 //!   with typed failures ([`EmError`]) and bounded-retry recovery
-//!   ([`Retrier`]); the `try_*` accessors on [`BlockArray`] / [`BTree`]
-//!   surface injected faults while the infallible API models perfect media.
+//!   ([`Retrier`]). Every [`BlockArray`] / [`BTree`] accessor reads its
+//!   blocks through one [`CostModel::read`], in a [`Media`] mode:
+//!   [`Media::Perfect`] (the infallible accessors) never consults the plan,
+//!   while the `try_*` accessors on [`Media::Retried`] retry transient
+//!   faults and surface the rest, corruption included, as errors.
 //! * [`trace`] — zero-cost-when-disabled structured tracing: phase-labelled
 //!   spans ([`CostModel::span`]), pluggable [`TraceSink`]s, EXPLAIN-style
 //!   [`CostReport`]s ([`CostModel::explain`]), and Chrome-trace /
@@ -65,7 +68,7 @@ pub mod trace;
 pub use block::{BlockArray, Persist};
 pub use btree::BTree;
 pub use cost::{
-    credit_thread, thread_charged, CostModel, EmConfig, IoReport, PoolPolicy, ScopedMeter,
+    credit_thread, thread_charged, CostModel, EmConfig, IoReport, Media, PoolPolicy, ScopedMeter,
 };
 pub use device::{
     BlockDevice, BlockId, CountingDevice, DeviceClass, DeviceCounts, DeviceLedger, FileDevice,

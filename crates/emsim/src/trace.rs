@@ -746,8 +746,8 @@ mod tests {
         m.touch(0, 0); // miss
         m.touch(0, 0); // hit
         m.set_fault_plan(plan);
-        assert!(m.try_touch(0, 9, 0).is_err());
-        assert!(m.try_touch(0, 9, 1).is_err()); // a retry attempt
+        assert!(m.try_fetch(0, 9, 0).is_err());
+        assert!(m.try_fetch(0, 9, 1).is_err()); // a retry attempt
         m.record_fault(); // checksum detection above the read path
         let r = sink.report();
         let p = r.phase(phase::SCAN);

@@ -53,7 +53,7 @@ fn observe(
         {
             let _g = model.span(phase::SCAN);
             for &(array, block) in touches {
-                let _ = model.try_touch(array % 3, block % 16, 0);
+                let _ = model.try_fetch(array % 3, block % 16, 0);
             }
         }
         let out = {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use emsim::{
     BTree, BlockArray, BlockDevice, CostModel, EmConfig, EmError, FaultPlan, FileDevice, IoReport,
-    MemDevice, PoolPolicy, Retrier,
+    Media, MemDevice, PoolPolicy, Retrier,
 };
 
 fn meter_on(dev: Arc<dyn BlockDevice>, plan: FaultPlan) -> CostModel {
@@ -44,22 +44,22 @@ fn workout(m: &CostModel) -> (Vec<u64>, Vec<IoReport>) {
     reports.push(m.report());
 
     for i in (0..3000).step_by(97) {
-        answers.push(*arr.try_get(i, &r).expect("fault-free get"));
+        answers.push(*arr.try_get(i, Media::Retried(&r)).expect("fault-free get"));
     }
     let visited = arr
-        .try_scan_while(100, 2900, &r, |&x| x < 5000)
+        .try_scan_while(100, 2900, Media::Retried(&r), |&x| x < 5000)
         .expect("fault-free scan");
     answers.push(visited as u64);
     reports.push(m.report());
 
     for key in (0..4200u64).step_by(37) {
         answers.push(
-            tree.try_search(&key, &r)
+            tree.try_search(&key, Media::Retried(&r))
                 .expect("fault-free search")
                 .map_or(u64::MAX, |v| *v),
         );
     }
-    tree.try_range_while(&300, &1200, &r, |_, v| {
+    tree.try_range_while(&300, &1200, Media::Retried(&r), |_, v| {
         answers.push(*v);
         true
     })
@@ -128,7 +128,7 @@ fn torn_write_mem_device_keeps_one_mirror_per_block() {
     );
 
     let e = arr
-        .try_get(500, &Retrier::default())
+        .try_get(500, Media::Retried(&Retrier::default()))
         .expect_err("torn mirror detected");
     assert!(matches!(e, EmError::Corrupt { .. }), "got {e:?}");
 }

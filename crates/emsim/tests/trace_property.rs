@@ -37,11 +37,11 @@ fn check_reconciliation(ops: &[(u8, u8, u64)], plan: FaultPlan) -> Result<(), Te
         match op % 6 {
             0 => model.touch(array, block),
             1 => {
-                let _ = model.try_touch(array, block, 0);
+                let _ = model.try_fetch(array, block, 0);
             }
             2 => {
                 // A retry rung: attempt > 0 on the same block.
-                let _ = model.try_touch(array, block, 1);
+                let _ = model.try_fetch(array, block, 1);
             }
             3 => model.charge_reads(block % 4),
             4 => model.charge_writes(block % 3),
