@@ -120,7 +120,7 @@ fn theorem2_ladder_is_pinned() {
     let retrier = Retrier::new(2);
     assert_eq!(
         tally(&model, solo(&t2, &retrier)),
-        (146, 214, 0, 262_940, 341_591, 13_474)
+        (203, 157, 0, 104_430, 188_276, 6_274)
     );
 }
 
