@@ -28,15 +28,15 @@ fn block_checksum(seed_id: u64, block: u64, items: u64) -> u64 {
 /// Magic of a mirrored block-header image on the device (`"EMB1"`).
 const HEADER_MAGIC: u32 = 0x454D_4231;
 /// Header-only image: the 40-byte header with no payload (anonymous
-/// arrays and B-tree nodes, whose data lives in native memory).
-pub(crate) const KIND_HEADER: u32 = 0;
+/// arrays, whose data lives in native memory).
+const KIND_HEADER: u32 = 0;
 /// Header + payload image: named persistent arrays, whose items are
 /// serialized after the header via [`Persist`].
 const KIND_PAYLOAD: u32 = 1;
 /// Bytes in the fixed header.
 const HEADER_LEN: usize = 40;
 
-pub(crate) fn encode_header(
+fn encode_header(
     kind: u32,
     seed_id: u64,
     block: u64,
@@ -302,8 +302,7 @@ impl<T> BlockArray<T> {
 
     /// Binary search by a key extractor over an array sorted by that key.
     /// Charges one I/O per probe, i.e. `O(log₂(n/B))`-ish with a pool, or
-    /// `O(log₂ n)` probes without. (B-tree search in [`crate::BTree`] gives
-    /// the `O(log_B n)` bound when that matters.)
+    /// `O(log₂ n)` probes without.
     pub fn partition_point(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
         let mut lo = 0usize;
         let mut hi = self.data.len();

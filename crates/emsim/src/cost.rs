@@ -192,7 +192,7 @@ pub struct CostModel {
 }
 
 /// How a structure reads its blocks: the read mode of [`CostModel::read`].
-/// Every `BlockArray` / `BTree` accessor has one body that takes a `Media`;
+/// Every `BlockArray` accessor has one body that takes a `Media`;
 /// the infallible accessors pass [`Media::Perfect`].
 #[derive(Clone, Copy, Debug)]
 pub enum Media<'a> {
@@ -656,8 +656,7 @@ impl CostModel {
     }
 
     /// Read one block of a structure on the given [`Media`] — the one read
-    /// every [`crate::BlockArray`] and [`crate::BTree`] accessor goes
-    /// through.
+    /// every [`crate::BlockArray`] accessor goes through.
     ///
     /// * [`Media::Perfect`] is [`CostModel::touch`]: it never fails and
     ///   never consults the fault plan or the device.

@@ -15,8 +15,6 @@
 //!   scans and random accesses charge the meter per *distinct block touched*,
 //!   optionally filtered through a buffer pool of `M/B` frames. The pool is
 //!   exact LRU ([`LruPool`]): golden I/O baselines depend on its residency.
-//! * [`BTree`] — an external B-tree (fanout `Θ(B)`) with search, range
-//!   reporting, insert and delete, charging one I/O per node visited.
 //! * [`select`] — EM k-selection (`O(n/B)` I/Os expected), the primitive the
 //!   paper invokes as "k-selection \[8\]" throughout §3–§4.
 //! * [`kernels`] — branchless / SIMD hot-path kernels (partition,
@@ -35,8 +33,8 @@
 //!   ([`CostModel::physical`]).
 //! * [`fault`] / [`error`] — deterministic fault injection ([`FaultPlan`])
 //!   with typed failures ([`EmError`]) and bounded-retry recovery
-//!   ([`Retrier`]). Every [`BlockArray`] / [`BTree`] accessor reads its
-//!   blocks through one [`CostModel::read`], in a [`Media`] mode:
+//!   ([`Retrier`]). Every [`BlockArray`] accessor reads its blocks
+//!   through one [`CostModel::read`], in a [`Media`] mode:
 //!   [`Media::Perfect`] (the infallible accessors) never consults the plan,
 //!   while the `try_*` accessors on [`Media::Retried`] retry transient
 //!   faults and surface the rest, corruption included, as errors.
@@ -53,7 +51,6 @@
 //! feature check).
 
 pub mod block;
-pub mod btree;
 pub mod cost;
 pub mod device;
 pub mod error;
@@ -66,7 +63,6 @@ pub(crate) mod sync;
 pub mod trace;
 
 pub use block::{BlockArray, Persist};
-pub use btree::BTree;
 pub use cost::{
     credit_thread, thread_charged, CostModel, EmConfig, IoReport, Media, PoolPolicy, ScopedMeter,
 };

@@ -2,10 +2,10 @@
 //! a device that can hand a block back damaged.
 //!
 //! * A fault-free [`MemDevice`] never damages a block, so building a
-//!   [`BlockArray`] or a [`BTree`] on it issues no physical write at all.
-//! * That changes no answer and no logical I/O: the same builds on a
+//!   [`BlockArray`] on it issues no physical write at all.
+//! * That changes no answer and no logical I/O: the same build on a
 //!   [`FileDevice`], which receives every mirror and verifies every miss
-//!   against it, give equal `try_*` results and equal [`IoReport`]s.
+//!   against it, gives equal `try_*` results and equal [`IoReport`]s.
 //! * A [`MemDevice`] armed with torn writes still receives one mirror per
 //!   block, and a device-checked read of a torn mirror is
 //!   [`EmError::Corrupt`].
@@ -14,8 +14,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use emsim::{
-    BTree, BlockArray, BlockDevice, CostModel, EmConfig, EmError, FaultPlan, FileDevice, IoReport,
-    Media, MemDevice, PoolPolicy, Retrier,
+    BlockArray, BlockDevice, CostModel, EmConfig, EmError, FaultPlan, FileDevice, IoReport, Media,
+    MemDevice, PoolPolicy, Retrier,
 };
 
 fn meter_on(dev: Arc<dyn BlockDevice>, plan: FaultPlan) -> CostModel {
@@ -28,19 +28,14 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Build an array and a B-tree (bulk-loaded, then grown by inserts so
-/// node allocation mirrors too), run fallible reads over both, and return
-/// the answers with the meter's report after each phase.
+/// Build an array, run fallible reads over it, and return the answers
+/// with the meter's report after each phase.
 fn workout(m: &CostModel) -> (Vec<u64>, Vec<IoReport>) {
     let r = Retrier::default();
     let mut answers = Vec::new();
     let mut reports = Vec::new();
 
     let arr = BlockArray::new(m, (0u64..3000).map(|i| i * 3).collect());
-    let mut tree = BTree::from_sorted(m, (0u64..2000).map(|k| (k * 2, k)).collect());
-    for k in 0..500u64 {
-        tree.insert(k * 2 + 1, k + 10_000);
-    }
     reports.push(m.report());
 
     for i in (0..3000).step_by(97) {
@@ -51,20 +46,6 @@ fn workout(m: &CostModel) -> (Vec<u64>, Vec<IoReport>) {
         .expect("fault-free scan");
     answers.push(visited as u64);
     reports.push(m.report());
-
-    for key in (0..4200u64).step_by(37) {
-        answers.push(
-            tree.try_search(&key, Media::Retried(&r))
-                .expect("fault-free search")
-                .map_or(u64::MAX, |v| *v),
-        );
-    }
-    tree.try_range_while(&300, &1200, Media::Retried(&r), |_, v| {
-        answers.push(*v);
-        true
-    })
-    .expect("fault-free range");
-    reports.push(m.report());
     (answers, reports)
 }
 
@@ -72,11 +53,7 @@ fn workout(m: &CostModel) -> (Vec<u64>, Vec<IoReport>) {
 fn fault_free_mem_device_receives_no_mirror_writes() {
     let m = meter_on(Arc::new(MemDevice::new()), FaultPlan::none());
     let arr = BlockArray::new(&m, (0u64..5000).collect());
-    let mut tree = BTree::from_sorted(&m, (0u64..5000).map(|k| (k * 2, k)).collect());
-    for k in 0..1000u64 {
-        tree.insert(k * 2 + 1, k);
-    }
-    assert!(arr.blocks() > 1 && tree.blocks() > 1);
+    assert!(arr.blocks() > 1);
     assert!(
         m.report().writes > 0,
         "the logical writes are still charged"

@@ -1,36 +1,32 @@
 //! A read on [`Media::Perfect`] ignores an armed fault plan.
 //!
-//! Two meters build the same [`BlockArray`] and [`BTree`]: one armed with
-//! every block permanently bad, every block corrupt and every device write
-//! torn, the other with no plan at all. Each infallible accessor must give
-//! the right answer on both, charge both meters the same [`IoReport`],
+//! Two meters build the same [`BlockArray`]: one armed with every block
+//! permanently bad, every block corrupt and every device write torn, the
+//! other with no plan at all. Each infallible accessor must give the
+//! right answer on both, charge both meters the same [`IoReport`],
 //! count no fault and issue no device read. The same blocks read on
 //! [`Media::Retried`] fail on the armed meter, so the plan is live.
 
 use std::sync::Arc;
 
-use emsim::{
-    BTree, BlockArray, CostModel, EmConfig, FaultPlan, Media, MemDevice, PoolPolicy, Retrier,
-};
+use emsim::{BlockArray, CostModel, EmConfig, FaultPlan, Media, MemDevice, PoolPolicy, Retrier};
 
 struct Fixture {
     m: CostModel,
     arr: BlockArray<u64>,
-    tree: BTree<u64, u64>,
 }
 
 fn fixture(plan: FaultPlan) -> Fixture {
     let dev = Arc::new(MemDevice::with_plan(plan));
     let m = CostModel::with_device(EmConfig::with_memory(64, 8), plan, PoolPolicy::Lru, dev);
     let arr = BlockArray::new(&m, (0u64..3000).map(|i| i * 3).collect());
-    let tree = BTree::from_sorted(&m, (0u64..2000).map(|k| (k * 2, k)).collect());
-    Fixture { m, arr, tree }
+    Fixture { m, arr }
 }
 
 /// `(accessor, read, expected answer)`.
 type Case = (&'static str, fn(&Fixture) -> u64, u64);
 
-const CASES: [Case; 6] = [
+const CASES: [Case; 4] = [
     ("BlockArray::get", |f| *f.arr.get(1234), 3702),
     (
         "BlockArray::scan_while",
@@ -50,23 +46,6 @@ const CASES: [Case; 6] = [
             sum
         },
         733_815,
-    ),
-    (
-        "BTree::get",
-        |f| *f.tree.get(&1500).expect("key present"),
-        750,
-    ),
-    (
-        "BTree::range_while",
-        |f| {
-            let mut sum = 0;
-            f.tree.range_while(&300, &1200, |_, &v| {
-                sum += v;
-                true
-            });
-            sum
-        },
-        169_125,
     ),
 ];
 
@@ -98,7 +77,6 @@ fn perfect_reads_ignore_an_armed_plan() {
     let r = Retrier::default();
     armed.m.clear_pool();
     assert!(armed.arr.try_get(1234, Media::Retried(&r)).is_err());
-    assert!(armed.tree.try_search(&1500, Media::Retried(&r)).is_err());
     assert!(
         armed.m.report().faults > 0,
         "the armed plan bites on Media::Retried"

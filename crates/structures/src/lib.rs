@@ -18,24 +18,18 @@
 //! * [`RangeTree2D`] — a classic 2D range tree with PST secondaries:
 //!   `O(log² n + t)` prioritized box reporting in `O(n log n)` space, the
 //!   polylog alternative to the kd substrate (ablated in `exp_range2d`).
-//! * [`logmethod`] — the Bentley–Saxe logarithmic method: a generic
-//!   dynamization of any static prioritized structure (insert via geometric
-//!   levels, delete via tombstones), used where the paper cites bespoke
-//!   dynamic structures.
 //! * [`weight_tree`] — the `CanonicalWeightTree` adapter of §5.4/§5.5: a
 //!   weight-ordered tree (binary in RAM, fanout `f` in EM) with an
 //!   *unweighted* reporting structure per node, turning any reporting
 //!   structure into a prioritized one at an `O(log)`/`O(f)` factor.
 
 pub mod kdtree;
-pub mod logmethod;
 pub mod pst;
 pub mod rangetree;
 pub mod segtree;
 pub mod weight_tree;
 
 pub use kdtree::KdTree;
-pub use logmethod::DynPrioritized;
 pub use pst::PrioritySearchTree;
 pub use rangetree::RangeTree2D;
 pub use weight_tree::{CanonicalWeightTree, ReportingBuilder, ReportingIndex};

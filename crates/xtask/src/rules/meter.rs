@@ -9,17 +9,16 @@
 //!    emsim may use it (its passes are pre-charged); everything else must
 //!    go through `get` / `scan_*` / `partition_point` / `try_*`, which
 //!    route every block touch through the [`CostModel`] meter.
-//! 2. Inside `crates/emsim`, the storage fields of `BlockArray` and
-//!    `BTree` (`data`, `nodes`, `checksums`, `free`) must stay private —
-//!    a `pub` field would let any crate bypass the meter without even
-//!    calling an accessor.
+//! 2. Inside `crates/emsim`, the storage field of `BlockArray` (`data`)
+//!    must stay private — a `pub` field would let any crate bypass the
+//!    meter without even calling an accessor.
 
 use crate::ctx::FileCtx;
 use crate::diag::{Diagnostic, METER_SOUNDNESS};
 use crate::rules::in_emsim;
 
-const STORAGE_STRUCTS: &[&str] = &["BlockArray", "BTree"];
-const STORAGE_FIELDS: &[&str] = &["data", "nodes", "checksums", "free"];
+const STORAGE_STRUCTS: &[&str] = &["BlockArray"];
+const STORAGE_FIELDS: &[&str] = &["data"];
 
 /// Run the rule on one file.
 pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {

@@ -56,6 +56,19 @@ fn inv01_ignores_test_code() {
 }
 
 #[test]
+fn inv01_flags_public_storage_field_in_emsim() {
+    // `data` is `BlockArray`'s storage; `per_block` is metadata and may be
+    // public.
+    let a = run("inv01_fields");
+    assert_eq!(a.diagnostics.len(), 1, "{}", render(&a.diagnostics));
+    let d = &a.diagnostics[0];
+    assert_eq!(d.rule, METER_SOUNDNESS);
+    assert_eq!(d.file, Path::new("crates/emsim/src/block.rs"));
+    assert_eq!((d.line, d.col), (5, 9), "span must point at `data`");
+    assert!(d.message.contains("`data` of `BlockArray`"), "{}", d.message);
+}
+
+#[test]
 fn inv02_flags_direct_selection_call() {
     let a = run("inv02_chokepoint");
     assert_eq!(a.diagnostics.len(), 1, "{}", render(&a.diagnostics));

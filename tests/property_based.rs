@@ -3,7 +3,6 @@
 //! their bounds, and the EM substrates behave like their std references.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use topk::core::brute;
 use topk::core::{CostModel, EmConfig, MaxIndex, PrioritizedIndex, TopKIndex};
 
@@ -23,25 +22,6 @@ fn intervals(max_len: usize) -> impl Strategy<Value = Vec<topk::interval::Interv
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn btree_matches_std_btreemap(ops in prop::collection::vec((0u8..3, 0u32..200), 0..400)) {
-        let m = CostModel::new(EmConfig::new(16));
-        let mut t: emsim::BTree<u32, u32> = emsim::BTree::new(&m);
-        let mut reference = BTreeMap::new();
-        for (op, key) in ops {
-            match op {
-                0 => prop_assert_eq!(t.insert(key, key * 3), reference.insert(key, key * 3)),
-                1 => prop_assert_eq!(t.remove(&key), reference.remove(&key)),
-                _ => prop_assert_eq!(t.get(&key).copied(), reference.get(&key).copied()),
-            }
-        }
-        t.check_invariants();
-        let mut out = Vec::new();
-        t.range(&0, &200, &mut out);
-        let expected: Vec<(u32, u32)> = reference.into_iter().collect();
-        prop_assert_eq!(out, expected);
-    }
 
     #[test]
     fn kselect_matches_sort(mut xs in prop::collection::vec(0u64..1_000_000, 1..300), k in 1usize..300) {

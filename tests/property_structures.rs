@@ -1,6 +1,6 @@
 //! Property-based tests for the newer substrates: the generic segment
-//! tree, fractional cascading, the counting reduction, bulk-built B-trees,
-//! the kd-tree regions, and the EM sorting/selection primitives.
+//! tree, fractional cascading, the counting reduction, the kd-tree
+//! regions, and the EM sorting/selection primitives.
 
 use proptest::prelude::*;
 use topk::core::brute;
@@ -82,24 +82,6 @@ proptest! {
             got.iter().map(|p| p.weight).collect::<Vec<_>>(),
             want.iter().map(|p| p.weight).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn btree_bulk_build_then_mutate(n in 0usize..600, ops in prop::collection::vec((0u8..2, 0u32..800), 0..120)) {
-        let m = CostModel::new(EmConfig::new(32));
-        let pairs: Vec<(u32, u32)> = (0..n as u32).map(|i| (i * 3, i)).collect();
-        let mut t = emsim::BTree::from_sorted(&m, pairs.clone());
-        let mut reference: std::collections::BTreeMap<u32, u32> = pairs.into_iter().collect();
-        t.check_invariants();
-        for (op, key) in ops {
-            if op == 0 {
-                prop_assert_eq!(t.insert(key, key), reference.insert(key, key));
-            } else {
-                prop_assert_eq!(t.remove(&key), reference.remove(&key));
-            }
-        }
-        t.check_invariants();
-        prop_assert_eq!(t.len(), reference.len());
     }
 
     #[test]
