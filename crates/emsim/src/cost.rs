@@ -43,6 +43,11 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// The array id of the buffer-pool frames that [`CostModel::hold_scratch`]
+/// holds as working space. No structure has it, and nothing under it is
+/// ever read, written or mirrored to the device.
+pub const SCRATCH_ARRAY: u64 = u64::MAX;
+
 /// The buffer-pool policy a [`CostModel`] is built with. The pool is
 /// always one exact-LRU pool behind a single mutex: golden I/O baselines
 /// (`golden_smoke_ios.json`) and the fault-soak determinism checks are
@@ -524,8 +529,31 @@ impl CostModel {
     /// Allocate a fresh identifier for a block-addressed structure (a
     /// [`crate::BlockArray`], a tree's node arena, …) — used as the high
     /// bits of buffer-pool keys so distinct structures never collide.
+    /// Ids count up from 0, so [`SCRATCH_ARRAY`] is never handed out.
     pub fn new_array_id(&self) -> u64 {
         self.inner.next_array_id.fetch_add(1, Relaxed)
+    }
+
+    /// Hold a working set of `items` items of type `T` in the buffer pool,
+    /// if it fits: returns `true` when the meter has a pool and the set's
+    /// `⌈items/B'⌉` blocks (`B'` items of `T` per block) are at most its
+    /// frames. The blocks then become the pool's most recently used
+    /// frames under [`SCRATCH_ARRAY`], displacing LRU residents like any
+    /// admitted block, but they charge no read, count no pool hit or miss
+    /// and emit no trace event: they are memory in use, not blocks read.
+    /// Without a pool (`mem_blocks = 0`) there is no memory to hold
+    /// anything, so this returns `false` and changes nothing.
+    pub fn hold_scratch<T>(&self, items: usize) -> bool {
+        let frames = self.inner.config.mem_blocks;
+        if frames == 0 {
+            return false;
+        }
+        let blocks = items.div_ceil(self.inner.config.items_per_block::<T>());
+        if blocks > frames {
+            return false;
+        }
+        lock_recover(&self.inner.pool).hold(SCRATCH_ARRAY, blocks as u64);
+        true
     }
 
     /// An isolated child meter (same machine parameters, fresh counters and

@@ -82,10 +82,33 @@ impl LruPool {
     /// (With zero capacity only the miss is counted.)
     pub fn admit(&mut self, array_id: u64, block_idx: u64) {
         self.misses += 1;
+        if self.capacity > 0 {
+            self.insert((array_id, block_idx));
+        }
+    }
+
+    /// Make blocks `0..blocks` of `array_id` the most recently used,
+    /// admitting the absent ones (each evicts the LRU block if the pool is
+    /// full) and promoting the resident ones, without counting a hit or a
+    /// miss. This is memory held as working space rather than a block
+    /// read, so it displaces residents but stays out of the statistics.
+    pub fn hold(&mut self, array_id: u64, blocks: u64) {
         if self.capacity == 0 {
             return;
         }
-        let key = (array_id, block_idx);
+        for block_idx in 0..blocks {
+            match self.map.get(&(array_id, block_idx)) {
+                Some(&slot) => {
+                    self.unlink(slot);
+                    self.push_front(slot);
+                }
+                None => self.insert((array_id, block_idx)),
+            }
+        }
+    }
+
+    /// Insert an absent key as the MRU frame, evicting the LRU one if full.
+    fn insert(&mut self, key: (u64, u64)) {
         if self.map.len() == self.capacity {
             let victim = self.tail;
             self.unlink(victim);
@@ -262,6 +285,27 @@ mod tests {
         p.admit(0, 0);
         assert!(p.probe(0, 0), "admit caches");
         assert_eq!(p.stats(), (1, 2));
+    }
+
+    #[test]
+    fn hold_admits_and_promotes_without_counting() {
+        let mut p = LruPool::new(3);
+        p.access(0, 1);
+        p.access(0, 2);
+        p.access(0, 3); // LRU order (oldest first): 1, 2, 3
+        p.hold(9, 2); // admits (9, 0), (9, 1): evicts 1 then 2
+        assert_eq!(p.stats(), (0, 3), "hold counts neither hits nor misses");
+        assert_eq!(p.len(), 3);
+        p.hold(9, 1); // promotes (9, 0): LRU order is now 3, (9, 1), (9, 0)
+        assert_eq!(p.stats(), (0, 3));
+        assert!(p.probe(0, 3), "3 survived both holds");
+        assert!(!p.probe(0, 1) && !p.probe(0, 2), "1 and 2 were the victims");
+        p.access(0, 4); // evicts (9, 1), the LRU block
+        assert!(p.probe(9, 0) && !p.probe(9, 1));
+        let mut empty = LruPool::new(0);
+        empty.hold(9, 4);
+        assert!(empty.is_empty());
+        assert_eq!(empty.stats(), (0, 0));
     }
 
     #[test]
