@@ -336,66 +336,66 @@ const DYN_TOPK_SPACE_BLOCKS: u64 = 50;
 const DYN_TOPK_SPACE_BLOCKS_AFTER: u64 = 79;
 #[rustfmt::skip]
 const DYN_TOPK_SCRIPT: &[(u64, u64, usize)] = &[
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (13, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (10, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (10, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (2, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (11, 0, 5),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 7),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (10, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 9),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (9, 0, 6),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (11, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (12, 0, 8),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 8),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (9, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 6),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (9, 0, 11),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (7, 0, 9),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (10, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 13),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (9, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (10, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (1, 0, 8),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (10, 0, 5),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 7),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (9, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 9),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (8, 0, 6),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 11),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 9),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (2, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 8),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 6),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 11),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (6, 0, 9),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 13),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (7, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 8),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 11),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 9),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (1, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 1),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (10, 0, 0),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (8, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (9, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 9),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (9, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (0, 0, 0),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (9, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (10, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 9),
-    (0, 32, 0), (0, 9, 0), (0, 9, 1), (10, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (12, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (6, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (11, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (9, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (7, 0, 14),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 9),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (11, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 8),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (5, 0, 10),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (8, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 9),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (6, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (0, 0, 0),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (6, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (7, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 9),
+    (0, 32, 0), (0, 9, 0), (0, 9, 1), (7, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (9, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (5, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (6, 0, 14),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 9),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (5, 0, 1),
 ];
 
 const SEGSTAB_BUILD_WRITES: u64 = 22311;
@@ -430,28 +430,28 @@ const SEGSTAB_QUERIES: &[(u64, u64, usize)] = &[
 const TOPK_BUILD_WRITES: u64 = 30081;
 const TOPK_SPACE_BLOCKS: u64 = 15754;
 const TOPK_QUERIES: &[(u64, u64, usize)] = &[
-    (53, 55, 1),
-    (34, 8, 10),
-    (64, 6, 100),
-    (48, 60, 1),
-    (29, 13, 10),
-    (99, 23, 100),
-    (45, 63, 1),
-    (39, 9, 10),
-    (60, 7, 100),
-    (52, 58, 1),
-    (48, 11, 10),
-    (64, 15, 100),
-    (45, 62, 1),
-    (27, 11, 10),
-    (52, 9, 100),
-    (36, 69, 1),
-    (88, 32, 10),
-    (83, 29, 100),
-    (32, 59, 1),
-    (55, 63, 10),
-    (63, 8, 100),
-    (41, 63, 1),
-    (27, 29, 10),
-    (62, 11, 100),
+    (48, 55, 1),
+    (29, 8, 10),
+    (45, 6, 100),
+    (45, 60, 1),
+    (26, 13, 10),
+    (57, 23, 100),
+    (40, 63, 1),
+    (31, 9, 10),
+    (40, 7, 100),
+    (47, 58, 1),
+    (33, 11, 10),
+    (45, 15, 100),
+    (42, 62, 1),
+    (19, 11, 10),
+    (39, 9, 100),
+    (33, 69, 1),
+    (52, 32, 10),
+    (50, 29, 100),
+    (29, 59, 1),
+    (52, 63, 10),
+    (40, 8, 100),
+    (38, 63, 1),
+    (14, 29, 10),
+    (37, 11, 100),
 ];
