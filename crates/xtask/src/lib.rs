@@ -21,9 +21,14 @@
 //! `// allow_invariant(<rule>): <reason>` directly above the excused
 //! line; a marker without a reason, or one that stops matching anything,
 //! is itself a violation. See DESIGN.md "Static analysis & soundness".
+//!
+//! `cargo xtask experiments` ([`experiments`]) is the other check: it
+//! compares the tables in EXPERIMENTS.md with what the experiment
+//! binaries print at paper scale.
 
 pub mod ctx;
 pub mod diag;
+pub mod experiments;
 pub mod lexer;
 pub mod rules;
 
