@@ -15,8 +15,9 @@
 //!   scans and random accesses charge the meter per *distinct block touched*,
 //!   optionally filtered through a buffer pool of `M/B` frames. The pool is
 //!   exact LRU ([`LruPool`]): golden I/O baselines depend on its residency.
-//! * [`select`] — EM k-selection (`O(n/B)` I/Os expected), the primitive the
-//!   paper invokes as "k-selection \[8\]" throughout §3–§4.
+//! * [`select`] — EM k-selection (`O(n/B)` I/Os expected, or only the
+//!   `O(k/B)` output when the k survivors fit in the buffer pool), the
+//!   primitive the paper invokes as "k-selection \[8\]" throughout §3–§4.
 //! * [`kernels`] — branchless / SIMD hot-path kernels (partition,
 //!   scan-for-threshold) behind `select`, runtime-dispatched per CPU and
 //!   per key type with a generic fallback; answers and metered I/Os are
