@@ -5,10 +5,12 @@
 //! meters and tabulates *where* their query I/Os go — the EXPLAIN surface
 //! documented in OBSERVABILITY.md. The shapes under test:
 //!
-//! * Theorem 1 concentrates reads in `probe` (level-0 / `D` queries) with a
-//!   `sample` tail from deeper core-set levels; `select` stays `O(k/B)`.
-//! * Theorem 2 splits between `probe` (τ-queries) and `sample` (the
-//!   max-structure ladder).
+//! * Theorem 1 splits reads between `probe` (level-0 / `D` queries) and
+//!   `select`: it keeps the top f of a fetched level, more survivors than
+//!   the 16-frame pool holds, so its selection charges external passes.
+//! * Theorem 2 is mostly `probe` (τ-queries) with a `sample` tail (the
+//!   max-structure ladder). Its k survivors fit in the pool, so `select`
+//!   charges only the output (DESIGN.md substitution 10).
 //! * The binary search pays `probe` over and over (the `log n` factor).
 //! * The scan is all `scan`.
 //!
