@@ -20,7 +20,7 @@
 //!
 //! Everything here runs the infallible query paths on explicit meters, so
 //! the I/O counts are bit-deterministic at any thread count and under any
-//! ambient fault plan (the chaos soak reruns this experiment unchanged).
+//! default fault plan (the chaos soak reruns this experiment unchanged).
 
 use std::time::Instant;
 

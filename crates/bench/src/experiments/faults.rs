@@ -127,8 +127,8 @@ pub fn run_faults(scale: Scale, rates: &[f64], budgets: &[u32]) -> Table {
     let b = 16usize;
 
     // Each structure meters (and faults) through its own model; plans are
-    // installed explicitly so ambient/global plans never leak in and the
-    // sweep is bit-deterministic at any thread count.
+    // installed explicitly so the default substrate's plan never leaks in
+    // and the sweep is bit-deterministic at any thread count.
     let m1 = CostModel::new(EmConfig::new(b));
     let t1 = WorstCaseTopK::build(
         &m1,

@@ -6,7 +6,7 @@
 //! is the remaining cost. This experiment runs the same `u64`-key
 //! selection and scan-for-threshold workloads once per kernel backend
 //! (forced scalar, then the auto-dispatched backend — AVX2 where the CPU
-//! has it, 4-lane unrolled otherwise) and reports per-phase wall-clock
+//! has it, branch-free unrolled otherwise) and reports per-phase wall-clock
 //! from the trace layer's `SpanNanos` events, aggregated with the same
 //! [`Histogram`] machinery `exp_all` embeds in `BENCH_results.json`.
 //!
@@ -22,7 +22,7 @@
 
 use emsim::kernels::{self, Backend};
 use emsim::trace::{phase, Histogram};
-use emsim::{CostModel, EmConfig};
+use emsim::{CostModel, EmConfig, Substrate};
 
 use crate::table::{f, Table};
 use crate::Scale;
@@ -53,47 +53,46 @@ struct Run {
 }
 
 fn run_backend(backend: Backend, items: &[u64], k: usize, trials: usize) -> Run {
-    kernels::with_backend(backend, || {
-        // RAM-model instantiation: B = 4 makes the meter charge ~n/4
-        // reads per pass while the in-memory work dominates wall-clock.
-        let model = CostModel::new(EmConfig::new(4));
-        let mut select_ns = Histogram::new();
-        let mut scan_ns = Histogram::new();
-        let mut answers = Vec::new();
-        let mut survivors = 0usize;
-        let threshold = u64::MAX / 2;
-        for t in 0..trials {
-            let ((), report) = model.explain(|| {
-                {
-                    let _g = model.span(phase::SELECT);
-                    // allow_invariant(select-chokepoint): E22 measures the
-                    // selection entry point itself per backend; routing
-                    // through `select_top_k` would hide what is compared.
-                    let out =
-                        emsim::select::top_k_by_weight(&model, items, k + t, |&x| x);
-                    answers.push(out);
-                }
-                {
-                    let _g = model.span(phase::SCAN);
-                    model.charge_scan::<u64>(items.len());
-                    // allow_invariant(select-chokepoint): same — E22 times
-                    // the raw scan kernel, not a query path.
-                    survivors += kernels::filter_ge_indices(items, threshold).len();
-                }
-            });
-            select_ns.push(report.phase(phase::SELECT).nanos as f64);
-            scan_ns.push(report.phase(phase::SCAN).nanos as f64);
-        }
-        let rep = model.report();
-        Run {
-            select_ns,
-            scan_ns,
-            answers,
-            survivors,
-            reads: rep.reads,
-            writes: rep.writes,
-        }
-    })
+    // RAM-model instantiation: B = 4 makes the meter charge ~n/4
+    // reads per pass while the in-memory work dominates wall-clock.
+    let substrate = Substrate { kernels: backend, ..Substrate::current() };
+    let model = CostModel::with_substrate(EmConfig::new(4), substrate);
+    let mut select_ns = Histogram::new();
+    let mut scan_ns = Histogram::new();
+    let mut answers = Vec::new();
+    let mut survivors = 0usize;
+    let threshold = u64::MAX / 2;
+    for t in 0..trials {
+        let ((), report) = model.explain(|| {
+            {
+                let _g = model.span(phase::SELECT);
+                // allow_invariant(select-chokepoint): E22 measures the
+                // selection entry point itself per backend; routing
+                // through `select_top_k` would hide what is compared.
+                let out =
+                    emsim::select::top_k_by_weight(&model, items, k + t, |&x| x);
+                answers.push(out);
+            }
+            {
+                let _g = model.span(phase::SCAN);
+                model.charge_scan::<u64>(items.len());
+                // allow_invariant(select-chokepoint): same — E22 times
+                // the raw scan kernel, not a query path.
+                survivors += kernels::filter_ge_indices(backend, items, threshold).len();
+            }
+        });
+        select_ns.push(report.phase(phase::SELECT).nanos as f64);
+        scan_ns.push(report.phase(phase::SCAN).nanos as f64);
+    }
+    let rep = model.report();
+    Run {
+        select_ns,
+        scan_ns,
+        answers,
+        survivors,
+        reads: rep.reads,
+        writes: rep.writes,
+    }
 }
 
 /// **E22.** Scalar-vs-kernel wall-clock per phase on a RAM-model

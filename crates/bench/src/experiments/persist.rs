@@ -152,7 +152,7 @@ fn crash_trial(
     let retrier = Retrier::default();
     if !recovered_items.is_empty() {
         // Explicit none-plan: the verification queries must stay exact even
-        // when the chaos soak arms an ambient logical fault plan.
+        // when the chaos soak arms a default logical fault plan.
         let qm = CostModel::with_faults(EmConfig::new(B), FaultPlan::none());
         let idx = BinarySearchTopK::build(&qm, &PrefixBuilder, recovered_items.clone());
         let n = recovered_items.len() as u64;

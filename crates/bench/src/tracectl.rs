@@ -1,10 +1,10 @@
 //! Shared `--trace` / `TRACE_SINK` wiring for the experiment binaries.
 //!
 //! Every `exp_*` binary accepts `--trace PATH` (or the `TRACE_SINK=PATH`
-//! environment variable) to install a process-global
-//! [`ChromeTraceSink`](emsim::ChromeTraceSink) before any experiment meter
-//! is created, and to write the Chrome trace-event JSON on exit. Open the
-//! file in `chrome://tracing` or <https://ui.perfetto.dev>; see
+//! environment variable) to install a default substrate whose trace sink
+//! is a [`ChromeTraceSink`](emsim::ChromeTraceSink) before any experiment
+//! meter is created, and to write the Chrome trace-event JSON on exit.
+//! Open the file in `chrome://tracing` or <https://ui.perfetto.dev>; see
 //! OBSERVABILITY.md for the span taxonomy.
 //!
 //! Tracing is purely observational: simulated I/O counts are bit-identical
@@ -13,12 +13,12 @@
 
 use std::sync::Arc;
 
-use emsim::{clear_global_sink, install_global_sink, ChromeTraceSink};
+use emsim::{ChromeTraceSink, Substrate, SubstrateGuard};
 
 /// An armed (or inert) tracing session. Create at the top of `main`, call
 /// [`TraceGuard::finish`] after the experiments print.
 pub struct TraceGuard {
-    sink: Option<(Arc<ChromeTraceSink>, String)>,
+    sink: Option<(Arc<ChromeTraceSink>, String, SubstrateGuard)>,
 }
 
 impl TraceGuard {
@@ -30,8 +30,8 @@ impl TraceGuard {
             .filter(|p| !p.is_empty());
         let sink = path.map(|p| {
             let s = Arc::new(ChromeTraceSink::new());
-            install_global_sink(s.clone());
-            (s, p)
+            let installed = Substrate { trace: Some(s.clone()), ..Substrate::current() }.install();
+            (s, p, installed)
         });
         TraceGuard { sink }
     }
@@ -55,11 +55,11 @@ impl TraceGuard {
         self.sink.is_some()
     }
 
-    /// Uninstall the global sink and write the Chrome-trace JSON (a no-op
-    /// when tracing was never armed).
+    /// Restore the untraced default substrate and write the Chrome-trace
+    /// JSON (a no-op when tracing was never armed).
     pub fn finish(self) {
-        if let Some((sink, path)) = self.sink {
-            clear_global_sink();
+        if let Some((sink, path, installed)) = self.sink {
+            drop(installed);
             // allow_invariant(device-hygiene): Chrome-trace export, not
             // block storage — a diagnostics artifact for chrome://tracing.
             match std::fs::write(&path, sink.to_json()) {

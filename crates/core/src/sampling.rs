@@ -49,16 +49,9 @@ impl Lemma1Params {
 }
 
 /// The rank (1-based, descending by weight) of `weight` within `weights`.
-/// `weights` need not be sorted. Counting runs on the vectorized
-/// scan-for-threshold kernel (`w > weight` ⇔ `w ≥ weight + 1`).
+/// `weights` need not be sorted.
 pub fn rank_of(weights: &[Weight], weight: Weight) -> usize {
-    match weight.checked_add(1) {
-        // allow_invariant(select-chokepoint): rank counting is a scan
-        // primitive, not a top-k selection — it returns a count, never
-        // elements, so `select_top_k` cannot express it.
-        Some(pivot) => emsim::kernels::count_ge(weights, pivot) + 1,
-        None => 1, // nothing exceeds u64::MAX
-    }
+    weights.iter().filter(|&&w| w > weight).count() + 1
 }
 
 /// The weight of rank `r` (1-based, descending) in `weights`.

@@ -35,8 +35,8 @@ pub trait Element: Clone {
 ///
 /// Weights are `u64`, so every call dispatches to emsim's specialized
 /// selection kernels (branch-free stable partition, vectorized
-/// scan-for-threshold — see `emsim::kernels`); the backend is chosen once
-/// per process (`EMSIM_KERNELS` overrides CPU detection). Answers and
+/// scan-for-threshold — see `emsim::kernels`) on `model`'s backend
+/// (`emsim::Substrate`; `EMSIM_KERNELS` sets the default). Answers and
 /// metered I/Os are bit-identical on every backend, which is what lets the
 /// theorem structures above stay oblivious to the dispatch.
 pub fn select_top_k<E: Element>(model: &CostModel, items: &[E], k: usize) -> Vec<E> {

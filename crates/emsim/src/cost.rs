@@ -31,8 +31,10 @@ use crate::sync::{Arc, Mutex, MutexGuard};
 
 use crate::device::{self, BlockDevice, BlockId, DeviceClass};
 use crate::error::EmError;
-use crate::fault::{self, FaultPlan, Retrier};
+use crate::fault::{FaultPlan, Retrier};
+use crate::kernels::Backend;
 use crate::pool::LruPool;
+use crate::substrate::Substrate;
 use crate::trace::{self, CostReport, RecordingSink, SpanGuard, TraceEvent, TraceSink};
 
 /// Lock a mutex, recovering from poisoning: the protected state (counters,
@@ -158,6 +160,8 @@ struct Inner {
     /// restart at 0 per meter, so the namespace is what keeps two meters'
     /// arrays from colliding on one `FileDevice`.
     ns: u64,
+    /// The kernel backend this meter's selections run on.
+    kernels: Backend,
     /// Fast path: `try_fetch` reads nothing back from the device unless
     /// the device wants read-back verification (file-backed class, or
     /// armed device fault kinds).
@@ -271,51 +275,61 @@ impl std::ops::Add for IoReport {
 }
 
 impl CostModel {
-    /// Create a meter for the given machine. The fault plan is inherited
-    /// from the process ambient ([`fault::ambient_plan`]): none unless a
-    /// global plan was installed or `FAULT_RATE` is set.
+    /// Create a meter for the given machine on the process-default
+    /// [`Substrate`] ([`Substrate::current`]).
     pub fn new(config: EmConfig) -> Self {
-        CostModel::with_faults(config, fault::ambient_plan())
+        CostModel::with_substrate(config, Substrate::current())
     }
 
-    /// Create a meter whose fallible accessors are subject to `plan`, with
-    /// the device inherited from the process ambient
-    /// ([`device::ambient_device`]): a private [`crate::MemDevice`] unless
-    /// `EMSIM_DEVICE=file` selected the shared file-backed store.
+    /// Create a meter on the default substrate whose fallible accessors
+    /// are subject to `plan`.
     pub fn with_faults(config: EmConfig, plan: FaultPlan) -> Self {
-        let dev = device::ambient_device()
-            .unwrap_or_else(|| Arc::new(device::MemDevice::with_plan(plan)));
-        CostModel::with_device(config, plan, PoolPolicy::Lru, dev)
+        CostModel::with_substrate(config, Substrate { faults: plan, ..Substrate::current() })
     }
 
-    /// The fully-general constructor: machine, fault plan and an explicit
-    /// [`BlockDevice`]; the pool is always exact LRU (see [`PoolPolicy`]).
-    /// The plan is scope-filtered to the device's class
-    /// ([`FaultPlan::for_class`]), so a file-scoped plan is inert on an
-    /// in-memory meter and vice versa. The trace sink is inherited from the
-    /// process ambient ([`trace::ambient_sink`]): none unless a global sink
-    /// was installed.
+    /// Create a meter on `substrate`: its shared file store, or a private
+    /// [`crate::MemDevice`] armed with its plan when it has none, and its
+    /// kernel backend, fault plan and trace sink.
+    pub fn with_substrate(config: EmConfig, substrate: Substrate) -> Self {
+        let device: Arc<dyn BlockDevice> = match substrate.device {
+            Some(file) => file,
+            None => Arc::new(device::MemDevice::with_plan(substrate.faults)),
+        };
+        // One counting wrapper per meter family: physical traffic from this
+        // meter and every `scoped` child lands on the same ledger, feeding
+        // `physical()` and the EXPLAIN physical-bytes row.
+        let device = Arc::new(device::CountingDevice::new(device));
+        CostModel::with_counting(config, substrate.faults, substrate.kernels, substrate.trace, device)
+    }
+
+    /// Create a meter with fault plan `plan` on an explicit [`BlockDevice`],
+    /// taking the kernel backend and trace sink from the default
+    /// substrate; the pool is always exact LRU (see [`PoolPolicy`]).
     pub fn with_device(
         config: EmConfig,
         plan: FaultPlan,
         _policy: PoolPolicy,
         device: Arc<dyn BlockDevice>,
     ) -> Self {
-        // One counting wrapper per meter family: physical traffic from this
-        // meter and every `scoped` child lands on the same ledger, feeding
-        // `physical()` and the EXPLAIN physical-bytes row.
-        CostModel::with_counting(config, plan, Arc::new(device::CountingDevice::new(device)))
+        let substrate = Substrate::current();
+        let device = Arc::new(device::CountingDevice::new(device));
+        CostModel::with_counting(config, plan, substrate.kernels, substrate.trace, device)
     }
 
     /// Shared-ledger constructor: `scoped` children re-use the parent's
     /// [`device::CountingDevice`] rather than stacking a second wrapper.
+    /// The plan is scope-filtered to the device's class
+    /// ([`FaultPlan::for_class`]), so a file-scoped plan is inert on an
+    /// in-memory meter and vice versa.
     fn with_counting(
         config: EmConfig,
         plan: FaultPlan,
+        kernels: Backend,
+        sink: Option<Arc<dyn TraceSink>>,
         device: Arc<device::CountingDevice>,
     ) -> Self {
         let plan = plan.for_class(device.class());
-        let sink = trace::ambient_sink();
+        let sink = sink.filter(|s| s.is_enabled());
         let device_checked = device.class() == DeviceClass::File || plan.has_device_faults();
         CostModel {
             inner: Arc::new(Inner {
@@ -326,6 +340,7 @@ impl CostModel {
                 next_array_id: AtomicU64::new(0),
                 device,
                 ns: NEXT_NS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                kernels,
                 device_checked: AtomicBool::new(device_checked),
                 tracing: AtomicBool::new(false),
                 trace: Mutex::new(None),
@@ -343,13 +358,18 @@ impl CostModel {
         CostModel::new(EmConfig::ram())
     }
 
+    /// The kernel backend this meter's selections run on.
+    pub fn kernels(&self) -> Backend {
+        self.inner.kernels
+    }
+
     /// The fault plan governing this meter's `try_*` accesses.
     pub fn fault_plan(&self) -> FaultPlan {
         *lock_recover(&self.inner.fault)
     }
 
     /// Replace the fault plan (e.g. to arm faults mid-experiment or to
-    /// disarm the ambient plan with [`FaultPlan::none`]). The plan is
+    /// disarm the substrate's plan with [`FaultPlan::none`]). The plan is
     /// scope-filtered to this meter's device class, exactly as at
     /// construction.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
@@ -562,20 +582,21 @@ impl CostModel {
     /// trial charges its own child without contending on the parent's pool
     /// lock, and the parent's totals end up identical to a sequential run.
     pub fn scoped(&self) -> ScopedMeter {
-        // The child inherits this meter's fault plan (not the ambient
-        // one), so a trial fanned out under an explicitly-armed meter
-        // sees the same fault universe — and its *device*, so
-        // trials against a file-backed or counting store hit the same
-        // store (the child still gets a private namespace on it).
+        // The child inherits this meter's substrate as it stands now (not
+        // the default): its fault plan, so a trial fanned out under an
+        // explicitly-armed meter sees the same fault universe; its device,
+        // so trials against a file-backed or counting store hit the same
+        // store (the child still gets a private namespace on it); its
+        // kernel backend; and its trace sink. (Rollup on drop absorbs raw
+        // counters without re-emitting events, so the sink sees each
+        // charge exactly once.)
         let child = CostModel::with_counting(
             self.inner.config,
             self.fault_plan(),
+            self.inner.kernels,
+            self.trace_sink(),
             self.inner.device.clone(),
         );
-        // Likewise the trace sink: a fanned-out trial keeps attributing to
-        // the parent's sink. (Rollup on drop absorbs raw counters without
-        // re-emitting events, so the sink sees each charge exactly once.)
-        child.install_sink(self.trace_sink());
         ScopedMeter {
             child,
             parent: self.clone(),
@@ -1019,7 +1040,7 @@ mod tests {
 
     #[test]
     fn try_touch_with_inert_plan_charges_like_touch() {
-        // Explicit none-plan meters, immune to any ambient/global plan a
+        // Explicit none-plan meters, immune to any default plan a
         // concurrently-running test may have installed.
         let a = CostModel::with_faults(EmConfig::with_memory(64, 2), FaultPlan::none());
         let b = CostModel::with_faults(EmConfig::with_memory(64, 2), FaultPlan::none());

@@ -11,8 +11,9 @@
 //! The device is deliberately *below* the meter: [`crate::CostModel`]
 //! charges logical I/Os identically on every device, and physical traffic
 //! (counted by [`CountingDevice`]) is validated against the meter by
-//! experiment E23 instead of feeding it. Swapping `EMSIM_DEVICE=mem|file`
-//! must therefore never move a golden baseline.
+//! experiment E23 instead of feeding it. Swapping the device of a meter's
+//! [`Substrate`](crate::Substrate) (`EMSIM_DEVICE=mem|file` for the
+//! process default) must therefore never move a golden baseline.
 //!
 //! # Durability contract
 //!
@@ -38,10 +39,9 @@ use std::fs;
 use std::io::Write as _;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 use crate::error::EmError;
-use crate::fault::{self, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::sync::{Arc, Mutex};
 
 /// Which kind of physical substrate a device is — the key that
@@ -989,37 +989,6 @@ impl BlockDevice for CountingDevice {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Ambient device selection (EMSIM_DEVICE / EMSIM_DATA_DIR)
-// ---------------------------------------------------------------------------
-
-static AMBIENT_FILE: OnceLock<Option<Arc<FileDevice>>> = OnceLock::new();
-
-/// The process-shared [`FileDevice`] when `EMSIM_DEVICE=file` is set
-/// (backed by `EMSIM_DATA_DIR`, default a per-process temp directory);
-/// `None` otherwise, in which case each meter gets a private
-/// [`MemDevice`]. Read once per process, like the fault/trace ambients.
-pub(crate) fn ambient_device() -> Option<Arc<dyn BlockDevice>> {
-    AMBIENT_FILE
-        .get_or_init(|| {
-            if std::env::var("EMSIM_DEVICE").as_deref() != Ok("file") {
-                return None;
-            }
-            let dir = std::env::var("EMSIM_DATA_DIR").map_or_else(
-                |_| {
-                    std::env::temp_dir().join(format!("emsim-data-{}", std::process::id()))
-                },
-                PathBuf::from,
-            );
-            let plan = fault::ambient_plan();
-            let dev = FileDevice::open_with(dir, plan)
-                .expect("EMSIM_DEVICE=file: opening the ambient FileDevice failed");
-            Some(Arc::new(dev))
-        })
-        .clone()
-        .map(|d| d as Arc<dyn BlockDevice>)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1178,7 +1147,7 @@ mod tests {
         // in-memory golden runs).
         let plan = FaultPlan::new(3)
             .with_torn_write(1.0)
-            .with_scope(fault::FaultScope::File);
+            .with_scope(crate::FaultScope::File);
         let dev = MemDevice::with_plan(plan);
         dev.write(id(0, 1, 0), b"sixteen bytes!!!").expect("write");
         assert_eq!(

@@ -12,19 +12,19 @@
 //!   pivot sequence indexes into the live key vector, so preserving
 //!   relative order keeps the pivot draws — and therefore the metered
 //!   pass count — bit-identical to the scalar path.
-//! * [`count_ge`] / [`filter_ge_indices`] — block scan-for-threshold,
-//!   vectorized with AVX2 intrinsics where the CPU supports them
-//!   (runtime-detected once) and with 4-lane unrolled branchless scalar
-//!   code everywhere else.
+//! * [`filter_ge_indices`] — block scan-for-threshold, vectorized with
+//!   AVX2 intrinsics where the CPU supports them and with a branch-free
+//!   gather everywhere else.
 //! * [`dispatch_kernel!`](crate::dispatch_kernel) — monomorphized kernels
 //!   per key type (`u32`, `u64`, `i64`, `f64`-as-ordered-bits) selected at
 //!   runtime from a [`KeyType`] tag, with the caller's generic `Ord`-bound
 //!   path surviving as the fallback arm for every other type.
 //!
-//! Backend selection happens once per process ([`active_backend`]): the
-//! `EMSIM_KERNELS` environment variable (`scalar` / `unrolled` / `avx2`)
-//! overrides auto-detection via `is_x86_feature_detected!("avx2")`. Tests
-//! and benchmarks compare backends in-process with [`with_backend`].
+//! Each kernel takes the [`Backend`] to run on; selection passes its
+//! meter's ([`CostModel::kernels`](crate::CostModel::kernels)), which comes
+//! from the meter's [`Substrate`](crate::Substrate) (`EMSIM_KERNELS` for the
+//! process default). Tests and benchmarks compare backends in-process by
+//! building meters on substrates that differ only in `kernels`.
 //!
 //! Every kernel returns *bit-identical* results on every backend — same
 //! outputs, same stability, same multiset splits — which is what lets the
@@ -37,17 +37,15 @@
 #![allow(unsafe_code)]
 
 use std::any::TypeId;
-use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// Which implementation family the kernels run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// AVX2 intrinsics (4 × 64-bit lanes) for the scan kernels, branch-free
-    /// stores for partitioning. Requires runtime CPU support.
+    /// stores for partitioning. Runs `Unrolled` where the CPU lacks AVX2.
     Avx2,
-    /// Chunked 4-lane scalar unrolling with branchless accumulators — the
-    /// portable fast path.
+    /// Branch-free scalar loops (unconditional store, conditional
+    /// advance) — the portable fast path.
     Unrolled,
     /// The original one-element-at-a-time code, kept as the reference
     /// implementation and forced via `EMSIM_KERNELS=scalar`.
@@ -69,9 +67,8 @@ impl Backend {
 ///
 /// Always `false` under Miri: the interpreter has no implementation of
 /// the AVX2 intrinsics, so the CI Miri lane must dispatch to the scalar /
-/// unrolled kernels. Routing the clamp through this one function covers
-/// every dispatch path, including explicit [`with_backend`]`(Avx2)`
-/// overrides in the equivalence proptests.
+/// unrolled kernels. Every `Avx2` dispatch checks this first, so a meter
+/// built on an `Avx2` substrate runs `Unrolled` where AVX2 is missing.
 pub fn avx2_available() -> bool {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
@@ -83,61 +80,10 @@ pub fn avx2_available() -> bool {
     }
 }
 
-static CHOSEN: OnceLock<Backend> = OnceLock::new();
-
-thread_local! {
-    /// Per-thread override installed by [`with_backend`] (tests / benches).
-    static OVERRIDE: Cell<Option<Backend>> = const { Cell::new(None) };
-}
-
-fn detect() -> Backend {
-    let requested = std::env::var("EMSIM_KERNELS").ok();
-    let b = match requested.as_deref() {
-        Some("scalar") => Backend::Scalar,
-        Some("unrolled") => Backend::Unrolled,
-        Some("avx2") => Backend::Avx2,
-        _ => {
-            if avx2_available() {
-                Backend::Avx2
-            } else {
-                Backend::Unrolled
-            }
-        }
-    };
-    // Never dispatch into intrinsics the CPU cannot run, even if asked to.
-    if b == Backend::Avx2 && !avx2_available() {
-        Backend::Unrolled
-    } else {
-        b
-    }
-}
-
-/// The backend the kernels will use on this thread right now: the
-/// [`with_backend`] override if one is installed, else the process-wide
-/// choice (computed once from `EMSIM_KERNELS` / CPU detection).
+/// The kernel backend of the process-default [`Substrate`](crate::Substrate)
+/// (see [`Substrate::from_env`](crate::Substrate::from_env)).
 pub fn active_backend() -> Backend {
-    if let Some(b) = OVERRIDE.with(Cell::get) {
-        // The override obeys the same safety clamp as detection.
-        if b == Backend::Avx2 && !avx2_available() {
-            return Backend::Unrolled;
-        }
-        return b;
-    }
-    *CHOSEN.get_or_init(detect)
-}
-
-/// Run `f` with the kernel backend forced to `backend` on this thread —
-/// how the equivalence proptests and the E22 bench compare dispatch paths
-/// in one process. Restores the previous override even if `f` panics.
-pub fn with_backend<R>(backend: Backend, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Backend>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(OVERRIDE.with(|c| c.replace(Some(backend))));
-    f()
+    crate::Substrate::current().kernels
 }
 
 /// A key type with a total order embedded into `u64` bits: `a <= b` iff
@@ -287,85 +233,6 @@ macro_rules! dispatch_kernel {
 }
 
 // ---------------------------------------------------------------------------
-// count_ge: how many keys are >= pivot (block scan-for-threshold, counting).
-// ---------------------------------------------------------------------------
-
-/// Number of `keys` that are `>= pivot`, dispatched to the active backend.
-pub fn count_ge(keys: &[u64], pivot: u64) -> usize {
-    match active_backend() {
-        // SAFETY: `active_backend` only returns `Avx2` after
-        // `is_x86_feature_detected!("avx2")` confirmed CPU support (both
-        // the detection path and the `with_backend` override clamp), which
-        // is the sole precondition of `count_ge_avx2`.
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { count_ge_avx2(keys, pivot) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => count_ge_unrolled(keys, pivot),
-        Backend::Unrolled => count_ge_unrolled(keys, pivot),
-        Backend::Scalar => count_ge_scalar(keys, pivot),
-    }
-}
-
-fn count_ge_scalar(keys: &[u64], pivot: u64) -> usize {
-    keys.iter().filter(|&&x| x >= pivot).count()
-}
-
-fn count_ge_unrolled(keys: &[u64], pivot: u64) -> usize {
-    // Four independent branchless accumulators hide the compare latency.
-    let mut c = [0usize; 4];
-    let chunks = keys.chunks_exact(4);
-    let rem = chunks.remainder();
-    for ch in chunks {
-        c[0] += (ch[0] >= pivot) as usize;
-        c[1] += (ch[1] >= pivot) as usize;
-        c[2] += (ch[2] >= pivot) as usize;
-        c[3] += (ch[3] >= pivot) as usize;
-    }
-    let mut total = c[0] + c[1] + c[2] + c[3];
-    for &x in rem {
-        total += (x >= pivot) as usize;
-    }
-    total
-}
-
-/// # Safety
-/// Caller must ensure the CPU supports AVX2 (`is_x86_feature_detected!`
-/// before dispatching here). No alignment precondition: the only wide
-/// load is `_mm256_loadu_si256`, which permits unaligned addresses; no
-/// length precondition beyond the slice's own bounds: `chunks_exact(4)`
-/// guarantees each 32-byte load covers exactly four in-bounds `u64`
-/// lanes, and the `remainder()` elements are read scalar.
-// SAFETY: see the `# Safety` section above — the `#[target_feature]`
-// boundary is the one unsafe obligation, discharged by runtime detection.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// `loadu` is the unaligned load; the 8→32-byte pointer cast is its calling
-// convention, not an alignment claim.
-#[allow(clippy::cast_ptr_alignment)]
-unsafe fn count_ge_avx2(keys: &[u64], pivot: u64) -> usize {
-    use std::arch::x86_64::{_mm256_set1_epi64x, _mm256_xor_si256, _mm256_loadu_si256, __m256i, _mm256_cmpgt_epi64, _mm256_movemask_pd, _mm256_castsi256_pd};
-    // AVX2 has only *signed* 64-bit compares; XOR-ing the sign bit maps
-    // the unsigned order onto the signed one.
-    let sign = _mm256_set1_epi64x(i64::MIN);
-    let pv = _mm256_xor_si256(_mm256_set1_epi64x(pivot as i64), sign);
-    let chunks = keys.chunks_exact(4);
-    let rem = chunks.remainder();
-    let mut lt = 0usize;
-    for ch in chunks {
-        let v = _mm256_loadu_si256(ch.as_ptr().cast::<__m256i>());
-        let vf = _mm256_xor_si256(v, sign);
-        // pivot > x  ⇔  x < pivot; count_ge = len - count_lt.
-        let m = _mm256_cmpgt_epi64(pv, vf);
-        let mask = _mm256_movemask_pd(_mm256_castsi256_pd(m)) as u32;
-        lt += mask.count_ones() as usize;
-    }
-    for &x in rem {
-        lt += (x < pivot) as usize;
-    }
-    keys.len() - lt
-}
-
-// ---------------------------------------------------------------------------
 // partition3: the quickselect partitioning pass.
 // ---------------------------------------------------------------------------
 
@@ -375,8 +242,8 @@ unsafe fn count_ge_avx2(keys: &[u64], pivot: u64) -> usize {
 /// keys `== pivot`. Stability is load-bearing: the quickselect pivot
 /// sequence indexes into the surviving partition, so a reordering backend
 /// would change the pivot draws and the metered pass count.
-pub fn partition3(keys: &[u64], pivot: u64) -> (Vec<u64>, Vec<u64>, usize) {
-    match active_backend() {
+pub fn partition3(backend: Backend, keys: &[u64], pivot: u64) -> (Vec<u64>, Vec<u64>, usize) {
+    match backend {
         Backend::Scalar => partition3_scalar(keys, pivot),
         Backend::Avx2 | Backend::Unrolled => partition3_branchfree(keys, pivot),
     }
@@ -420,16 +287,14 @@ fn partition3_branchfree(keys: &[u64], pivot: u64) -> (Vec<u64>, Vec<u64>, usize
 // ---------------------------------------------------------------------------
 
 /// Indices (in input order) of every key `>= threshold`.
-pub fn filter_ge_indices(keys: &[u64], threshold: u64) -> Vec<usize> {
-    match active_backend() {
-        // SAFETY: `active_backend` only returns `Avx2` after
-        // `is_x86_feature_detected!("avx2")` confirmed CPU support (see
-        // `count_ge` above) — the sole precondition of `filter_ge_avx2`.
+pub fn filter_ge_indices(backend: Backend, keys: &[u64], threshold: u64) -> Vec<usize> {
+    match backend {
+        // SAFETY: the guard just confirmed CPU support through
+        // `is_x86_feature_detected!("avx2")`, the sole precondition of
+        // `filter_ge_avx2`.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { filter_ge_avx2(keys, threshold) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => filter_ge_unrolled(keys, threshold),
-        Backend::Unrolled => filter_ge_unrolled(keys, threshold),
+        Backend::Avx2 if avx2_available() => unsafe { filter_ge_avx2(keys, threshold) },
+        Backend::Avx2 | Backend::Unrolled => filter_ge_unrolled(keys, threshold),
         Backend::Scalar => keys
             .iter()
             .enumerate()
@@ -453,10 +318,11 @@ fn filter_ge_unrolled(keys: &[u64], threshold: u64) -> Vec<usize> {
 
 /// # Safety
 /// Caller must ensure the CPU supports AVX2 (`is_x86_feature_detected!`
-/// before dispatching here). As in [`count_ge_avx2`]: unaligned loads via
-/// `_mm256_loadu_si256` only, and `chunks_exact(4)` keeps every 32-byte
-/// load over exactly four in-bounds `u64` lanes (remainder read scalar),
-/// so there is no alignment or length precondition beyond the slice.
+/// before dispatching here). No alignment precondition: the only wide
+/// load is `_mm256_loadu_si256`, which permits unaligned addresses; no
+/// length precondition beyond the slice's own bounds: `chunks_exact(4)`
+/// keeps every 32-byte load over exactly four in-bounds `u64` lanes, and
+/// the `remainder()` elements are read scalar.
 // SAFETY: see the `# Safety` section above — the `#[target_feature]`
 // boundary is the one unsafe obligation, discharged by runtime detection.
 #[cfg(target_arch = "x86_64")]
@@ -467,6 +333,8 @@ fn filter_ge_unrolled(keys: &[u64], threshold: u64) -> Vec<usize> {
 unsafe fn filter_ge_avx2(keys: &[u64], threshold: u64) -> Vec<usize> {
     use std::arch::x86_64::{_mm256_set1_epi64x, _mm256_xor_si256, _mm256_loadu_si256, __m256i, _mm256_movemask_pd, _mm256_castsi256_pd, _mm256_cmpgt_epi64};
     let mut out = Vec::with_capacity(keys.len());
+    // AVX2 has only *signed* 64-bit compares; XOR-ing the sign bit maps
+    // the unsigned order onto the signed one.
     let sign = _mm256_set1_epi64x(i64::MIN);
     let tv = _mm256_xor_si256(_mm256_set1_epi64x(threshold as i64), sign);
     let chunks = keys.chunks_exact(4);
@@ -510,27 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_count_ge() {
-        for n in [0u64, 1, 3, 4, 5, 31, 64, 1000] {
-            let ks = keys(n);
-            for pivot in [0u64, 1, 488, 976, u64::MAX] {
-                let want = count_ge_scalar(&ks, pivot);
-                for b in backends() {
-                    let got = with_backend(b, || count_ge(&ks, pivot));
-                    assert_eq!(got, want, "n={n} pivot={pivot} backend={b:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn backends_agree_on_partition3_and_are_stable() {
         for n in [0u64, 1, 7, 100, 1003] {
             let ks = keys(n);
             let pivot = 488;
             let want = partition3_scalar(&ks, pivot);
             for b in backends() {
-                let got = with_backend(b, || partition3(&ks, pivot));
+                let got = partition3(b, &ks, pivot);
                 assert_eq!(got, want, "n={n} backend={b:?}");
             }
             // Stability: survivors appear in input order.
@@ -556,7 +410,7 @@ mod tests {
                     .map(|(i, _)| i)
                     .collect();
                 for b in backends() {
-                    let got = with_backend(b, || filter_ge_indices(&ks, t));
+                    let got = filter_ge_indices(b, &ks, t);
                     assert_eq!(got, want, "n={n} t={t} backend={b:?}");
                 }
             }
@@ -608,20 +462,5 @@ mod tests {
         assert_eq!(got, "u32");
         let got = dispatch_kernel!(key_type_of::<&str>(), K => kind_name::<K>(), _ => "generic");
         assert_eq!(got, "generic");
-    }
-
-    #[test]
-    fn env_forced_scalar_wins_and_override_restores_on_panic() {
-        // The process-wide choice is cached; we only check the override
-        // mechanics here.
-        let before = active_backend();
-        let r = std::panic::catch_unwind(|| {
-            with_backend(Backend::Scalar, || {
-                assert_eq!(active_backend(), Backend::Scalar);
-                panic!("boom");
-            });
-        });
-        assert!(r.is_err());
-        assert_eq!(active_backend(), before, "override restored after panic");
     }
 }

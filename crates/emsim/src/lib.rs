@@ -19,9 +19,9 @@
 //!   `O(k/B)` output when the k survivors fit in the buffer pool), the
 //!   primitive the paper invokes as "k-selection \[8\]" throughout §3–§4.
 //! * [`kernels`] — branchless / SIMD hot-path kernels (partition,
-//!   scan-for-threshold) behind `select`, runtime-dispatched per CPU and
-//!   per key type with a generic fallback; answers and metered I/Os are
-//!   bit-identical on every backend.
+//!   scan-for-threshold) behind `select`, dispatched on the meter's
+//!   [`Backend`] and per key type with a generic fallback; answers and
+//!   metered I/Os are bit-identical on every backend.
 //! * [`sort`] — external merge sort with run formation in memory `M` and
 //!   `M/B`-way merging.
 //! * [`device`] — the physical storage layer under the meter: a
@@ -29,8 +29,8 @@
 //!   default) and a crash-safe file-backed store ([`FileDevice`]:
 //!   append-only data file + checksummed, generation-stamped catalog
 //!   committed via write-temp/fsync/rename). Metering stays purely
-//!   logical — `EMSIM_DEVICE=mem|file` never moves a golden baseline —
-//!   and E23 validates the meter against counted physical I/Os
+//!   logical — the device never moves a golden baseline — and E23
+//!   validates the meter against counted physical I/Os
 //!   ([`CostModel::physical`]).
 //! * [`fault`] / [`error`] — deterministic fault injection ([`FaultPlan`])
 //!   with typed failures ([`EmError`]) and bounded-retry recovery
@@ -43,6 +43,11 @@
 //!   spans ([`CostModel::span`]), pluggable [`TraceSink`]s, EXPLAIN-style
 //!   [`CostReport`]s ([`CostModel::explain`]), and Chrome-trace /
 //!   Prometheus exporters. See OBSERVABILITY.md.
+//! * [`substrate`] — the one value ([`Substrate`]) naming what a meter
+//!   runs on: device, kernel backend, fault plan and trace sink. Each
+//!   meter owns one and its scoped children inherit it; [`CostModel::new`]
+//!   takes the process default, parsed once from `EMSIM_DEVICE`,
+//!   `EMSIM_DATA_DIR`, `EMSIM_KERNELS`, `FAULT_RATE` and `FAULT_SEED`.
 //!
 //! The RAM model is obtained, exactly as in §1.1 of the paper, by setting
 //! `B` (and `M`) to small constants.
@@ -60,6 +65,7 @@ pub mod kernels;
 pub mod pool;
 pub mod select;
 pub mod sort;
+pub mod substrate;
 pub(crate) mod sync;
 pub mod trace;
 
@@ -72,12 +78,11 @@ pub use device::{
     MemDevice, RecoveryReport,
 };
 pub use error::EmError;
-pub use fault::{
-    ambient_plan, clear_global_plan, install_global_plan, FaultPlan, FaultScope, Retrier,
-};
-pub use kernels::{active_backend, with_backend, Backend, KernelKey, KeyType};
+pub use fault::{FaultPlan, FaultScope, Retrier};
+pub use kernels::{active_backend, Backend, KernelKey, KeyType};
 pub use pool::LruPool;
+pub use substrate::{Substrate, SubstrateGuard};
 pub use trace::{
-    ambient_sink, clear_global_sink, install_global_sink, phase_scope, ChromeTraceSink, CostReport,
-    Histogram, NoopSink, PhaseScope, PhaseStats, RecordingSink, SpanGuard, TraceEvent, TraceSink,
+    phase_scope, ChromeTraceSink, CostReport, Histogram, NoopSink, PhaseScope, PhaseStats,
+    RecordingSink, SpanGuard, TraceEvent, TraceSink,
 };

@@ -24,11 +24,12 @@
 //!
 //! The in-memory work of each pass runs on the [`kernels`](crate::kernels)
 //! layer: a stable branch-free three-way partition and a vectorized
-//! scan-for-threshold, runtime-dispatched per CPU (`EMSIM_KERNELS`
-//! overrides). Keys are embedded into `u64` bits through [`KernelKey`], so
-//! `u32` / `u64` / `i64` / `f64` keys all hit the specialized kernels via
-//! [`dispatch_kernel!`](crate::dispatch_kernel), while every other `Ord`
-//! key type takes the generic fallback ([`top_k_by_ord`]). All paths make
+//! scan-for-threshold, on the meter's kernel backend
+//! ([`CostModel::kernels`]). Keys are embedded into `u64` bits through
+//! [`KernelKey`], so `u32` / `u64` / `i64` / `f64` keys all hit the
+//! specialized kernels via [`dispatch_kernel!`](crate::dispatch_kernel),
+//! while every other `Ord` key type takes the generic fallback
+//! ([`top_k_by_ord`]). All paths make
 //! the same pivot draws and charge the same scans: answers and metered
 //! I/Os are bit-identical across backends and key representations.
 
@@ -36,7 +37,7 @@ use std::any::Any;
 
 use crate::cost::CostModel;
 use crate::dispatch_kernel;
-use crate::kernels::{self, KernelKey};
+use crate::kernels::{self, Backend, KernelKey};
 
 /// Where a selection's pass charges go: to the meter under the external
 /// rule, nowhere under the resident one (see the module docs).
@@ -117,10 +118,10 @@ pub fn top_k_by_key<T: Clone, K: KernelKey + 'static>(
         KK => bits_of_any::<KK>(Box::new(raw)),
         _ => unreachable!("K: KernelKey always has a KeyType tag")
     );
-    let threshold = kth_largest_bits(passes, bits.clone(), k);
+    let threshold = kth_largest_bits(model.kernels(), passes, bits.clone(), k);
     // The filter pass re-reads the candidate array (one metered scan).
     passes.scan::<T>(items.len());
-    let picked = gather_top_k(&bits, threshold, k);
+    let picked = gather_top_k(model.kernels(), &bits, threshold, k);
     let mut out: Vec<(u64, &T)> = picked.into_iter().map(|i| (bits[i], &items[i])).collect();
     // Stable sort on the embedded bits == stable sort on the original key.
     out.sort_by_key(|&(b, _)| std::cmp::Reverse(b));
@@ -188,8 +189,8 @@ fn bits_of_any<K: KernelKey>(raw: Box<dyn Any>) -> Vec<u64> {
 /// `threshold` plus the first `k - |above|` keys equal to it. Bounding the
 /// equal-key gather is the duplicate-heavy worst-case fix — an all-equal
 /// input yields `k` survivors, not `n`.
-fn gather_top_k(bits: &[u64], threshold: u64, k: usize) -> Vec<usize> {
-    let ge = kernels::filter_ge_indices(bits, threshold);
+fn gather_top_k(backend: Backend, bits: &[u64], threshold: u64, k: usize) -> Vec<usize> {
+    let ge = kernels::filter_ge_indices(backend, bits, threshold);
     let gt_count = ge.iter().filter(|&&i| bits[i] > threshold).count();
     let need = k.saturating_sub(gt_count);
     let mut kept_eq = 0usize;
@@ -220,7 +221,7 @@ pub fn kth_largest<T>(
     let mut keys: Vec<u64> = Vec::with_capacity(items.len());
     passes.scan::<T>(items.len());
     keys.extend(items.iter().map(key));
-    kth_largest_bits(passes, keys, k)
+    kth_largest_bits(model.kernels(), passes, keys, k)
 }
 
 /// Quickselect over pre-extracted `u64` keys. The pivot sequence is a
@@ -228,7 +229,7 @@ pub fn kth_largest<T>(
 /// the surviving partition — which is why [`kernels::partition3`] must be
 /// stable: every backend sees the same key order, draws the same pivots,
 /// and charges the same `⌈m/B'⌉` scan per pass.
-fn kth_largest_bits(passes: Passes, mut keys: Vec<u64>, mut k: usize) -> u64 {
+fn kth_largest_bits(backend: Backend, passes: Passes, mut keys: Vec<u64>, mut k: usize) -> u64 {
     let mut state: u64 = 0x9E37_79B9_7F4A_7C15 ^ (keys.len() as u64);
     loop {
         if keys.len() <= 32 {
@@ -248,7 +249,7 @@ fn kth_largest_bits(passes: Passes, mut keys: Vec<u64>, mut k: usize) -> u64 {
         let (a, b, c) = (draw(&mut state), draw(&mut state), draw(&mut state));
         let pivot = a.max(b).min(a.min(b).max(c)); // median of a, b, c
         passes.scan::<u64>(keys.len());
-        let (greater, less, equal) = kernels::partition3(&keys, pivot);
+        let (greater, less, equal) = kernels::partition3(backend, &keys, pivot);
         if k <= greater.len() {
             keys = greater;
         } else if k <= greater.len() + equal {
@@ -305,10 +306,19 @@ fn kth_largest_ord<K: Ord + Copy>(passes: Passes, mut keys: Vec<K>, mut k: usize
 mod tests {
     use super::*;
     use crate::cost::EmConfig;
-    use crate::kernels::{avx2_available, with_backend, Backend};
+    use crate::kernels::avx2_available;
+    use crate::Substrate;
 
     fn model() -> CostModel {
         CostModel::new(EmConfig::new(64))
+    }
+
+    /// An unpooled meter whose selections run on `backend`.
+    fn model_on(backend: Backend) -> CostModel {
+        CostModel::with_substrate(
+            EmConfig::new(64),
+            Substrate { kernels: backend, ..Substrate::current() },
+        )
     }
 
     fn brute_top_k(items: &[u64], k: usize) -> Vec<u64> {
@@ -399,8 +409,8 @@ mod tests {
         let n = 50_000usize;
         let items = vec![7u64; n];
         for b in all_backends() {
-            let m = model();
-            let out = with_backend(b, || top_k_by_weight(&m, &items, 25, |&x| x));
+            let m = model_on(b);
+            let out = top_k_by_weight(&m, &items, 25, |&x| x);
             assert_eq!(out, vec![7u64; 25], "backend={b:?}");
             let reads = m.report().reads;
             let n_over_b = (n as u64).div_ceil(64);
@@ -425,8 +435,8 @@ mod tests {
             .collect();
         for b in all_backends() {
             for (wi, &k) in [1usize, 17, 500, 5000].iter().enumerate() {
-                let m = model();
-                let out = with_backend(b, || top_k_by_weight(&m, &items, k, |&x| x));
+                let m = model_on(b);
+                let out = top_k_by_weight(&m, &items, k, |&x| x);
                 assert_eq!(out, want[wi], "k={k} backend={b:?}");
             }
         }
@@ -442,8 +452,8 @@ mod tests {
         let desc: Vec<u64> = (0..n).rev().collect();
         for items in [&asc, &desc] {
             for b in all_backends() {
-                let m = model();
-                let out = with_backend(b, || top_k_by_weight(&m, items, 100, |&x| x));
+                let m = model_on(b);
+                let out = top_k_by_weight(&m, items, 100, |&x| x);
                 assert_eq!(out, brute_top_k(items, 100), "backend={b:?}");
                 let reads = m.report().reads;
                 let n_over_b = n.div_ceil(64);
@@ -461,8 +471,8 @@ mod tests {
         for k in [1usize, 32, 1000, 4095] {
             let mut reference: Option<(Vec<u64>, u64, u64)> = None;
             for b in all_backends() {
-                let m = model();
-                let out = with_backend(b, || top_k_by_weight(&m, &items, k, |&x| x));
+                let m = model_on(b);
+                let out = top_k_by_weight(&m, &items, k, |&x| x);
                 let rep = m.report();
                 let got = (out, rep.reads, rep.writes);
                 match &reference {

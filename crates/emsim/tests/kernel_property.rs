@@ -1,6 +1,6 @@
 //! Property suite pinning the PR-6 kernel-equivalence invariant: for any
 //! input, any `k`, any traffic through the LRU buffer pool, and any
-//! fault plan, every kernel backend (scalar reference, 4-lane unrolled,
+//! fault plan, every kernel backend (scalar reference, branch-free unrolled,
 //! AVX2 where the CPU has it) produces
 //!
 //! * the same selection output (bit-identical `Vec`, same order),
@@ -16,10 +16,10 @@
 
 use std::sync::Arc;
 
-use emsim::kernels::{avx2_available, with_backend, Backend};
+use emsim::kernels::{avx2_available, Backend};
 use emsim::select::{top_k_by_ord, top_k_by_weight};
 use emsim::trace::{phase, RecordingSink};
-use emsim::{CostModel, EmConfig, FaultPlan, IoReport};
+use emsim::{CostModel, EmConfig, FaultPlan, IoReport, Substrate};
 use proptest::prelude::*;
 
 fn backends() -> Vec<Backend> {
@@ -58,33 +58,36 @@ fn observe(
     plan: &FaultPlan,
     touches: &[(u64, u64)],
 ) -> Observed {
-    with_backend(backend, || {
-        let sink = Arc::new(RecordingSink::new());
-        let model = CostModel::with_faults(EmConfig::with_memory(8, 4), *plan);
-        model.set_trace_sink(sink.clone());
-        // Pool / fault traffic interleaved with selection: the kernels must
-        // not perturb (or be perturbed by) pool state or armed plans.
-        {
-            let _g = model.span(phase::SCAN);
-            for &(array, block) in touches {
-                let _ = model.try_fetch(array % 3, block % 16, 0);
-            }
+    let sink = Arc::new(RecordingSink::new());
+    let substrate = Substrate {
+        kernels: backend,
+        faults: *plan,
+        trace: Some(sink.clone()),
+        ..Substrate::current()
+    };
+    let model = CostModel::with_substrate(EmConfig::with_memory(8, 4), substrate);
+    // Pool / fault traffic interleaved with selection: the kernels must
+    // not perturb (or be perturbed by) pool state or armed plans.
+    {
+        let _g = model.span(phase::SCAN);
+        for &(array, block) in touches {
+            let _ = model.try_fetch(array % 3, block % 16, 0);
         }
-        let out = {
-            let _g = model.span(phase::SELECT);
-            select(&model, items, k)
-        };
-        let agg = model.report();
-        let phases = sink
-            .report()
-            .phases
-            .iter()
-            .map(|(name, p)| {
-                (*name, [p.reads, p.writes, p.pool_hits, p.pool_misses, p.faults, p.retries])
-            })
-            .collect();
-        (out, agg, phases)
-    })
+    }
+    let out = {
+        let _g = model.span(phase::SELECT);
+        select(&model, items, k)
+    };
+    let agg = model.report();
+    let phases = sink
+        .report()
+        .phases
+        .iter()
+        .map(|(name, p)| {
+            (*name, [p.reads, p.writes, p.pool_hits, p.pool_misses, p.faults, p.retries])
+        })
+        .collect();
+    (out, agg, phases)
 }
 
 fn check_equivalence(

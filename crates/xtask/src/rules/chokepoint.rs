@@ -9,8 +9,8 @@
 //! them there. Outside `crates/emsim` itself and the chokepoint module,
 //! any reference to these entry points (call, `use` import, or path
 //! mention) is a violation; deliberate exceptions — the E22 backend
-//! comparison, the sampling `rank_of` scan primitive — carry
-//! `allow_invariant(select-chokepoint)` markers with their reasons.
+//! comparison — carry `allow_invariant(select-chokepoint)` markers with
+//! their reasons.
 
 use crate::ctx::FileCtx;
 use crate::diag::{Diagnostic, SELECT_CHOKEPOINT};
@@ -22,7 +22,6 @@ const RESTRICTED: &[&str] = &[
     "top_k_by_key",
     "top_k_by_ord",
     "kth_largest",
-    "count_ge",
     "partition3",
     "filter_ge_indices",
 ];

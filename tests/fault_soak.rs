@@ -4,43 +4,67 @@
 //! bit-identical to a fault-free run (the zero-drift guarantee of the
 //! failure model; see DESIGN.md "Failure model").
 //!
-//! The chaos experiment (`faults`) installs its own explicit plans, so it
-//! too is deterministic under the ambient plan; every other experiment
-//! queries through the infallible accessors, which model perfect media.
+//! The chaos experiment (`faults`) arms its own explicit plans, so it
+//! too is deterministic under the default substrate's plan; every other
+//! experiment queries through the infallible accessors, which model
+//! perfect media.
 //!
-//! The fault-free baseline is also held to the committed golden logical-I/O
-//! counts (`crates/bench/golden_smoke_ios.json`), so drift in any
-//! experiment's reads or writes fails the test gate, not only CI.
+//! The fault-free run is also held to the committed golden logical-I/O
+//! counts (`crates/bench/golden_smoke_ios.json`), on the default device
+//! and again on a shared `FileDevice`, so drift in any experiment's reads
+//! or writes, or a device that moves them, fails the test gate.
+
+use std::sync::Arc;
 
 use bench::parallel::{all_experiments, default_threads, run_experiments};
 use bench::Scale;
+use emsim::{BlockDevice, FaultPlan, FileDevice, Substrate};
 
 #[test]
 fn registry_soaks_clean_under_injected_faults() {
     let exps = all_experiments();
     let threads = default_threads();
+    let fault_free = Substrate { faults: FaultPlan::none(), ..Substrate::current() };
 
-    emsim::clear_global_plan();
-    let baseline = run_experiments(exps, Scale::Smoke, threads);
+    let baseline = {
+        let _default = fault_free.clone().install();
+        run_experiments(exps, Scale::Smoke, threads)
+    };
     for o in &baseline {
         assert!(o.error.is_none(), "{} panicked fault-free: {:?}", o.name, o.error);
     }
-    let mut measured: Vec<(String, u64, u64)> = baseline
-        .iter()
-        .map(|o| (o.name.to_string(), o.ios.reads, o.ios.writes))
-        .collect();
-    measured.sort();
     assert_eq!(
-        measured,
+        sorted_ios(&baseline),
         golden(),
         "fault-free (name, reads, writes) drifted from golden_smoke_ios.json"
     );
 
-    for rate in [0.02, 0.2] {
-        emsim::install_global_plan(emsim::FaultPlan::chaos(7, rate));
-        let soaked = run_experiments(exps, Scale::Smoke, threads);
-        emsim::clear_global_plan();
+    let dir = std::env::temp_dir().join(format!("fault-soak-file-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let file = Arc::new(FileDevice::open(&dir).expect("open a FileDevice in a fresh temp dir"));
+    let on_file = {
+        let _default = Substrate { device: Some(file.clone()), ..fault_free.clone() }.install();
+        run_experiments(exps, Scale::Smoke, threads)
+    };
+    let mirrored = file.len();
+    drop(file);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(mirrored > 0, "the registry mirrored no block to the FileDevice");
+    for o in &on_file {
+        assert!(o.error.is_none(), "{} panicked on a FileDevice: {:?}", o.name, o.error);
+    }
+    assert_eq!(
+        sorted_ios(&on_file),
+        golden(),
+        "(name, reads, writes) on a FileDevice drifted from golden_smoke_ios.json"
+    );
 
+    for rate in [0.02, 0.2] {
+        let soaked = {
+            let _default =
+                Substrate { faults: FaultPlan::chaos(7, rate), ..fault_free.clone() }.install();
+            run_experiments(exps, Scale::Smoke, threads)
+        };
         for (base, soak) in baseline.iter().zip(&soaked) {
             assert!(
                 soak.error.is_none(),
@@ -57,6 +81,16 @@ fn registry_soaks_clean_under_injected_faults() {
             );
         }
     }
+}
+
+/// A run's `(name, reads, writes)`, sorted by name.
+fn sorted_ios(outcomes: &[bench::parallel::ExpOutcome]) -> Vec<(String, u64, u64)> {
+    let mut rows: Vec<(String, u64, u64)> = outcomes
+        .iter()
+        .map(|o| (o.name.to_string(), o.ios.reads, o.ios.writes))
+        .collect();
+    rows.sort();
+    rows
 }
 
 /// The committed golden counts as `(name, reads, writes)`, sorted by name.
