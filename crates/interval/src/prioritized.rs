@@ -1,9 +1,12 @@
 //! Prioritized interval stabbing: two interchangeable structures.
 //!
 //! * [`SegStab`] — segment tree whose canonical nodes hold their intervals
-//!   in weight-descending block runs. Query: walk the `O(log n)` path
-//!   nodes, scan each run down to `τ` (every run item stabs `q` by the
-//!   canonical decomposition). `O(n log n)` space, `O(log n + t/B)` query.
+//!   in weight-descending block runs. Query: locate `q` with the tree's
+//!   endpoint B-tree (`O(log_B n)`), walk the `O(log n)` path nodes, and
+//!   scan each run down to `τ` (every run item stabs `q` by the canonical
+//!   decomposition). A node record carries its run's heaviest weight, so a
+//!   run whose top is below `τ` costs no block of its own. `O(n log n)`
+//!   space, `O(log n + t/B)` query.
 //! * [`PstStab`] — classic interval tree (median of endpoints); each node
 //!   stores the intervals containing its center in **two priority search
 //!   trees** (by left endpoint and by right endpoint). Query: descend the
@@ -21,8 +24,9 @@ use topk_core::{log_b, PrioritizedBuilder, PrioritizedIndex, Weight};
 use crate::{HasInterval, Interval};
 
 /// A weight-descending run of elements in blocks (a segment-tree node
-/// summary).
+/// summary), with its heaviest weight kept in the node record.
 pub struct WeightRun<E> {
+    top: Weight,
     arr: BlockArray<E>,
 }
 
@@ -51,6 +55,7 @@ impl<E: HasInterval> SegStabG<E> {
             |m, mut bucket| {
                 bucket.sort_by_key(|e| std::cmp::Reverse(e.weight()));
                 WeightRun {
+                    top: bucket.first().map_or(0, E::weight),
                     arr: BlockArray::new(m, bucket),
                 }
             },
@@ -62,6 +67,10 @@ impl<E: HasInterval> SegStabG<E> {
 impl<E: HasInterval> PrioritizedIndex<E, f64> for SegStabG<E> {
     fn for_each_at_least(&self, q: &f64, tau: Weight, visit: &mut dyn FnMut(&E) -> bool) {
         self.tree.for_each_on_path(*q, &mut |run| {
+            // The record was read on the path walk; the run is descending.
+            if run.top < tau {
+                return true;
+            }
             let mut keep_going = true;
             run.arr.scan_while(0, run.arr.len(), |e| {
                 if e.weight() < tau {
@@ -447,6 +456,32 @@ mod tests {
         assert!(out.is_empty());
         pst.query(&1.0, 0, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn segstab_skips_runs_below_tau_from_the_node_record() {
+        let model = CostModel::new(emsim::EmConfig::new(64));
+        let items = mk_intervals(1_500, 48);
+        let idx = SegStab::build(&model, items.clone());
+        let mut xs: Vec<f64> = items.iter().flat_map(|iv| [iv.lo, iv.hi]).collect();
+        xs.sort_by(f64::total_cmp);
+        xs.dedup();
+        // ⌈log_64 m⌉ = 2 search levels for m ≈ 3 000 endpoints.
+        assert!(xs.len() > 64 && xs.len() <= 64 * 64);
+        let levels = 2;
+        let tau = items.iter().map(|iv| iv.weight).max().unwrap() + 1;
+        for q in [-3.0, 0.0, 250.25, 600.0, 1100.0] {
+            let mut nodes = 0;
+            idx.tree.for_each_on_path(q, &mut |_| {
+                nodes += 1;
+                true
+            });
+            model.reset();
+            let mut got = Vec::new();
+            idx.query(&q, tau, &mut got);
+            assert!(got.is_empty());
+            assert_eq!(model.report().reads, levels + nodes, "q={q}");
+        }
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! Elementary intervals are the points `xs[i]` and the open gaps between
 //! them (plus the two unbounded gaps), so closed input intervals and
 //! arbitrary real query points are handled exactly.
+//!
+//! A query locates `q` among the `m` sorted endpoints with a static B-tree
+//! ([`EndpointSearch`]) whose leaf level is the endpoint array itself:
+//! one block read per level, `⌈log_B' m⌉` in all (`B'` keys per block),
+//! then one read per non-empty node record on the path.
 
 use emsim::CostModel;
 
@@ -109,6 +114,8 @@ pub trait Summary {
 pub struct SegTreeOfSets<S> {
     /// Sorted, deduplicated endpoint coordinates.
     xs: Vec<f64>,
+    /// The B-tree levels above `xs` that locate a query point in it.
+    search: EndpointSearch,
     /// The summaries of the non-empty nodes of the heap-shaped tree over
     /// `2·xs.len() + 1` elementary leaves.
     nodes: NodeArena<S>,
@@ -165,9 +172,11 @@ impl<S: Summary> SegTreeOfSets<S> {
         }
 
         let nodes = buckets.map(|bucket| make_summary(model, bucket));
-        model.charge_writes(nodes.values().len() as u64);
+        let search = EndpointSearch::build(&xs, model.config().items_per_block::<f64>(), 2 * cap);
+        model.charge_writes(nodes.values().len() as u64 + search.internal_blocks());
         SegTreeOfSets {
             xs,
+            search,
             nodes,
             n_leaves: cap,
             len: items.len(),
@@ -186,28 +195,27 @@ impl<S: Summary> SegTreeOfSets<S> {
         self.len == 0
     }
 
-    /// Total space: summaries plus the endpoint array.
+    /// Total space: summaries plus the endpoint array and the search
+    /// levels above it.
     pub fn space_blocks(&self) -> u64 {
         let per = self.model.config().items_per_block::<f64>().max(1) as u64;
         let xs_blocks = (self.xs.len() as u64).div_ceil(per);
         let summaries: u64 = self.nodes.values().iter().map(Summary::space_blocks).sum();
-        xs_blocks + summaries
+        xs_blocks + self.search.internal_blocks() + summaries
     }
 
     /// Visit the summaries on the root-to-leaf path for stabbing point `q`
     /// (every interval containing `q` lives in exactly one of them).
-    /// Charges one I/O per node on the path (`O(log n)`), plus the
-    /// predecessor search on the endpoint array. Stops early when `visit`
-    /// returns `false`.
+    /// Charges one I/O per level of the endpoint B-tree (`⌈log_B' m⌉`) and
+    /// one per non-empty node record on the path (`O(log n)`), all through
+    /// the buffer pool. Stops early when `visit` returns `false`.
     pub fn for_each_on_path(&self, q: f64, visit: &mut dyn FnMut(&S) -> bool) {
         if self.len == 0 {
             return;
         }
-        // Predecessor search: which elementary interval contains q?
-        // Charged as log2 probes of the xs array.
-        let elem = stab_index(&self.xs, q);
-        self.model
-            .charge_reads((self.xs.len().max(2) as f64).log2().ceil() as u64);
+        let elem = self
+            .search
+            .stab_index(&self.xs, q, |block| self.model.touch(self.array_id, block));
         let mut u = self.n_leaves + elem; // leaf in heap layout
         while u >= 1 {
             if let Some(summary) = self.nodes.get(u) {
@@ -220,6 +228,64 @@ impl<S: Summary> SegTreeOfSets<S> {
                 break;
             }
             u /= 2;
+        }
+    }
+}
+
+/// A static B-tree over a sorted key array, the array itself being its
+/// leaf level: each internal level holds every `per`-th key of the level
+/// below, up to a root level of at most `per` keys. Its blocks share the
+/// owner's array id, numbered from `first_block` up, leaves first. With
+/// one key per block (the RAM model) the fan-out is 2, a binary search.
+struct EndpointSearch {
+    per: usize,
+    /// The internal levels, lowest first.
+    levels: Vec<Vec<f64>>,
+    /// The block id of each level's first block, leaves first.
+    starts: Vec<u64>,
+}
+
+impl EndpointSearch {
+    fn build(xs: &[f64], per: usize, first_block: usize) -> Self {
+        let per = per.max(2);
+        let mut levels: Vec<Vec<f64>> = Vec::new();
+        let mut starts = vec![first_block as u64];
+        let mut below = xs;
+        while below.len() > per {
+            let up: Vec<f64> = below.iter().step_by(per).copied().collect();
+            starts.push(starts[starts.len() - 1] + below.len().div_ceil(per) as u64);
+            levels.push(up);
+            below = &levels[levels.len() - 1];
+        }
+        EndpointSearch { per, levels, starts }
+    }
+
+    /// Blocks of the internal levels (the leaf level is the key array).
+    fn internal_blocks(&self) -> u64 {
+        self.levels
+            .iter()
+            .map(|l| l.len().div_ceil(self.per) as u64)
+            .sum()
+    }
+
+    /// [`stab_index`] of `q` in `xs`, found by walking the levels root to
+    /// leaf and calling `read(block)` once per level.
+    fn stab_index(&self, xs: &[f64], q: f64, mut read: impl FnMut(u64)) -> usize {
+        // `p` is the partition point (`x < q`) of the level just searched.
+        // Key `p - 1` of a level opens block `p - 1` of the level below, so
+        // that block holds the next partition point (block 0 if `p = 0`).
+        let mut p = 0usize;
+        for level in (0..=self.levels.len()).rev() {
+            let keys = if level == 0 { xs } else { &self.levels[level - 1] };
+            let b = p.saturating_sub(1);
+            read(self.starts[level] + b as u64);
+            let block = &keys[b * self.per..keys.len().min((b + 1) * self.per)];
+            p = b * self.per + block.partition_point(|&x| x < q);
+        }
+        if p < xs.len() && xs[p] == q {
+            2 * p + 1
+        } else {
+            2 * p
         }
     }
 }
@@ -304,6 +370,71 @@ mod tests {
         });
         v.sort_unstable();
         v
+    }
+
+    /// `⌈log_fanout m⌉`, at least 1: the levels of an endpoint B-tree.
+    fn search_levels(m: usize, fanout: usize) -> usize {
+        let (mut levels, mut reach) = (1, fanout);
+        while reach < m {
+            levels += 1;
+            reach *= fanout;
+        }
+        levels
+    }
+
+    #[test]
+    fn endpoint_search_matches_stab_index_with_one_read_per_level() {
+        let mut x: u64 = 77;
+        let mut rnd = move |bound: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % bound as u64) as usize
+        };
+        for per in [1, 2, 8, 64] {
+            let fanout = per.max(2);
+            let mut sizes = vec![1, per, per + 1, per * per, per * per + 1];
+            sizes.extend((0..4).map(|_| 1 + rnd(3 * per * per * per + 2)));
+            for m in sizes {
+                // Endpoints 0, 2, 4, …: q = 2i is on one, 2i + 1 between two.
+                let xs: Vec<f64> = (0..m).map(|i| 2.0 * i as f64).collect();
+                let search = EndpointSearch::build(&xs, per, 1000);
+                let top = 2.0 * m as f64;
+                let mut qs = vec![-5.0, -0.5, 0.0, 1.0, top - 2.0, top - 1.5, top, top + 7.0];
+                qs.extend((0..30).map(|_| rnd(2 * m + 4) as f64 / 2.0 - 1.0));
+                for q in qs {
+                    let mut blocks = Vec::new();
+                    let elem = search.stab_index(&xs, q, |b| blocks.push(b));
+                    assert_eq!(elem, stab_index(&xs, q), "per={per} m={m} q={q}");
+                    assert_eq!(blocks.len(), search_levels(m, fanout), "per={per} m={m} q={q}");
+                    assert!(
+                        blocks.windows(2).all(|w| w[0] > w[1]) && blocks[blocks.len() - 1] >= 1000,
+                        "one distinct block per level, root first: {blocks:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn path_walk_reads_search_levels_then_node_records() {
+        let model = CostModel::new(emsim::EmConfig::new(64));
+        let items: Vec<(f64, f64, u64)> =
+            (0..3_000).map(|i| (i as f64, i as f64 + 40.5, i as u64 + 1)).collect();
+        let tree = build_raw(&model, &items);
+        let levels = search_levels(tree.xs.len(), 64) as u64;
+        assert_eq!(levels, 2, "6 000 endpoints, 64 per block");
+        let internal = tree.xs.len().div_ceil(64).div_ceil(64) as u64;
+        assert_eq!(tree.search.internal_blocks(), internal);
+        for q in [-1.0, 0.0, 17.25, 1500.0, 3040.5, 9999.0] {
+            model.reset();
+            let mut nodes = 0;
+            tree.for_each_on_path(q, &mut |_| {
+                nodes += 1;
+                true
+            });
+            assert_eq!(model.report().reads, levels + nodes, "q={q}");
+        }
     }
 
     #[test]
