@@ -398,60 +398,60 @@ const DYN_TOPK_SCRIPT: &[(u64, u64, usize)] = &[
     (0, 9, 0), (0, 9, 0), (0, 0, 0), (5, 0, 1),
 ];
 
-const SEGSTAB_BUILD_WRITES: u64 = 22311;
-const SEGSTAB_SPACE_BLOCKS: u64 = 11365;
+const SEGSTAB_BUILD_WRITES: u64 = 22314;
+const SEGSTAB_SPACE_BLOCKS: u64 = 11368;
 const SEGSTAB_QUERIES: &[(u64, u64, usize)] = &[
-    (37, 0, 174),
-    (35, 0, 89),
-    (31, 0, 23),
-    (36, 0, 175),
-    (33, 0, 98),
-    (19, 0, 7),
-    (36, 2, 178),
-    (29, 2, 88),
-    (33, 0, 18),
-    (29, 7, 175),
-    (33, 0, 86),
-    (31, 0, 14),
-    (33, 5, 179),
-    (30, 2, 85),
-    (29, 2, 12),
-    (19, 16, 149),
-    (27, 0, 37),
-    (15, 0, 0),
-    (32, 6, 183),
-    (33, 2, 105),
-    (25, 6, 12),
-    (28, 6, 175),
-    (30, 5, 88),
-    (31, 0, 14),
+    (27, 0, 174),
+    (22, 2, 89),
+    (15, 2, 23),
+    (24, 2, 175),
+    (20, 2, 98),
+    (8, 1, 7),
+    (24, 4, 178),
+    (16, 4, 88),
+    (17, 2, 18),
+    (17, 9, 175),
+    (20, 2, 86),
+    (15, 2, 14),
+    (21, 7, 179),
+    (18, 3, 85),
+    (13, 3, 12),
+    (6, 19, 149),
+    (14, 2, 37),
+    (2, 2, 0),
+    (20, 8, 183),
+    (20, 4, 105),
+    (8, 7, 12),
+    (16, 8, 175),
+    (17, 7, 88),
+    (14, 2, 14),
 ];
 
-const TOPK_BUILD_WRITES: u64 = 30081;
-const TOPK_SPACE_BLOCKS: u64 = 15754;
+const TOPK_BUILD_WRITES: u64 = 30084;
+const TOPK_SPACE_BLOCKS: u64 = 15757;
 const TOPK_QUERIES: &[(u64, u64, usize)] = &[
-    (48, 55, 1),
-    (29, 8, 10),
-    (45, 6, 100),
-    (45, 60, 1),
-    (26, 13, 10),
-    (57, 23, 100),
-    (40, 63, 1),
-    (31, 9, 10),
-    (40, 7, 100),
-    (47, 58, 1),
-    (33, 11, 10),
-    (45, 15, 100),
-    (42, 62, 1),
-    (19, 11, 10),
-    (39, 9, 100),
-    (33, 69, 1),
-    (52, 32, 10),
-    (50, 29, 100),
-    (29, 59, 1),
-    (52, 63, 10),
-    (40, 8, 100),
-    (38, 63, 1),
-    (14, 29, 10),
-    (37, 11, 100),
+    (36, 55, 1),
+    (14, 10, 10),
+    (32, 7, 100),
+    (26, 62, 1),
+    (10, 15, 10),
+    (32, 23, 100),
+    (25, 65, 1),
+    (17, 11, 10),
+    (28, 9, 100),
+    (32, 60, 1),
+    (20, 13, 10),
+    (20, 17, 100),
+    (25, 64, 1),
+    (7, 13, 10),
+    (25, 11, 100),
+    (16, 71, 1),
+    (27, 32, 10),
+    (25, 32, 100),
+    (14, 61, 1),
+    (14, 66, 10),
+    (27, 10, 100),
+    (22, 65, 1),
+    (4, 27, 10),
+    (23, 13, 100),
 ];
