@@ -105,60 +105,60 @@ fn enc_max_build_space_and_query_ios_are_pinned() {
     );
 }
 
-const PRI_BUILD_WRITES: u64 = 74922;
-const PRI_SPACE_BLOCKS: u64 = 40095;
+const PRI_BUILD_WRITES: u64 = 74968;
+const PRI_SPACE_BLOCKS: u64 = 40141;
 const PRI_QUERIES: &[(u64, u64, usize)] = &[
-    (105, 0, 34),
-    (84, 0, 6),
-    (98, 0, 2),
-    (48, 0, 16),
-    (29, 0, 1),
-    (87, 2, 1),
-    (54, 0, 10),
-    (99, 3, 12),
-    (55, 2, 1),
-    (96, 1, 37),
-    (90, 0, 21),
-    (87, 4, 6),
-    (104, 0, 29),
-    (80, 2, 11),
-    (100, 3, 2),
-    (86, 7, 28),
-    (64, 5, 1),
-    (112, 1, 2),
-    (109, 3, 43),
-    (64, 3, 14),
-    (107, 1, 2),
-    (75, 39, 44),
-    (36, 0, 0),
-    (103, 0, 2),
+    (60, 0, 34),
+    (36, 1, 6),
+    (41, 1, 2),
+    (22, 1, 16),
+    (10, 1, 1),
+    (30, 6, 1),
+    (30, 1, 10),
+    (48, 5, 12),
+    (17, 6, 1),
+    (55, 3, 37),
+    (50, 1, 21),
+    (35, 6, 6),
+    (60, 1, 29),
+    (36, 7, 11),
+    (37, 7, 2),
+    (38, 12, 28),
+    (12, 14, 1),
+    (48, 1, 2),
+    (60, 9, 43),
+    (26, 9, 14),
+    (44, 4, 2),
+    (20, 51, 44),
+    (13, 1, 0),
+    (42, 1, 2),
 ];
 
-const MAX_BUILD_WRITES: u64 = 18356;
-const MAX_SPACE_BLOCKS: u64 = 13335;
+const MAX_BUILD_WRITES: u64 = 18357;
+const MAX_SPACE_BLOCKS: u64 = 13336;
 const MAX_QUERIES: &[(u64, u64, u64)] = &[
-    (43, 49, 7262),
-    (33, 26, 7402),
-    (44, 41, 7377),
-    (33, 37, 6187),
-    (24, 13, 6762),
-    (35, 48, 7492),
-    (36, 37, 7302),
-    (35, 50, 7457),
-    (40, 45, 6912),
-    (42, 45, 7407),
-    (38, 39, 7402),
-    (29, 50, 7477),
-    (36, 42, 7277),
-    (36, 42, 7452),
-    (38, 51, 7167),
-    (27, 52, 7412),
-    (36, 42, 7477),
-    (28, 21, 6332),
-    (28, 60, 7492),
-    (39, 45, 7442),
-    (39, 37, 6482),
-    (39, 45, 7442),
-    (36, 53, 7457),
-    (33, 20, 7402),
+    (33, 49, 7262),
+    (22, 27, 7402),
+    (33, 42, 7377),
+    (22, 38, 6187),
+    (13, 14, 6762),
+    (24, 49, 7492),
+    (25, 38, 7302),
+    (23, 52, 7457),
+    (29, 46, 6912),
+    (31, 46, 7407),
+    (27, 40, 7402),
+    (17, 52, 7477),
+    (25, 43, 7277),
+    (25, 43, 7452),
+    (27, 52, 7167),
+    (15, 54, 7412),
+    (25, 43, 7477),
+    (17, 22, 6332),
+    (16, 62, 7492),
+    (28, 46, 7442),
+    (28, 38, 6482),
+    (28, 46, 7442),
+    (25, 54, 7457),
+    (22, 21, 7402),
 ];
