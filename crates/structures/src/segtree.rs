@@ -17,7 +17,7 @@
 //! arbitrary real query points are handled exactly.
 //!
 //! A query locates `q` among the `m` sorted endpoints with a static B-tree
-//! ([`EndpointSearch`]) whose leaf level is the endpoint array itself:
+//! (`EndpointSearch`) whose leaf level is the endpoint array itself:
 //! one block read per level, `⌈log_B' m⌉` in all (`B'` keys per block),
 //! then one read per non-empty node record on the path.
 
@@ -422,10 +422,12 @@ mod tests {
         let items: Vec<(f64, f64, u64)> =
             (0..3_000).map(|i| (i as f64, i as f64 + 40.5, i as u64 + 1)).collect();
         let tree = build_raw(&model, &items);
+        // 6 000 endpoints, 64 per block: 94 leaf blocks under 2 internal
+        // blocks (94 keys) under a root of 2 keys.
+        assert_eq!(tree.xs.len(), 6_000);
         let levels = search_levels(tree.xs.len(), 64) as u64;
-        assert_eq!(levels, 2, "6 000 endpoints, 64 per block");
-        let internal = tree.xs.len().div_ceil(64).div_ceil(64) as u64;
-        assert_eq!(tree.search.internal_blocks(), internal);
+        assert_eq!(levels, 3);
+        assert_eq!(tree.search.internal_blocks(), 3);
         for q in [-1.0, 0.0, 17.25, 1500.0, 3040.5, 9999.0] {
             model.reset();
             let mut nodes = 0;
