@@ -2,7 +2,7 @@
 //!
 //! Every `exp_*` binary accepts `--trace PATH` (or the `TRACE_SINK=PATH`
 //! environment variable) to install a default substrate whose trace sink
-//! is a [`ChromeTraceSink`](emsim::ChromeTraceSink) before any experiment
+//! is a [`ChromeTraceSink`] before any experiment
 //! meter is created, and to write the Chrome trace-event JSON on exit.
 //! Open the file in `chrome://tracing` or <https://ui.perfetto.dev>; see
 //! OBSERVABILITY.md for the span taxonomy.

@@ -654,7 +654,7 @@ impl CostModel {
     ///   simulator-validation table counts. A block with no mirror reads
     ///   back as absent, which verifies vacuously: mirroring is
     ///   best-effort, and skipped altogether on a device that cannot damage
-    ///   a block (see [`CostModel::device_write`]).
+    ///   a block (see `CostModel::device_write`).
     pub fn try_fetch(&self, array_id: u64, block_idx: u64, attempt: u32) -> Result<(), EmError> {
         let checked = self.inner.device_checked.load(Relaxed);
         let planned = self.inner.faults_active.load(Relaxed);

@@ -22,7 +22,7 @@
 //!
 //! Both rules run the same kernels, so answers do not depend on the rule.
 //!
-//! The in-memory work of each pass runs on the [`kernels`](crate::kernels)
+//! The in-memory work of each pass runs on the [`kernels`]
 //! layer: a stable branch-free three-way partition and a vectorized
 //! scan-for-threshold, on the meter's kernel backend
 //! ([`CostModel::kernels`]). Keys are embedded into `u64` bits through

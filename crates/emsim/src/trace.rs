@@ -2,7 +2,7 @@
 //!
 //! The aggregate counters of [`CostModel`](crate::CostModel) answer *how
 //! many* block I/Os a query cost; this module answers *where they went*.
-//! Query code opens phase-labelled spans ([`CostModel::span`]) around its
+//! Query code opens phase-labelled spans ([`CostModel::span`](crate::CostModel::span)) around its
 //! stages — sampling pass, prioritized probe, τ-selection, degradation
 //! retry — and every metered event (block read, pool hit/miss, injected
 //! fault, retry attempt) is attributed to the innermost span open on the
@@ -20,7 +20,8 @@
 //! # Sinks
 //!
 //! * [`RecordingSink`] — accumulates a [`CostReport`] (phase →
-//!   [`PhaseStats`]); the backend of [`CostModel::explain`].
+//!   [`PhaseStats`]); the backend of
+//!   [`CostModel::explain`](crate::CostModel::explain).
 //! * [`ChromeTraceSink`] — records spans with wall-clock timestamps and
 //!   renders Chrome-trace JSON (`chrome://tracing`, <https://ui.perfetto.dev>).
 //! * [`NoopSink`] — discards everything; installing it is equivalent to
@@ -326,7 +327,7 @@ impl CostReport {
 }
 
 /// A sink that accumulates a [`CostReport`] — the backend of
-/// [`CostModel::explain`].
+/// [`CostModel::explain`](crate::CostModel::explain).
 ///
 /// ```
 /// use std::sync::Arc;
@@ -531,7 +532,7 @@ pub(crate) fn pop_phase(phase: &'static str) {
     });
 }
 
-/// RAII guard returned by [`CostModel::span`]: the phase stays the
+/// RAII guard returned by [`CostModel::span`](crate::CostModel::span): the phase stays the
 /// thread's innermost attribution target until the guard drops. With no
 /// sink armed the guard is inert (nothing was pushed, nothing is timed).
 ///

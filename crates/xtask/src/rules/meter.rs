@@ -8,7 +8,7 @@
 //!    the backing slice without charging I/Os. Build-time code inside
 //!    emsim may use it (its passes are pre-charged); everything else must
 //!    go through `get` / `scan_*` / `partition_point` / `try_*`, which
-//!    route every block touch through the [`CostModel`] meter.
+//!    route every block touch through the `CostModel` meter.
 //! 2. Inside `crates/emsim`, the storage field of `BlockArray` (`data`)
 //!    must stay private — a `pub` field would let any crate bypass the
 //!    meter without even calling an accessor.

@@ -1,5 +1,6 @@
-//! The invariant rules. Each rule is a pure function from a [`FileCtx`]
-//! (plus whatever workspace-level registry it needs) to diagnostics; the
+//! The invariant rules. Each rule is a pure function from a
+//! [`FileCtx`](crate::ctx::FileCtx) (plus whatever workspace-level
+//! registry it needs) to diagnostics; the
 //! engine in `lib.rs` applies the allowlist and aggregates.
 
 pub mod atomics;
