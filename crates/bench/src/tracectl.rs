@@ -16,7 +16,9 @@ use std::sync::Arc;
 use emsim::{ChromeTraceSink, Substrate, SubstrateGuard};
 
 /// An armed (or inert) tracing session. Create at the top of `main`, call
-/// [`TraceGuard::finish`] after the experiments print.
+/// [`TraceGuard::finish`] after the experiments print; it also deletes the
+/// `EMSIM_DEVICE=file` store that a run without `EMSIM_DATA_DIR` leaves in
+/// the temp directory.
 pub struct TraceGuard {
     sink: Option<(Arc<ChromeTraceSink>, String, SubstrateGuard)>,
 }
@@ -55,11 +57,19 @@ impl TraceGuard {
         self.sink.is_some()
     }
 
-    /// Restore the untraced default substrate and write the Chrome-trace
-    /// JSON (a no-op when tracing was never armed).
+    /// Restore the untraced default substrate, delete its file store if
+    /// `EMSIM_DEVICE=file` put it in the default temp directory
+    /// ([`Substrate::remove_default_store`]; an `EMSIM_DATA_DIR` is kept),
+    /// and write the Chrome-trace JSON if tracing was armed.
     pub fn finish(self) {
-        if let Some((sink, path, installed)) = self.sink {
+        let sink = self.sink.map(|(sink, path, installed)| {
             drop(installed);
+            (sink, path)
+        });
+        if let Err(e) = Substrate::remove_default_store() {
+            eprintln!("failed to remove the default EMSIM_DEVICE=file store: {e}");
+        }
+        if let Some((sink, path)) = sink {
             // allow_invariant(device-hygiene): Chrome-trace export, not
             // block storage — a diagnostics artifact for chrome://tracing.
             match std::fs::write(&path, sink.to_json()) {

@@ -464,6 +464,12 @@ impl FileDevice {
         &self.dir
     }
 
+    /// Delete the store: its directory and everything in it. For a store
+    /// that was scratch space; the device must not be used afterwards.
+    pub fn remove(&self) -> Result<(), EmError> {
+        fs::remove_dir_all(&self.dir).map_err(|e| EmError::io("rmdir", self.dir.clone(), 0, e))
+    }
+
     /// What the last recovery pass (open or crash) found.
     pub fn recovery(&self) -> RecoveryReport {
         self.lock().recovery

@@ -19,6 +19,7 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::device::FileDevice;
+use crate::error::EmError;
 use crate::fault::FaultPlan;
 use crate::kernels::{avx2_available, Backend};
 use crate::sync::Arc;
@@ -53,8 +54,8 @@ impl Substrate {
     /// The substrate the environment asks for:
     ///
     /// * `EMSIM_DEVICE=file` shares one [`FileDevice`] in `EMSIM_DATA_DIR`
-    ///   (default: `emsim-data-<pid>` in the temp directory); anything
-    ///   else gives each meter a private in-memory device.
+    ///   (default: [`Substrate::default_data_dir`]); anything else gives
+    ///   each meter a private in-memory device.
     /// * `EMSIM_KERNELS=scalar|unrolled` forces that backend; `avx2`,
     ///   unset or anything else takes the fastest the CPU runs (`Avx2`
     ///   where available, else `Unrolled`).
@@ -72,6 +73,26 @@ impl Substrate {
             Arc::new(dev)
         });
         Substrate { device, kernels: env.kernels, faults: env.faults, trace: None }
+    }
+
+    /// Where `EMSIM_DEVICE=file` keeps its store when `EMSIM_DATA_DIR` is
+    /// unset: `emsim-data-<pid>` in the temp directory.
+    pub fn default_data_dir() -> PathBuf {
+        std::env::temp_dir().join(format!("emsim-data-{}", std::process::id()))
+    }
+
+    /// Delete the process default's file store if it lives in
+    /// [`Substrate::default_data_dir`], that is, if `EMSIM_DATA_DIR` was
+    /// unset. A store the caller named is left in place, and so is a
+    /// default that was never filled. For the end of a process: meters
+    /// built on the default must not touch their device afterwards.
+    pub fn remove_default_store() -> Result<(), EmError> {
+        let slot = slot();
+        let device = slot.as_ref().and_then(|s| s.device.as_ref());
+        match device {
+            Some(dev) if dev.path() == Substrate::default_data_dir() => dev.remove(),
+            _ => Ok(()),
+        }
     }
 
     /// The process default: [`Substrate::from_env`] on first use, or what
@@ -126,12 +147,8 @@ struct EnvChoice {
 /// The parse behind [`Substrate::from_env`], over a variable lookup and
 /// whether the CPU runs AVX2.
 fn parse_env(var: impl Fn(&str) -> Option<String>, avx2: bool) -> EnvChoice {
-    let file_dir = (var("EMSIM_DEVICE").as_deref() == Some("file")).then(|| {
-        var("EMSIM_DATA_DIR").map_or_else(
-            || std::env::temp_dir().join(format!("emsim-data-{}", std::process::id())),
-            PathBuf::from,
-        )
-    });
+    let file_dir = (var("EMSIM_DEVICE").as_deref() == Some("file"))
+        .then(|| var("EMSIM_DATA_DIR").map_or_else(Substrate::default_data_dir, PathBuf::from));
     let kernels = match var("EMSIM_KERNELS").as_deref() {
         Some("scalar") => Backend::Scalar,
         Some("unrolled") => Backend::Unrolled,
