@@ -58,7 +58,7 @@ impl TraceGuard {
     }
 
     /// Restore the untraced default substrate, delete its file store if
-    /// `EMSIM_DEVICE=file` put it in the default temp directory
+    /// `EMSIM_DEVICE=file` put it in the temp directory
     /// ([`Substrate::remove_default_store`]; an `EMSIM_DATA_DIR` is kept),
     /// and write the Chrome-trace JSON if tracing was armed.
     pub fn finish(self) {

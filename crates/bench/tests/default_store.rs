@@ -26,18 +26,29 @@ fn run_on_file_device(tmp: &Path, data_dir: Option<&Path>) {
         cmd.env("EMSIM_DATA_DIR", dir);
     }
     let out = cmd.output().expect("exp_circular runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 fn entries(dir: &Path) -> Vec<PathBuf> {
-    std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect()
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect()
 }
 
 #[test]
 fn default_store_is_removed_and_a_named_one_is_kept() {
     let tmp = scratch("tmp");
     run_on_file_device(&tmp, None);
-    assert_eq!(entries(&tmp), Vec::<PathBuf>::new(), "default store left behind");
+    assert_eq!(
+        entries(&tmp),
+        Vec::<PathBuf>::new(),
+        "default store left behind"
+    );
 
     let named = scratch("named");
     run_on_file_device(&tmp, Some(&named));

@@ -466,7 +466,7 @@ impl FileDevice {
 
     /// Delete the store: its directory and everything in it. For a store
     /// that was scratch space; the device must not be used afterwards.
-    pub fn remove(&self) -> Result<(), EmError> {
+    pub(crate) fn remove(&self) -> Result<(), EmError> {
         fs::remove_dir_all(&self.dir).map_err(|e| EmError::io("rmdir", self.dir.clone(), 0, e))
     }
 

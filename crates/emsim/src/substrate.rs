@@ -54,8 +54,8 @@ impl Substrate {
     /// The substrate the environment asks for:
     ///
     /// * `EMSIM_DEVICE=file` shares one [`FileDevice`] in `EMSIM_DATA_DIR`
-    ///   (default: [`Substrate::default_data_dir`]); anything else gives
-    ///   each meter a private in-memory device.
+    ///   (default: `emsim-data-<pid>` in the temp directory); anything
+    ///   else gives each meter a private in-memory device.
     /// * `EMSIM_KERNELS=scalar|unrolled` forces that backend; `avx2`,
     ///   unset or anything else takes the fastest the CPU runs (`Avx2`
     ///   where available, else `Unrolled`).
@@ -75,22 +75,17 @@ impl Substrate {
         Substrate { device, kernels: env.kernels, faults: env.faults, trace: None }
     }
 
-    /// Where `EMSIM_DEVICE=file` keeps its store when `EMSIM_DATA_DIR` is
-    /// unset: `emsim-data-<pid>` in the temp directory.
-    pub fn default_data_dir() -> PathBuf {
-        std::env::temp_dir().join(format!("emsim-data-{}", std::process::id()))
-    }
-
-    /// Delete the process default's file store if it lives in
-    /// [`Substrate::default_data_dir`], that is, if `EMSIM_DATA_DIR` was
-    /// unset. A store the caller named is left in place, and so is a
-    /// default that was never filled. For the end of a process: meters
-    /// built on the default must not touch their device afterwards.
+    /// Delete the process default's file store if it lives where
+    /// `EMSIM_DEVICE=file` puts it when `EMSIM_DATA_DIR` is unset
+    /// (`emsim-data-<pid>` in the temp directory). A store the caller
+    /// named is left in place, and so is a default that was never filled.
+    /// For the end of a process: meters built on the default must not
+    /// touch their device afterwards.
     pub fn remove_default_store() -> Result<(), EmError> {
         let slot = slot();
         let device = slot.as_ref().and_then(|s| s.device.as_ref());
         match device {
-            Some(dev) if dev.path() == Substrate::default_data_dir() => dev.remove(),
+            Some(dev) if dev.path() == default_data_dir() => dev.remove(),
             _ => Ok(()),
         }
     }
@@ -136,6 +131,12 @@ impl Drop for SubstrateGuard {
     }
 }
 
+/// Where `EMSIM_DEVICE=file` keeps its store when `EMSIM_DATA_DIR` is
+/// unset.
+fn default_data_dir() -> PathBuf {
+    std::env::temp_dir().join(format!("emsim-data-{}", std::process::id()))
+}
+
 /// What the environment asks for, before any device is opened.
 #[derive(Debug, PartialEq)]
 struct EnvChoice {
@@ -148,7 +149,7 @@ struct EnvChoice {
 /// whether the CPU runs AVX2.
 fn parse_env(var: impl Fn(&str) -> Option<String>, avx2: bool) -> EnvChoice {
     let file_dir = (var("EMSIM_DEVICE").as_deref() == Some("file"))
-        .then(|| var("EMSIM_DATA_DIR").map_or_else(Substrate::default_data_dir, PathBuf::from));
+        .then(|| var("EMSIM_DATA_DIR").map_or_else(default_data_dir, PathBuf::from));
     let kernels = match var("EMSIM_KERNELS").as_deref() {
         Some("scalar") => Backend::Scalar,
         Some("unrolled") => Backend::Unrolled,

@@ -257,7 +257,11 @@ impl EndpointSearch {
             levels.push(up);
             below = &levels[levels.len() - 1];
         }
-        EndpointSearch { per, levels, starts }
+        EndpointSearch {
+            per,
+            levels,
+            starts,
+        }
     }
 
     /// Blocks of the internal levels (the leaf level is the key array).
@@ -276,7 +280,11 @@ impl EndpointSearch {
         // that block holds the next partition point (block 0 if `p = 0`).
         let mut p = 0usize;
         for level in (0..=self.levels.len()).rev() {
-            let keys = if level == 0 { xs } else { &self.levels[level - 1] };
+            let keys = if level == 0 {
+                xs
+            } else {
+                &self.levels[level - 1]
+            };
             let b = p.saturating_sub(1);
             read(self.starts[level] + b as u64);
             let block = &keys[b * self.per..keys.len().min((b + 1) * self.per)];
@@ -406,7 +414,11 @@ mod tests {
                     let mut blocks = Vec::new();
                     let elem = search.stab_index(&xs, q, |b| blocks.push(b));
                     assert_eq!(elem, stab_index(&xs, q), "per={per} m={m} q={q}");
-                    assert_eq!(blocks.len(), search_levels(m, fanout), "per={per} m={m} q={q}");
+                    assert_eq!(
+                        blocks.len(),
+                        search_levels(m, fanout),
+                        "per={per} m={m} q={q}"
+                    );
                     assert!(
                         blocks.windows(2).all(|w| w[0] > w[1]) && blocks[blocks.len() - 1] >= 1000,
                         "one distinct block per level, root first: {blocks:?}"
@@ -419,8 +431,9 @@ mod tests {
     #[test]
     fn path_walk_reads_search_levels_then_node_records() {
         let model = CostModel::new(emsim::EmConfig::new(64));
-        let items: Vec<(f64, f64, u64)> =
-            (0..3_000).map(|i| (i as f64, i as f64 + 40.5, i as u64 + 1)).collect();
+        let items: Vec<(f64, f64, u64)> = (0..3_000)
+            .map(|i| (i as f64, i as f64 + 40.5, i as u64 + 1))
+            .collect();
         let tree = build_raw(&model, &items);
         // 6 000 endpoints, 64 per block: 94 leaf blocks under 2 internal
         // blocks (94 keys) under a root of 2 keys.
