@@ -290,11 +290,7 @@ impl EndpointSearch {
             let block = &keys[b * self.per..keys.len().min((b + 1) * self.per)];
             p = b * self.per + block.partition_point(|&x| x < q);
         }
-        if p < xs.len() && xs[p] == q {
-            2 * p + 1
-        } else {
-            2 * p
-        }
+        slab(xs, p, q)
     }
 }
 
@@ -308,9 +304,12 @@ fn lower_index(xs: &[f64], v: f64) -> usize {
 /// Which elementary interval (0..2m) contains the query point?
 /// `2i+1` = the point `xs[i]`; `2i` = the open gap before it; `2m` = after.
 pub fn stab_index(xs: &[f64], q: f64) -> usize {
-    let m = xs.len();
-    let i = xs.partition_point(|&x| x < q);
-    if i < m && xs[i] == q {
+    slab(xs, xs.partition_point(|&x| x < q), q)
+}
+
+/// The elementary interval of `q`, given its partition point `i` in `xs`.
+fn slab(xs: &[f64], i: usize, q: f64) -> usize {
+    if i < xs.len() && xs[i] == q {
         2 * i + 1
     } else {
         2 * i
