@@ -28,7 +28,9 @@ use std::collections::HashMap;
 
 use emsim::CostModel;
 use structures::segtree::{canonical, stab_index, NodeArena};
-use topk_core::{log_b, DynamicIndex, MaxBuilder, MaxIndex, PrioritizedBuilder, PrioritizedIndex, Weight};
+use topk_core::{
+    log_b, DynamicIndex, MaxBuilder, MaxIndex, PrioritizedBuilder, PrioritizedIndex, Weight,
+};
 
 use crate::Interval;
 
@@ -201,7 +203,8 @@ impl PrioritizedIndex<Interval, f64> for DynStabbing {
         }
         let slab = self.grid.slab(q);
         // Partial set at the leaf: explicit stabbing check.
-        self.model.touch(self.array_id, (self.grid.cap + slab) as u64);
+        self.model
+            .touch(self.array_id, (self.grid.cap + slab) as u64);
         if let Some(run) = self.sets.get(self.grid.partial(slab)) {
             for iv in run.at_least(tau) {
                 if iv.stabs(q) && !visit(iv) {
@@ -242,7 +245,8 @@ impl MaxIndex<Interval, f64> for DynStabbing {
             return None;
         }
         let slab = self.grid.slab(q);
-        self.model.touch(self.array_id, (self.grid.cap + slab) as u64);
+        self.model
+            .touch(self.array_id, (self.grid.cap + slab) as u64);
         // Heaviest first: the first partial member that stabs is its max.
         let mut best = self
             .sets
@@ -330,9 +334,9 @@ impl MaxBuilder<Interval, f64> for DynStabbingMaxBuilder {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::btree_map::Entry;
     use std::collections::BTreeMap;
-    use rand::{Rng, SeedableRng};
     use topk_core::brute;
 
     fn mk(n: usize, seed: u64) -> Vec<Interval> {
@@ -391,7 +395,10 @@ mod tests {
                 let got: Vec<Weight> = run.at_least(tau).map(|iv| iv.weight).collect();
                 let want: Vec<Weight> = model.range(tau..).rev().map(|(&w, _)| w).collect();
                 assert_eq!(got, want, "at_least({tau})");
-                assert_eq!(run.max().map(|iv| iv.weight), model.keys().next_back().copied());
+                assert_eq!(
+                    run.max().map(|iv| iv.weight),
+                    model.keys().next_back().copied()
+                );
                 assert_eq!(run.len(), model.len());
             }
         }
@@ -406,10 +413,15 @@ mod tests {
         for w in [30, 10, 20] {
             run.insert(Interval::new(0.0, 1.0, w));
         }
-        let weights = |run: &SortedRun, tau| run.at_least(tau).map(|iv| iv.weight).collect::<Vec<_>>();
+        let weights =
+            |run: &SortedRun, tau| run.at_least(tau).map(|iv| iv.weight).collect::<Vec<_>>();
         assert_eq!(weights(&run, 0), vec![30, 20, 10]);
         assert_eq!(weights(&run, 20), vec![30, 20]);
-        assert_eq!(weights(&run, 31), Vec::<Weight>::new(), "τ above every weight");
+        assert_eq!(
+            weights(&run, 31),
+            Vec::<Weight>::new(),
+            "τ above every weight"
+        );
         assert!(!run.remove(15), "remove an absent weight");
         assert_eq!(run.len(), 3);
         assert!(run.remove(30));

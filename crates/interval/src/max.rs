@@ -60,17 +60,13 @@ impl<E: HasInterval> StaticStabMaxG<E> {
             for &idx in &starts[i] {
                 active.insert(items[idx].weight(), idx);
             }
-            slab_max[2 * i + 1] = active
-                .last_key_value()
-                .map(|(_, &idx)| items[idx].clone());
+            slab_max[2 * i + 1] = active.last_key_value().map(|(_, &idx)| items[idx].clone());
             // Leaving the point: elements ending here deactivate.
             for &idx in &ends[i] {
                 active.remove(&items[idx].weight());
             }
             // The following gap slab 2i+2 (if any) sees the updated set.
-            slab_max[2 * i + 2] = active
-                .last_key_value()
-                .map(|(_, &idx)| items[idx].clone());
+            slab_max[2 * i + 2] = active.last_key_value().map(|(_, &idx)| items[idx].clone());
         }
         debug_assert!(active.is_empty(), "sweep must deactivate everything");
 
@@ -204,6 +200,10 @@ mod tests {
         let idx = StaticStabMax::build(&model, items);
         // xs: 2n f64 (64/block); slab_max: 4n+1 Options (≤ 4 words each).
         let bound = (2 * n as u64).div_ceil(64) + (4 * n as u64 + 1).div_ceil(16) + 4;
-        assert!(idx.space_blocks() <= 2 * bound, "space {}", idx.space_blocks());
+        assert!(
+            idx.space_blocks() <= 2 * bound,
+            "space {}",
+            idx.space_blocks()
+        );
     }
 }

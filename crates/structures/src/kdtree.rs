@@ -110,7 +110,9 @@ impl<const D: usize> BoxRegion<D> {
     /// Construct; corners must be finite and ordered.
     pub fn new(lo: [f64; D], hi: [f64; D]) -> Self {
         assert!(
-            lo.iter().zip(hi.iter()).all(|(l, h)| l.is_finite() && h.is_finite() && l <= h),
+            lo.iter()
+                .zip(hi.iter())
+                .all(|(l, h)| l.is_finite() && h.is_finite() && l <= h),
             "invalid box"
         );
         BoxRegion { lo, hi }
@@ -163,7 +165,10 @@ struct KdNode<const D: usize, E> {
 enum NodeKind<const D: usize, E> {
     /// Entries sorted by weight descending.
     Leaf(Vec<E>),
-    Internal { left: usize, right: usize },
+    Internal {
+        left: usize,
+        right: usize,
+    },
 }
 
 /// A kd-tree storing weighted elements positioned in `ℝ^D`.
@@ -491,11 +496,7 @@ mod tests {
         let got = tree.query_max(&h);
         assert!(got.is_some());
         // Best-first with max pruning should visit a tiny fraction of nodes.
-        assert!(
-            model.report().reads < 200,
-            "reads {}",
-            model.report().reads
-        );
+        assert!(model.report().reads < 200, "reads {}", model.report().reads);
     }
 
     #[test]
@@ -549,6 +550,9 @@ mod tests {
         let reads = model.report().reads;
         let n = 65_536f64;
         let bound = 40.0 * n.sqrt() + 4.0 * t as f64;
-        assert!((reads as f64) < bound, "reads {reads}, t {t}, bound {bound}");
+        assert!(
+            (reads as f64) < bound,
+            "reads {reads}, t {t}, bound {bound}"
+        );
     }
 }

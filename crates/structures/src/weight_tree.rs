@@ -84,10 +84,7 @@ where
         }
         items.sort_by_key(Element::weight);
         for w in items.windows(2) {
-            assert!(
-                w[0].weight() != w[1].weight(),
-                "weights must be distinct"
-            );
+            assert!(w[0].weight() != w[1].weight(), "weights must be distinct");
         }
         // Leaf size: one block of elements.
         let leaf_cap = model.config().items_per_block::<E>().max(4);
@@ -188,10 +185,7 @@ where
     }
 
     fn space_blocks(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.index.space_blocks() + 1)
-            .sum()
+        self.nodes.iter().map(|n| n.index.space_blocks() + 1).sum()
     }
 
     fn len(&self) -> usize {
@@ -228,10 +222,7 @@ where
                 // Leaf: heaviest matching element.
                 let mut best: Option<E> = None;
                 node.index.for_each(q, &mut |e| {
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| e.weight() > b.weight())
-                    {
+                    if best.as_ref().is_none_or(|b| e.weight() > b.weight()) {
                         best = Some(e.clone());
                     }
                     true
@@ -284,8 +275,7 @@ where
         let fanout = (self.fanout)(n.max(2), b).max(2) as f64;
         let height = ((n.max(2) as f64).ln() / fanout.ln()).ceil().max(1.0);
         // O(fanout · height) canonical nodes, each paying one reporting query.
-        (fanout * height * self.reporting.query_cost(n, b))
-            .max(topk_core::traits::log_b(n, b))
+        (fanout * height * self.reporting.query_cost(n, b)).max(topk_core::traits::log_b(n, b))
     }
 }
 
@@ -393,8 +383,11 @@ mod tests {
         let mut canon = Vec::new();
         tree.canonical_rec(tree.root.unwrap(), (n as u64) * 8, &mut canon);
         // O(log n) canonical nodes for a binary weight tree.
-        assert!(canon.len() <= 2 * (n as f64).log2().ceil() as usize + 2,
-            "canonical set size {}", canon.len());
+        assert!(
+            canon.len() <= 2 * (n as f64).log2().ceil() as usize + 2,
+            "canonical set size {}",
+            canon.len()
+        );
     }
 
     #[test]
