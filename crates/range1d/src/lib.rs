@@ -73,12 +73,8 @@ pub struct RangePst {
 impl RangePst {
     /// Build over the given points.
     pub fn build(model: &CostModel, items: Vec<WPoint1>) -> Self {
-        let pairs = items
-            .into_iter()
-            .map(|p| (OrderedF64::new(p.x), p))
-            .collect();
         RangePst {
-            pst: PrioritySearchTree::build(model, pairs),
+            pst: PrioritySearchTree::build(model, items, |p| OrderedF64::new(p.x)),
         }
     }
 }

@@ -5,8 +5,10 @@
 //! against the [`emsim`] cost model:
 //!
 //! * [`PrioritySearchTree`] — static PST answering 3-sided queries
-//!   (`x ∈ [x₁, x₂]`, `w ≥ τ`) in `O(log n + t)` node visits, with
-//!   block-sized fat leaves so the output term behaves like `t/B`.
+//!   (`x ∈ [x₁, x₂]`, `w ≥ τ`) in `O(log₂(n/B) + t/B)` I/Os: one block
+//!   per node, holding its subtree's heaviest elements, and each child's
+//!   key bounds and top weight in its parent's block, so pruned children
+//!   cost nothing.
 //! * [`segtree`] — a generic segment tree over intervals with a caller
 //!   -supplied per-canonical-node summary structure; instantiating the
 //!   summary as a weight-descending block run yields the `O(n log n)`-space,
