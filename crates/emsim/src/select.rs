@@ -34,6 +34,7 @@
 //! I/Os are bit-identical across backends and key representations.
 
 use std::any::Any;
+use std::cmp::Reverse;
 
 use crate::cost::CostModel;
 use crate::dispatch_kernel;
@@ -101,9 +102,11 @@ pub fn top_k_by_key<T: Clone, K: KernelKey + 'static>(
     let passes = Passes::for_selection::<T>(model, k, items.len());
     if items.len() <= k {
         passes.scan::<T>(items.len());
-        let mut out = items.to_vec();
-        out.sort_by_key(|e| std::cmp::Reverse(key(e).to_bits()));
-        out.truncate(k);
+        let ranked = items
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (Reverse(key(e).to_bits()), i));
+        let out = in_rank_order(items, ranked, k);
         model.charge_scan::<T>(out.len());
         return out;
     }
@@ -122,11 +125,8 @@ pub fn top_k_by_key<T: Clone, K: KernelKey + 'static>(
     // The filter pass re-reads the candidate array (one metered scan).
     passes.scan::<T>(items.len());
     let picked = gather_top_k(model.kernels(), &bits, threshold, k);
-    let mut out: Vec<(u64, &T)> = picked.into_iter().map(|i| (bits[i], &items[i])).collect();
-    // Stable sort on the embedded bits == stable sort on the original key.
-    out.sort_by_key(|&(b, _)| std::cmp::Reverse(b));
-    out.truncate(k);
-    let out: Vec<T> = out.into_iter().map(|(_, t)| t.clone()).collect();
+    // The embedded bits order like the original key.
+    let out = in_rank_order(items, picked.into_iter().map(|i| (Reverse(bits[i]), i)), k);
     model.charge_scan::<T>(out.len());
     out
 }
@@ -146,9 +146,8 @@ pub fn top_k_by_ord<T: Clone, K: Ord + Copy>(
     let passes = Passes::for_selection::<T>(model, k, items.len());
     if items.len() <= k {
         passes.scan::<T>(items.len());
-        let mut out = items.to_vec();
-        out.sort_by_key(|e| std::cmp::Reverse(key(e)));
-        out.truncate(k);
+        let ranked = items.iter().enumerate().map(|(i, e)| (Reverse(key(e)), i));
+        let out = in_rank_order(items, ranked, k);
         model.charge_scan::<T>(out.len());
         return out;
     }
@@ -167,12 +166,23 @@ pub fn top_k_by_ord<T: Clone, K: Ord + Copy>(
     }
     let need = k - gt.len();
     gt.extend(eq.into_iter().take(need));
-    let mut out: Vec<(K, &T)> = gt.into_iter().map(|i| (keys[i], &items[i])).collect();
-    out.sort_by_key(|&(b, _)| std::cmp::Reverse(b));
-    out.truncate(k);
-    let out: Vec<T> = out.into_iter().map(|(_, t)| t.clone()).collect();
+    let out = in_rank_order(items, gt.into_iter().map(|i| (Reverse(keys[i]), i)), k);
     model.charge_scan::<T>(out.len());
     out
+}
+
+/// The items that `ranked`'s `(key, index)` pairs name, at most `k`,
+/// heaviest key first and ties in input order. The pairs are distinct, so
+/// an unstable sort of them gives the order a stable sort by key gives.
+fn in_rank_order<T: Clone, K: Ord>(
+    items: &[T],
+    ranked: impl Iterator<Item = (Reverse<K>, usize)>,
+    k: usize,
+) -> Vec<T> {
+    let mut ranked: Vec<(Reverse<K>, usize)> = ranked.collect();
+    ranked.sort_unstable();
+    ranked.truncate(k);
+    ranked.into_iter().map(|(_, i)| items[i].clone()).collect()
 }
 
 /// Monomorphized bit-embedding pass: the target of the dispatch macro.
@@ -399,6 +409,28 @@ mod tests {
         assert_eq!(kth_largest(&m, &items, 2, &|&x| x), 5);
         assert_eq!(kth_largest(&m, &items, 4, &|&x| x), 3);
         assert_eq!(top_k_by_weight(&m, &items, 4, |&x| x), vec![5, 5, 5, 3]);
+    }
+
+    #[test]
+    fn ties_keep_input_order_on_every_path() {
+        // (key, position) pairs with many ties; the answer must equal a
+        // stable sort by key descending, truncated to k, for k below m
+        // (threshold and gather) and at or above it (the sort-all branch).
+        let mut s = 0x5EEDu64;
+        let items: Vec<(u64, usize)> = (0..500)
+            .map(|i| {
+                s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (s >> 61, i)
+            })
+            .collect();
+        for k in [1, 7, 64, 499, 500, 800] {
+            let mut want = items.clone();
+            want.sort_by_key(|&(key, _)| Reverse(key));
+            want.truncate(k);
+            let m = model();
+            assert_eq!(top_k_by_weight(&m, &items, k, |t| t.0), want, "k={k}");
+            assert_eq!(top_k_by_ord(&m, &items, k, |t| t.0), want, "k={k}");
+        }
     }
 
     #[test]
