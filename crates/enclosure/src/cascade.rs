@@ -20,6 +20,7 @@
 use emsim::CostModel;
 use geom::Point2;
 use std::collections::BTreeMap;
+use structures::segtree::EndpointSearch;
 use topk_core::{log_b, MaxBuilder, MaxIndex, Weight};
 
 use crate::Rect;
@@ -48,10 +49,15 @@ struct CNode {
 /// Fractionally cascaded 2D stabbing-max structure. See the module docs.
 pub struct CascadeStabMax {
     xs: Vec<f64>,
+    /// The B-tree levels above `xs` that locate `q.x` in it.
+    search: EndpointSearch,
     nodes: Vec<CNode>,
     cap: usize,
     len: usize,
     array_id: u64,
+    /// The array id of the root's augmented catalog, which the root
+    /// y-search reads block by block.
+    root_aug_id: u64,
     model: CostModel,
 }
 
@@ -155,12 +161,16 @@ impl CascadeStabMax {
             nodes[u].to_child = [to_left, to_right];
         }
 
+        let per = model.config().items_per_block::<f64>();
+        let search = EndpointSearch::build(&xs, per, 2 * cap);
         let s = CascadeStabMax {
             xs,
+            search,
             nodes,
             cap,
             len: items.len(),
             array_id: model.new_array_id(),
+            root_aug_id: model.new_array_id(),
             model: model.clone(),
         };
         s.model.charge_writes(
@@ -168,19 +178,39 @@ impl CascadeStabMax {
                 .iter()
                 .map(|n| (n.aug.len() + n.ys.len()) as u64)
                 .sum::<u64>()
-                .div_ceil(model.config().items_per_block::<f64>() as u64)
-                .max(1),
+                .div_ceil(per as u64)
+                .max(1)
+                + s.search_blocks(),
         );
         s
     }
 
-    /// Elementary x-slab for query `x`.
-    fn x_slab(&self, x: f64) -> usize {
-        let i = self.xs.partition_point(|&v| v < x);
-        if i < self.xs.len() && self.xs[i] == x {
-            2 * i + 1
+    /// Blocks of the x-search: the endpoint array and the levels above it.
+    fn search_blocks(&self) -> u64 {
+        let per = self.model.config().items_per_block::<f64>() as u64;
+        (self.xs.len() as u64).div_ceil(per) + self.search.internal_blocks()
+    }
+
+    /// Predecessor position of `y` in the root's augmented catalog, or
+    /// NONE: a binary search that reads each probe's catalog block through
+    /// the pool, as `BlockArray::partition_point` does.
+    fn root_pred(&self, y: f64) -> u32 {
+        let aug = &self.nodes[1].aug;
+        let per = self.model.config().items_per_block::<f64>();
+        let (mut lo, mut hi) = (0, aug.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            self.model.touch(self.root_aug_id, (mid / per) as u64);
+            if aug[mid] <= y {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if lo == 0 {
+            NONE
         } else {
-            2 * i
+            (lo - 1) as u32
         }
     }
 
@@ -234,16 +264,15 @@ impl MaxIndex<Rect, Point2> for CascadeStabMax {
         if self.len == 0 {
             return None;
         }
-        let slab = self.x_slab(q.x);
+        // The x-slab, by a walk down the endpoint B-tree …
+        let slab = self.search.stab_index(&self.xs, q.x, |block| {
+            self.model.touch(self.array_id, block);
+        });
         let leaf = self.cap + slab;
-        // Root-to-leaf path, top-down. One binary search at the root …
+        // … then the root-to-leaf path, top-down: one binary search at the
+        // root …
         self.model.touch(self.array_id, 1);
-        self.model
-            .charge_reads((self.nodes[1].aug.len().max(2) as f64).log2().ceil() as u64);
-        let mut pos = match self.nodes[1].aug.partition_point(|&v| v <= q.y) {
-            0 => NONE,
-            p => (p - 1) as u32,
-        };
+        let mut pos = self.root_pred(q.y);
         let mut best = self.node_max(1, if pos == NONE { NONE } else { self.nodes[1].to_real[pos as usize] }, q.y);
 
         let depth = (usize::BITS - leaf.leading_zeros()) as usize; // bits in leaf
@@ -291,7 +320,7 @@ impl MaxIndex<Rect, Point2> for CascadeStabMax {
             .iter()
             .map(|n| (n.ys.len() + 4 * n.aug.len() + 4 * n.slab_max.len()) as u64)
             .sum();
-        words.div_ceil(per).max(1)
+        words.div_ceil(per).max(1) + self.search_blocks()
     }
 
     fn len(&self) -> usize {
@@ -421,6 +450,47 @@ mod tests {
         // log₂(aug_root) ≈ 16 probes + ~17 path nodes ≈ 33; far below the
         // ~17·15 of per-node binary searches.
         assert!(reads < 60, "reads {reads}");
+    }
+
+    #[test]
+    fn query_reads_the_x_walk_the_root_probes_and_the_path() {
+        let items = mk(3_000, 167);
+        let model = CostModel::new(emsim::EmConfig::new(64));
+        let idx = CascadeStabMax::build(&model, items.clone());
+        for q in [
+            Point2::new(-1.0, 50.0),
+            Point2::new(50.0, 50.0),
+            Point2::new(99.5, 3.0),
+        ] {
+            let mut walk = 0;
+            idx.search.stab_index(&idx.xs, q.x, |_| walk += 1);
+            // ⌈log_64 m⌉ levels for m ≈ 6 000 endpoints.
+            assert_eq!(walk, 3);
+            let aug = &idx.nodes[1].aug;
+            let (mut lo, mut hi, mut probes) = (0, aug.len(), 0);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                probes += 1;
+                if aug[mid] <= q.y {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            let path = idx.cap.trailing_zeros() as u64;
+            model.reset();
+            idx.query_max(&q);
+            assert_eq!(model.report().reads, walk + 1 + probes + path, "q={q:?}");
+        }
+
+        // Every read goes through the pool: a repeated query is free.
+        let pooled = CostModel::new(emsim::EmConfig::with_memory(64, 4_096));
+        let idx = CascadeStabMax::build(&pooled, items);
+        let q = Point2::new(50.0, 50.0);
+        idx.query_max(&q);
+        pooled.reset();
+        idx.query_max(&q);
+        assert_eq!(pooled.report().reads, 0);
     }
 
     #[test]
