@@ -9,10 +9,8 @@
 //! closed intervals are handled exactly (an interval covers its endpoint
 //! slabs but not the gaps beyond them).
 
-use std::collections::BTreeMap;
-
 use emsim::{BlockArray, CostModel};
-use topk_core::{log_b, MaxBuilder, MaxIndex, Weight};
+use topk_core::{log_b, MaxBuilder, MaxIndex};
 
 use crate::{HasInterval, Interval};
 
@@ -32,7 +30,7 @@ pub type StaticStabMax = StaticStabMaxG<Interval>;
 
 impl<E: HasInterval> StaticStabMaxG<E> {
     /// Build over the given elements. `O(n log n)` time, `O(n)` space.
-    pub fn build(model: &CostModel, items: Vec<E>) -> Self {
+    pub fn build(model: &CostModel, mut items: Vec<E>) -> Self {
         let mut xs: Vec<f64> = Vec::with_capacity(items.len() * 2);
         for iv in &items {
             xs.push(iv.ilo());
@@ -42,33 +40,30 @@ impl<E: HasInterval> StaticStabMaxG<E> {
         xs.dedup();
         let m = xs.len();
 
-        // Sweep: active multiset keyed by weight (distinct), recording the
-        // max per slab. Slab numbering: 0 = (-∞, xs[0]); 2i+1 = [xs[i]];
-        // 2i+2 = (xs[i], xs[i+1]); 2m = (xs[m-1], ∞).
-        let mut starts: Vec<Vec<usize>> = vec![Vec::new(); m]; // by lo index
-        let mut ends: Vec<Vec<usize>> = vec![Vec::new(); m]; // by hi index
-        for (idx, iv) in items.iter().enumerate() {
-            let li = xs.partition_point(|&x| x < iv.ilo());
-            let hi = xs.partition_point(|&x| x < iv.ihi());
-            starts[li].push(idx);
-            ends[hi].push(idx);
-        }
-        let mut active: BTreeMap<Weight, usize> = BTreeMap::new();
+        // Slab numbering: 0 = (-∞, xs[0]); 2i+1 = [xs[i]]; 2i+2 =
+        // (xs[i], xs[i+1]); 2m = (xs[m-1], ∞). An element covers the slabs
+        // [2·idx(lo)+1, 2·idx(hi)+1]. Paint each element's slabs, heaviest
+        // element first, skipping painted slabs: each slab is written once,
+        // by its heaviest cover. `next[j]` leads to the first unpainted slab
+        // at or after j (union-find with path halving; 2m+1 is a sentinel).
+        items.sort_by_key(|e| std::cmp::Reverse(e.weight()));
+        let mut next: Vec<usize> = (0..=2 * m + 1).collect();
         let mut slab_max: Vec<Option<E>> = vec![None; 2 * m + 1];
-        for i in 0..m {
-            // Entering the point slab 2i+1: elements starting here activate.
-            for &idx in &starts[i] {
-                active.insert(items[idx].weight(), idx);
+        for e in &items {
+            let hi = 2 * xs.partition_point(|&x| x < e.ihi()) + 1;
+            let mut j = 2 * xs.partition_point(|&x| x < e.ilo()) + 1;
+            loop {
+                while next[j] != j {
+                    next[j] = next[next[j]];
+                    j = next[j];
+                }
+                if j > hi {
+                    break;
+                }
+                slab_max[j] = Some(e.clone());
+                next[j] = j + 1;
             }
-            slab_max[2 * i + 1] = active.last_key_value().map(|(_, &idx)| items[idx].clone());
-            // Leaving the point: elements ending here deactivate.
-            for &idx in &ends[i] {
-                active.remove(&items[idx].weight());
-            }
-            // The following gap slab 2i+2 (if any) sees the updated set.
-            slab_max[2 * i + 2] = active.last_key_value().map(|(_, &idx)| items[idx].clone());
         }
-        debug_assert!(active.is_empty(), "sweep must deactivate everything");
 
         StaticStabMaxG {
             xs: BlockArray::new(model, xs),
@@ -149,6 +144,46 @@ mod tests {
                 want.map(|iv| iv.weight),
                 "q={q}"
             );
+        }
+    }
+
+    #[test]
+    fn every_slab_holds_its_heaviest_cover() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in [1usize, 2, 5, 40, 400] {
+            // Few coordinates, so endpoints are shared; some degenerate.
+            let items: Vec<Interval> = (0..n)
+                .map(|i| {
+                    let a = f64::from(rng.gen_range(0..30u32));
+                    let b = if rng.gen_range(0..5) == 0 {
+                        a
+                    } else {
+                        f64::from(rng.gen_range(0..30u32))
+                    };
+                    Interval::new(a.min(b), a.max(b), (i as u64 * 7919) % 100_003 + 1)
+                })
+                .collect();
+            let model = CostModel::ram();
+            let idx = StaticStabMax::build(&model, items.clone());
+            let m = idx.xs.len();
+            assert_eq!(idx.slab_max.len(), 2 * m + 1);
+            for j in 0..=2 * m {
+                // A point inside slab j: the endpoint itself, a gap's
+                // midpoint, or a point beyond the outermost endpoints.
+                let x = |i: usize| *idx.xs.get(i);
+                let q = match j {
+                    0 => x(0) - 1.0,
+                    _ if j == 2 * m => x(m - 1) + 1.0,
+                    _ if j % 2 == 1 => x(j / 2),
+                    _ => f64::midpoint(x(j / 2 - 1), x(j / 2)),
+                };
+                let want = brute::max(&items, |iv| iv.stabs(q));
+                assert_eq!(
+                    idx.slab_max.get(j).map(|iv| iv.weight),
+                    want.map(|iv| iv.weight),
+                    "n={n} slab {j}"
+                );
+            }
         }
     }
 
