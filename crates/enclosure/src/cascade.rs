@@ -273,7 +273,15 @@ impl MaxIndex<Rect, Point2> for CascadeStabMax {
         // root …
         self.model.touch(self.array_id, 1);
         let mut pos = self.root_pred(q.y);
-        let mut best = self.node_max(1, if pos == NONE { NONE } else { self.nodes[1].to_real[pos as usize] }, q.y);
+        let mut best = self.node_max(
+            1,
+            if pos == NONE {
+                NONE
+            } else {
+                self.nodes[1].to_real[pos as usize]
+            },
+            q.y,
+        );
 
         let depth = (usize::BITS - leaf.leading_zeros()) as usize; // bits in leaf
         let mut u = 1usize;
