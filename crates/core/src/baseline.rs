@@ -459,8 +459,8 @@ mod tests {
         });
         let retrier = Retrier::new(2);
         let (mut exact, mut faulted) = (0u32, 0u32);
-        let mut check = |answer: Result<TopKAnswer<ToyElem>, emsim::EmError>, qx: u64, k: usize| {
-            match answer {
+        let mut check =
+            |answer: Result<TopKAnswer<ToyElem>, emsim::EmError>, qx: u64, k: usize| match answer {
                 Ok(TopKAnswer::Exact(got)) => {
                     exact += 1;
                     let want = brute::top_k(&items, |e| e.x <= qx, k);
@@ -479,8 +479,7 @@ mod tests {
                     }
                 }
                 Err(_) => faulted += 1,
-            }
-        };
+            };
         for seed in 0..10u64 {
             model.set_fault_plan(emsim::FaultPlan::chaos(seed, 0.01));
             for &qx in &[40u64, 1_000, 1_999] {

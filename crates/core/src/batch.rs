@@ -259,8 +259,7 @@ mod tests {
             let mut non_exact = 0u32;
             for seed in 0..8u64 {
                 model.set_fault_plan(FaultPlan::chaos(seed, 0.02));
-                for (want, answer) in truth.iter().zip(sc.try_query_topk_batch(&qs, 10, &retrier))
-                {
+                for (want, answer) in truth.iter().zip(sc.try_query_topk_batch(&qs, 10, &retrier)) {
                     match answer {
                         Ok(a) if a.is_exact() => assert_eq!(
                             a.items().iter().map(|e| e.w).collect::<Vec<_>>(),

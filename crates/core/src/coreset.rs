@@ -116,7 +116,10 @@ mod tests {
     fn size_bound_respected() {
         let mut rng = StdRng::seed_from_u64(5);
         let items: Vec<Pt> = (0..50_000u64).map(|i| Pt { x: i, w: i }).collect();
-        let params = CoreSetParams { lambda: 1.0, k: 2_000 };
+        let params = CoreSetParams {
+            lambda: 1.0,
+            k: 2_000,
+        };
         let r = core_set(&mut rng, &items, &params);
         assert!((r.len() as f64) <= params.size_bound(items.len()));
         assert!(!r.is_empty());
@@ -134,7 +137,10 @@ mod tests {
 
     #[test]
     fn sample_rank_formula() {
-        let params = CoreSetParams { lambda: 1.0, k: 1_000 };
+        let params = CoreSetParams {
+            lambda: 1.0,
+            k: 1_000,
+        };
         let n = 100_000;
         // ⌈8·ln(100000)⌉ = ⌈92.1⌉ = 93.
         assert_eq!(params.sample_rank(n), 93);
@@ -154,7 +160,12 @@ mod tests {
             let j = rng.gen_range(0..=i);
             weights.swap(i, j);
         }
-        let items: Vec<Pt> = (0..n as u64).map(|i| Pt { x: i, w: weights[i as usize] }).collect();
+        let items: Vec<Pt> = (0..n as u64)
+            .map(|i| Pt {
+                x: i,
+                w: weights[i as usize],
+            })
+            .collect();
         let r = core_set(&mut rng, &items, &params);
 
         // Check every 500th prefix predicate with |q(D)| ≥ 4K.

@@ -192,9 +192,7 @@ where
                 });
             }
             if candidates.len() >= k || target >= self.len {
-                out.extend(select_top_k(&self.model,
-                    &candidates,
-                    k));
+                out.extend(select_top_k(&self.model, &candidates, k));
                 return;
             }
             target = (target * 2).min(self.len);

@@ -14,7 +14,10 @@ use crate::traits::{Element, Weight};
 
 /// Independently keep each item with probability `p` (a *p-sample*, §3.1).
 pub fn p_sample<E: Clone>(rng: &mut impl Rng, items: &[E], p: f64) -> Vec<E> {
-    assert!((0.0..=1.0).contains(&p), "sampling probability out of range");
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "sampling probability out of range"
+    );
     if p >= 1.0 {
         return items.to_vec();
     }
@@ -123,7 +126,11 @@ mod tests {
         let items: Vec<u32> = (0..100_000).collect();
         let r = p_sample(&mut rng, &items, 0.1);
         let expected = 10_000.0;
-        assert!((r.len() as f64 - expected).abs() < 0.05 * expected, "|R| = {}", r.len());
+        assert!(
+            (r.len() as f64 - expected).abs() < 0.05 * expected,
+            "|R| = {}",
+            r.len()
+        );
     }
 
     #[test]
@@ -156,7 +163,11 @@ mod tests {
             }
         }
         let rate = ok as f64 / trials as f64;
-        assert!(rate >= 1.0 - delta, "success rate {rate} below 1-δ = {}", 1.0 - delta);
+        assert!(
+            rate >= 1.0 - delta,
+            "success rate {rate} below 1-δ = {}",
+            1.0 - delta
+        );
     }
 
     #[test]

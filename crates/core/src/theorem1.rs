@@ -113,10 +113,7 @@ impl<I> Hierarchy<I> {
             pivot_rank.push(params.sample_rank(prev.len()));
             sets.push(cs);
         }
-        let levels = sets
-            .into_iter()
-            .map(|s| builder.build(model, s))
-            .collect();
+        let levels = sets.into_iter().map(|s| builder.build(model, s)).collect();
         Hierarchy {
             levels,
             pivot_rank,
@@ -241,7 +238,10 @@ impl<I> Hierarchy<I> {
         E: Element,
         I: PrioritizedIndex<E, Q>,
     {
-        self.levels.iter().map(super::traits::PrioritizedIndex::space_blocks).sum()
+        self.levels
+            .iter()
+            .map(super::traits::PrioritizedIndex::space_blocks)
+            .sum()
     }
 }
 
@@ -316,8 +316,7 @@ where
             };
             let r = core_set(&mut rng, &items, &cs_params);
             let pivot_rank = cs_params.sample_rank(n.max(2));
-            let hierarchy =
-                Hierarchy::build(model, builder, r, f, params.lambda, &mut rng);
+            let hierarchy = Hierarchy::build(model, builder, r, f, params.lambda, &mut rng);
             ladder.push(Rung {
                 hierarchy,
                 k_cap,
@@ -579,7 +578,12 @@ mod tests {
 
     #[test]
     fn exact_small() {
-        check_against_brute(200, 64, &[1, 2, 5, 50, 100, 199, 200, 300], &[0, 10, 150, 199]);
+        check_against_brute(
+            200,
+            64,
+            &[1, 2, 5, 50, 100, 199, 200, 300],
+            &[0, 10, 150, 199],
+        );
     }
 
     #[test]

@@ -128,7 +128,12 @@ impl WeightSortedArray {
 pub struct AllIndex(WeightSortedArray);
 
 impl PrioritizedIndex<ToyElem, AllQuery> for AllIndex {
-    fn for_each_at_least(&self, _q: &AllQuery, tau: Weight, visit: &mut dyn FnMut(&ToyElem) -> bool) {
+    fn for_each_at_least(
+        &self,
+        _q: &AllQuery,
+        tau: Weight,
+        visit: &mut dyn FnMut(&ToyElem) -> bool,
+    ) {
         self.0
             .for_each_desc_while(tau, Media::Perfect, visit)
             .expect("perfect media never fails");
@@ -259,7 +264,11 @@ impl MaxIndex<ToyElem, PrefixQuery> for PrefixIndex {
         self.first_match(q, Media::Perfect)
             .expect("perfect media never fails")
     }
-    fn try_query_max(&self, q: &PrefixQuery, retrier: &Retrier) -> Result<Option<ToyElem>, EmError> {
+    fn try_query_max(
+        &self,
+        q: &PrefixQuery,
+        retrier: &Retrier,
+    ) -> Result<Option<ToyElem>, EmError> {
         self.first_match(q, Media::Retried(retrier))
     }
     fn space_blocks(&self) -> u64 {
@@ -421,7 +430,12 @@ mod tests {
     use crate::traits::Monitored;
 
     fn items(n: u64) -> Vec<ToyElem> {
-        (0..n).map(|i| ToyElem { x: i, w: (i * 7919) % (n * 8) + 1 }).collect()
+        (0..n)
+            .map(|i| ToyElem {
+                x: i,
+                w: (i * 7919) % (n * 8) + 1,
+            })
+            .collect()
     }
 
     #[test]

@@ -352,12 +352,7 @@ pub trait TopKIndex<E: Element, Q> {
     /// always `Exact` — correct for structures reading through infallible
     /// accessors; the reductions override it with their degradation
     /// ladders.
-    fn try_query_topk(
-        &self,
-        q: &Q,
-        k: usize,
-        retrier: &Retrier,
-    ) -> Result<TopKAnswer<E>, EmError> {
+    fn try_query_topk(&self, q: &Q, k: usize, retrier: &Retrier) -> Result<TopKAnswer<E>, EmError> {
         let _ = retrier;
         let mut out = Vec::new();
         self.query_topk(q, k, &mut out);
