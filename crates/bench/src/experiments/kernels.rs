@@ -66,9 +66,6 @@ fn run_backend(backend: Backend, items: &[u64], k: usize, trials: usize) -> Run 
         let ((), report) = model.explain(|| {
             {
                 let _g = model.span(phase::SELECT);
-                // allow_invariant(select-chokepoint): E22 measures the
-                // selection entry point itself per backend; routing
-                // through `select_top_k` would hide what is compared.
                 let out =
                     emsim::select::top_k_by_weight(&model, items, k + t, |&x| x);
                 answers.push(out);
@@ -76,8 +73,6 @@ fn run_backend(backend: Backend, items: &[u64], k: usize, trials: usize) -> Run 
             {
                 let _g = model.span(phase::SCAN);
                 model.charge_scan::<u64>(items.len());
-                // allow_invariant(select-chokepoint): same — E22 times
-                // the raw scan kernel, not a query path.
                 survivors += kernels::filter_ge_indices(backend, items, threshold).len();
             }
         });

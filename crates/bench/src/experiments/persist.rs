@@ -130,12 +130,13 @@ fn crash_trial(
     let m = CostModel::with_device(EmConfig::new(B), FaultPlan::none(), PoolPolicy::Lru, dev);
     let p0: BlockArray<ToyElem> = BlockArray::open_named(&m, "part0")?;
     let p1: BlockArray<ToyElem> = BlockArray::open_named(&m, "part1")?;
-    // allow_invariant(meter-soundness): oracle access — the recovered
-    // contents feed the brute-force checker, not a metered query path.
-    let recovered_items: Vec<ToyElem> = p0.raw().iter().chain(p1.raw()).copied().collect();
+    // Oracle access: the recovered contents feed the brute-force checker,
+    // not a metered query path.
+    let (r0, r1) = (p0.unmetered_for_oracle(), p1.unmetered_for_oracle());
+    let recovered_items: Vec<ToyElem> = r0.iter().chain(r1).copied().collect();
 
     // Old-or-new: the recovered state must be exactly a committed prefix.
-    let class = match (p0.raw(), p1.raw()) {
+    let class = match (r0, r1) {
         ([], []) => Recovered::Nothing,
         (a, []) if a == part0 => Recovered::Part0,
         (a, b) if a == part0 && b == part1 => Recovered::Everything,

@@ -320,8 +320,26 @@ impl<T> BlockArray<T> {
 
     /// Direct slice access **without charging I/Os**. For use by tests and
     /// by build-time code that has already accounted for its passes.
-    pub fn raw(&self) -> &[T] {
+    /// Crate-private, so code outside emsim reads through the metered
+    /// accessors:
+    ///
+    /// ```compile_fail,E0624
+    /// use emsim::{BlockArray, CostModel, EmConfig};
+    ///
+    /// let model = CostModel::new(EmConfig::new(4));
+    /// let arr = BlockArray::new(&model, vec![1u64, 2, 3]);
+    /// let _ = arr.raw();
+    /// ```
+    pub(crate) fn raw(&self) -> &[T] {
         &self.data
+    }
+
+    /// The stored items **without charging I/Os**, for a brute-force
+    /// oracle that checks what a structure holds. No query path may use
+    /// it: its reads are not in any I/O count.
+    #[doc(hidden)]
+    pub fn unmetered_for_oracle(&self) -> &[T] {
+        self.raw()
     }
 }
 

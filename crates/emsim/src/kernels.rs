@@ -3,10 +3,10 @@
 //! The E21 trace layer showed the cycles of every RAM-model experiment
 //! (Theorems 3–6 with small `B`) going to the `select`/`scan`/`probe`
 //! phases, all of which ran scalar, fully generic code. This module closes
-//! that gap with three specializations, all operating on an order-embedded
-//! `u64` bit domain (see [`KernelKey`]):
+//! that gap with two specializations over `u64` keys, the paper's weight
+//! domain:
 //!
-//! * [`partition3`] — the quickselect partitioning pass: a stable,
+//! * `partition3` — the quickselect partitioning pass: a stable,
 //!   branch-free two-pointer loop (unconditional store, conditional
 //!   pointer advance) into pre-sized buffers. Stability matters: the
 //!   pivot sequence indexes into the live key vector, so preserving
@@ -15,10 +15,16 @@
 //! * [`filter_ge_indices`] — block scan-for-threshold, vectorized with
 //!   AVX2 intrinsics where the CPU supports them and with a branch-free
 //!   gather everywhere else.
-//! * [`dispatch_kernel!`](crate::dispatch_kernel) — monomorphized kernels
-//!   per key type (`u32`, `u64`, `i64`, `f64`-as-ordered-bits) selected at
-//!   runtime from a [`KeyType`] tag, with the caller's generic `Ord`-bound
-//!   path surviving as the fallback arm for every other type.
+//!
+//! `partition3` is crate-private: selection is its only caller, so code
+//! outside emsim reaches it only through
+//! [`select::top_k_by_weight`](crate::select::top_k_by_weight).
+//!
+//! ```compile_fail,E0603
+//! use emsim::kernels::{partition3, Backend};
+//!
+//! let _ = partition3(Backend::Scalar, &[3, 1, 2], 2);
+//! ```
 //!
 //! Each kernel takes the [`Backend`] to run on; selection passes its
 //! meter's ([`CostModel::kernels`](crate::CostModel::kernels)), which comes
@@ -35,8 +41,6 @@
 //! feature check and a `#[target_feature]` function boundary.
 
 #![allow(unsafe_code)]
-
-use std::any::TypeId;
 
 /// Which implementation family the kernels run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,152 +90,6 @@ pub fn active_backend() -> Backend {
     crate::Substrate::current().kernels
 }
 
-/// A key type with a total order embedded into `u64` bits: `a <= b` iff
-/// `a.to_bits() <= b.to_bits()`, and `from_bits(to_bits(x)) == x`. This is
-/// what lets one family of `u64` kernels serve every supported key type
-/// after a monomorphized conversion pass.
-pub trait KernelKey: Copy + Send + Sync + 'static {
-    /// The runtime tag [`dispatch_kernel!`](crate::dispatch_kernel)
-    /// matches on.
-    const KIND: KeyType;
-    /// Order-preserving embedding into `u64`.
-    fn to_bits(self) -> u64;
-    /// Inverse of [`KernelKey::to_bits`].
-    fn from_bits(bits: u64) -> Self;
-}
-
-impl KernelKey for u64 {
-    const KIND: KeyType = KeyType::U64;
-    #[inline(always)]
-    fn to_bits(self) -> u64 {
-        self
-    }
-    #[inline(always)]
-    fn from_bits(bits: u64) -> Self {
-        bits
-    }
-}
-
-impl KernelKey for u32 {
-    const KIND: KeyType = KeyType::U32;
-    #[inline(always)]
-    fn to_bits(self) -> u64 {
-        self as u64
-    }
-    #[inline(always)]
-    fn from_bits(bits: u64) -> Self {
-        bits as u32
-    }
-}
-
-impl KernelKey for i64 {
-    const KIND: KeyType = KeyType::I64;
-    #[inline(always)]
-    fn to_bits(self) -> u64 {
-        // Flip the sign bit: i64::MIN maps to 0, i64::MAX to u64::MAX.
-        (self as u64) ^ (1 << 63)
-    }
-    #[inline(always)]
-    fn from_bits(bits: u64) -> Self {
-        (bits ^ (1 << 63)) as i64
-    }
-}
-
-impl KernelKey for f64 {
-    const KIND: KeyType = KeyType::F64;
-    #[inline(always)]
-    fn to_bits(self) -> u64 {
-        // The classic total-order trick: non-negative floats get the sign
-        // bit set, negative floats are bitwise complemented. Orders every
-        // non-NaN float correctly (and NaNs above +inf, deterministically).
-        let b = self.to_bits();
-        if b >> 63 == 1 {
-            !b
-        } else {
-            b | (1 << 63)
-        }
-    }
-    #[inline(always)]
-    fn from_bits(bits: u64) -> Self {
-        let b = if bits >> 63 == 1 { bits & !(1 << 63) } else { !bits };
-        f64::from_bits(b)
-    }
-}
-
-/// Runtime tag for the key types with monomorphized kernels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KeyType {
-    /// 32-bit unsigned keys.
-    U32,
-    /// 64-bit unsigned keys (the paper's weight domain).
-    U64,
-    /// 64-bit signed keys.
-    I64,
-    /// IEEE-754 doubles via the ordered-bits embedding.
-    F64,
-}
-
-/// The [`KeyType`] tag for `K`, or `None` when `K` has no specialized
-/// kernel (the `Ord`-bound generic path handles it).
-pub fn key_type_of<K: 'static>() -> Option<KeyType> {
-    let id = TypeId::of::<K>();
-    if id == TypeId::of::<u64>() {
-        Some(KeyType::U64)
-    } else if id == TypeId::of::<u32>() {
-        Some(KeyType::U32)
-    } else if id == TypeId::of::<i64>() {
-        Some(KeyType::I64)
-    } else if id == TypeId::of::<f64>() {
-        Some(KeyType::F64)
-    } else {
-        None
-    }
-}
-
-/// Select a monomorphized kernel call by a runtime [`KeyType`] tag
-/// (the shape of hodu's `call_topk` dispatch over `DType`): `$fun::<K>` is
-/// invoked with `K` bound to the concrete key type for each tag, and the
-/// `_` arm — the generic `Ord`-bound path — survives as the fallback for
-/// `None` (no specialized kernel for the type).
-///
-/// ```
-/// use emsim::kernels::{key_type_of, KernelKey};
-///
-/// fn max_bits<K: KernelKey>(keys: &[u64]) -> u64 {
-///     keys.iter().copied().max().unwrap_or(0)
-/// }
-///
-/// let keys = [3u64, 9, 4];
-/// let m = emsim::dispatch_kernel!(key_type_of::<u64>(), K => max_bits::<K>(&keys), _ => 0);
-/// assert_eq!(m, 9);
-/// let f = emsim::dispatch_kernel!(key_type_of::<String>(), K => max_bits::<K>(&keys), _ => 0);
-/// assert_eq!(f, 0, "unsupported key types take the fallback arm");
-/// ```
-#[macro_export]
-macro_rules! dispatch_kernel {
-    ($kind:expr, $K:ident => $call:expr, _ => $fallback:expr) => {
-        match $kind {
-            Some($crate::kernels::KeyType::U32) => {
-                type $K = u32;
-                $call
-            }
-            Some($crate::kernels::KeyType::U64) => {
-                type $K = u64;
-                $call
-            }
-            Some($crate::kernels::KeyType::I64) => {
-                type $K = i64;
-                $call
-            }
-            Some($crate::kernels::KeyType::F64) => {
-                type $K = f64;
-                $call
-            }
-            None => $fallback,
-        }
-    };
-}
-
 // ---------------------------------------------------------------------------
 // partition3: the quickselect partitioning pass.
 // ---------------------------------------------------------------------------
@@ -242,7 +100,7 @@ macro_rules! dispatch_kernel {
 /// keys `== pivot`. Stability is load-bearing: the quickselect pivot
 /// sequence indexes into the surviving partition, so a reordering backend
 /// would change the pivot draws and the metered pass count.
-pub fn partition3(backend: Backend, keys: &[u64], pivot: u64) -> (Vec<u64>, Vec<u64>, usize) {
+pub(crate) fn partition3(backend: Backend, keys: &[u64], pivot: u64) -> (Vec<u64>, Vec<u64>, usize) {
     match backend {
         Backend::Scalar => partition3_scalar(keys, pivot),
         Backend::Avx2 | Backend::Unrolled => partition3_branchfree(keys, pivot),
@@ -415,52 +273,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn key_embeddings_preserve_order_and_roundtrip() {
-        let i64s = [i64::MIN, -5, -1, 0, 1, 5, i64::MAX];
-        for w in i64s.windows(2) {
-            assert!(KernelKey::to_bits(w[0]) < KernelKey::to_bits(w[1]));
-        }
-        for &x in &i64s {
-            assert_eq!(i64::from_bits(KernelKey::to_bits(x)), x);
-        }
-        let f64s = [f64::NEG_INFINITY, -1e300, -1.5, -0.0, 0.0, 1.5, 1e300, f64::INFINITY];
-        for w in f64s.windows(2) {
-            assert!(
-                KernelKey::to_bits(w[0]) <= KernelKey::to_bits(w[1]),
-                "{} vs {}",
-                w[0],
-                w[1]
-            );
-        }
-        for &x in &f64s {
-            // Fully-qualified: the inherent `f64::from_bits` (raw IEEE
-            // bits) would otherwise shadow the trait's ordered embedding.
-            let rt = <f64 as KernelKey>::from_bits(KernelKey::to_bits(x));
-            assert_eq!(rt.to_bits(), x.to_bits());
-        }
-        for x in [0u32, 1, u32::MAX] {
-            assert_eq!(u32::from_bits(KernelKey::to_bits(x)), x);
-        }
-    }
-
-    #[test]
-    fn dispatch_macro_selects_and_falls_back() {
-        fn kind_name<K: KernelKey>() -> &'static str {
-            match K::KIND {
-                KeyType::U32 => "u32",
-                KeyType::U64 => "u64",
-                KeyType::I64 => "i64",
-                KeyType::F64 => "f64",
-            }
-        }
-        let got = dispatch_kernel!(key_type_of::<f64>(), K => kind_name::<K>(), _ => "generic");
-        assert_eq!(got, "f64");
-        let got = dispatch_kernel!(key_type_of::<u32>(), K => kind_name::<K>(), _ => "generic");
-        assert_eq!(got, "u32");
-        let got = dispatch_kernel!(key_type_of::<&str>(), K => kind_name::<K>(), _ => "generic");
-        assert_eq!(got, "generic");
     }
 }

@@ -20,8 +20,8 @@
 //!   primitive the paper invokes as "k-selection \[8\]" throughout §3–§4.
 //! * [`kernels`] — branchless / SIMD hot-path kernels (partition,
 //!   scan-for-threshold) behind `select`, dispatched on the meter's
-//!   [`Backend`] and per key type with a generic fallback; answers and
-//!   metered I/Os are bit-identical on every backend.
+//!   [`Backend`]; answers and metered I/Os are bit-identical on every
+//!   backend.
 //! * [`sort`] — external merge sort with run formation in memory `M` and
 //!   `M/B`-way merging.
 //! * [`device`] — the physical storage layer under the meter: a
@@ -79,7 +79,7 @@ pub use device::{
 };
 pub use error::EmError;
 pub use fault::{FaultPlan, FaultScope, Retrier};
-pub use kernels::{active_backend, Backend, KernelKey, KeyType};
+pub use kernels::{active_backend, Backend};
 pub use pool::LruPool;
 pub use substrate::{Substrate, SubstrateGuard};
 pub use trace::{

@@ -5,10 +5,11 @@
 //! We implement expected-linear quickselect with a seeded deterministic
 //! pivot sequence.
 //!
-//! Every entry point charges by one of two rules (DESIGN.md substitution
-//! 10). The working set of a selection is its `min(k, m)` survivors over
-//! `m` candidates: candidates stream through memory, and keeping the
-//! heaviest `k` of them needs room for `k` items only.
+//! [`top_k_by_weight`] is the one entry point, and it charges by one of
+//! two rules (DESIGN.md substitution 10). The working set of a selection
+//! is its `min(k, m)` survivors over `m` candidates: candidates stream
+//! through memory, and keeping the heaviest `k` of them needs room for `k`
+//! items only.
 //!
 //! * **Resident.** When the meter has a buffer pool and the working set's
 //!   `⌈min(k, m)/B'⌉` blocks fit in its frames (`B'` is the per-block
@@ -22,23 +23,19 @@
 //!
 //! Both rules run the same kernels, so answers do not depend on the rule.
 //!
-//! The in-memory work of each pass runs on the [`kernels`]
+//! Keys are `u64`, the paper's weight domain (`topk_core::Weight`); a
+//! caller with another key type maps it to `u64` by an order-preserving
+//! function. The in-memory work of each pass runs on the [`kernels`]
 //! layer: a stable branch-free three-way partition and a vectorized
 //! scan-for-threshold, on the meter's kernel backend
-//! ([`CostModel::kernels`]). Keys are embedded into `u64` bits through
-//! [`KernelKey`], so `u32` / `u64` / `i64` / `f64` keys all hit the
-//! specialized kernels via [`dispatch_kernel!`](crate::dispatch_kernel),
-//! while every other `Ord` key type takes the generic fallback
-//! ([`top_k_by_ord`]). All paths make
-//! the same pivot draws and charge the same scans: answers and metered
-//! I/Os are bit-identical across backends and key representations.
+//! ([`CostModel::kernels`]). Every backend makes the same pivot draws and
+//! charges the same scans: answers and metered I/Os are bit-identical
+//! across backends.
 
-use std::any::Any;
 use std::cmp::Reverse;
 
 use crate::cost::CostModel;
-use crate::dispatch_kernel;
-use crate::kernels::{self, Backend, KernelKey};
+use crate::kernels::{self, Backend};
 
 /// Where a selection's pass charges go: to the meter under the external
 /// rule, nowhere under the resident one (see the module docs).
@@ -64,6 +61,11 @@ impl<'a> Passes<'a> {
 /// `⌈k/B'⌉` I/Os when the `k` survivors fit in the buffer pool, else
 /// `O(m/B)` expected I/Os plus `O(k/B)` to emit the output.
 ///
+/// Under the external rule the charges are an extraction scan of the `m`
+/// candidates, `⌈m'/B'⌉` for each partitioning pass over `m'` surviving
+/// keys, a filter scan of the candidates and the output scan. Under the
+/// resident rule only the output scan is charged.
+///
 /// If `items.len() <= k` the whole input is returned (sorted descending),
 /// mirroring the paper's convention that a top-k query on fewer than `k`
 /// qualifying elements reports all of them.
@@ -79,67 +81,6 @@ pub fn top_k_by_weight<T: Clone>(
     k: usize,
     key: impl Fn(&T) -> u64,
 ) -> Vec<T> {
-    top_k_by_key(model, items, k, key)
-}
-
-/// [`top_k_by_weight`] generalized to any kernel-embeddable key type:
-/// `u64` / `u32` / `i64` / `f64` keys dispatch to the monomorphized
-/// kernels; anything else would not compile here — use [`top_k_by_ord`].
-///
-/// Under the external rule the charges are an extraction scan of the `m`
-/// candidates, `⌈m'/B'⌉` for each partitioning pass over `m'` surviving
-/// keys, a filter scan of the candidates and the output scan. Under the
-/// resident rule only the output scan is charged.
-pub fn top_k_by_key<T: Clone, K: KernelKey + 'static>(
-    model: &CostModel,
-    items: &[T],
-    k: usize,
-    key: impl Fn(&T) -> K,
-) -> Vec<T> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let passes = Passes::for_selection::<T>(model, k, items.len());
-    if items.len() <= k {
-        passes.scan::<T>(items.len());
-        let ranked = items
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (Reverse(key(e).to_bits()), i));
-        let out = in_rank_order(items, ranked, k);
-        model.charge_scan::<T>(out.len());
-        return out;
-    }
-    // One metered extraction pass materializes the bit-embedded keys; the
-    // dispatch macro picks the monomorphized conversion for K's tag (the
-    // tag is always `Some` here because K: KernelKey, but the macro keeps
-    // the generic path as its fallback arm by construction).
-    passes.scan::<T>(items.len());
-    let raw: Vec<K> = items.iter().map(&key).collect();
-    let bits: Vec<u64> = dispatch_kernel!(
-        kernels::key_type_of::<K>(),
-        KK => bits_of_any::<KK>(Box::new(raw)),
-        _ => unreachable!("K: KernelKey always has a KeyType tag")
-    );
-    let threshold = kth_largest_bits(model.kernels(), passes, bits.clone(), k);
-    // The filter pass re-reads the candidate array (one metered scan).
-    passes.scan::<T>(items.len());
-    let picked = gather_top_k(model.kernels(), &bits, threshold, k);
-    // The embedded bits order like the original key.
-    let out = in_rank_order(items, picked.into_iter().map(|i| (Reverse(bits[i]), i)), k);
-    model.charge_scan::<T>(out.len());
-    out
-}
-
-/// The generic `Ord`-bound fallback: same algorithm, same metered charges,
-/// one comparison-based code path for key types with no specialized
-/// kernel. (The kernel paths are proptest-pinned to agree with this.)
-pub fn top_k_by_ord<T: Clone, K: Ord + Copy>(
-    model: &CostModel,
-    items: &[T],
-    k: usize,
-    key: impl Fn(&T) -> K,
-) -> Vec<T> {
     if k == 0 {
         return Vec::new();
     }
@@ -151,22 +92,14 @@ pub fn top_k_by_ord<T: Clone, K: Ord + Copy>(
         model.charge_scan::<T>(out.len());
         return out;
     }
+    // One metered extraction pass materializes the keys.
     passes.scan::<T>(items.len());
-    let keys: Vec<K> = items.iter().map(&key).collect();
-    let threshold = kth_largest_ord(passes, keys.clone(), k);
+    let keys: Vec<u64> = items.iter().map(&key).collect();
+    let threshold = quickselect(model.kernels(), passes, keys.clone(), k);
+    // The filter pass re-reads the candidate array (one metered scan).
     passes.scan::<T>(items.len());
-    let mut gt = Vec::new();
-    let mut eq = Vec::new();
-    for (i, x) in keys.iter().enumerate() {
-        match x.cmp(&threshold) {
-            std::cmp::Ordering::Greater => gt.push(i),
-            std::cmp::Ordering::Equal => eq.push(i),
-            std::cmp::Ordering::Less => {}
-        }
-    }
-    let need = k - gt.len();
-    gt.extend(eq.into_iter().take(need));
-    let out = in_rank_order(items, gt.into_iter().map(|i| (Reverse(keys[i]), i)), k);
+    let picked = gather_top_k(model.kernels(), &keys, threshold, k);
+    let out = in_rank_order(items, picked.into_iter().map(|i| (Reverse(keys[i]), i)), k);
     model.charge_scan::<T>(out.len());
     out
 }
@@ -174,39 +107,29 @@ pub fn top_k_by_ord<T: Clone, K: Ord + Copy>(
 /// The items that `ranked`'s `(key, index)` pairs name, at most `k`,
 /// heaviest key first and ties in input order. The pairs are distinct, so
 /// an unstable sort of them gives the order a stable sort by key gives.
-fn in_rank_order<T: Clone, K: Ord>(
+fn in_rank_order<T: Clone>(
     items: &[T],
-    ranked: impl Iterator<Item = (Reverse<K>, usize)>,
+    ranked: impl Iterator<Item = (Reverse<u64>, usize)>,
     k: usize,
 ) -> Vec<T> {
-    let mut ranked: Vec<(Reverse<K>, usize)> = ranked.collect();
+    let mut ranked: Vec<(Reverse<u64>, usize)> = ranked.collect();
     ranked.sort_unstable();
     ranked.truncate(k);
     ranked.into_iter().map(|(_, i)| items[i].clone()).collect()
-}
-
-/// Monomorphized bit-embedding pass: the target of the dispatch macro.
-/// Takes the key vector type-erased (the macro arm binds the concrete
-/// type) and returns the order-embedded `u64` keys.
-fn bits_of_any<K: KernelKey>(raw: Box<dyn Any>) -> Vec<u64> {
-    let raw = *raw
-        .downcast::<Vec<K>>()
-        .expect("dispatch_kernel tag matches the key type");
-    raw.into_iter().map(KernelKey::to_bits).collect()
 }
 
 /// Indices (input order) of the top-k survivors: every key strictly above
 /// `threshold` plus the first `k - |above|` keys equal to it. Bounding the
 /// equal-key gather is the duplicate-heavy worst-case fix — an all-equal
 /// input yields `k` survivors, not `n`.
-fn gather_top_k(backend: Backend, bits: &[u64], threshold: u64, k: usize) -> Vec<usize> {
-    let ge = kernels::filter_ge_indices(backend, bits, threshold);
-    let gt_count = ge.iter().filter(|&&i| bits[i] > threshold).count();
+fn gather_top_k(backend: Backend, keys: &[u64], threshold: u64, k: usize) -> Vec<usize> {
+    let ge = kernels::filter_ge_indices(backend, keys, threshold);
+    let gt_count = ge.iter().filter(|&&i| keys[i] > threshold).count();
     let need = k.saturating_sub(gt_count);
     let mut kept_eq = 0usize;
     let mut out = ge;
     out.retain(|&i| {
-        if bits[i] == threshold {
+        if keys[i] == threshold {
             kept_eq += 1;
             kept_eq <= need
         } else {
@@ -216,30 +139,14 @@ fn gather_top_k(backend: Backend, bits: &[u64], threshold: u64, k: usize) -> Vec
     out
 }
 
-/// The `k`-th largest key among `items` (1-based: `k = 1` is the maximum).
-/// Expected `O(n/B)` I/Os; none when the `k` heaviest items fit in the
-/// buffer pool, since a key has no output scan to charge (module docs).
-/// Panics if `k == 0` or `k > items.len()`.
-pub fn kth_largest<T>(
-    model: &CostModel,
-    items: &[T],
-    k: usize,
-    key: &impl Fn(&T) -> u64,
-) -> u64 {
-    assert!(k >= 1 && k <= items.len(), "k out of range");
-    let passes = Passes::for_selection::<T>(model, k, items.len());
-    let mut keys: Vec<u64> = Vec::with_capacity(items.len());
-    passes.scan::<T>(items.len());
-    keys.extend(items.iter().map(key));
-    kth_largest_bits(model.kernels(), passes, keys, k)
-}
-
-/// Quickselect over pre-extracted `u64` keys. The pivot sequence is a
-/// deterministic LCG seeded by the *initial* length, drawing indices into
-/// the surviving partition — which is why [`kernels::partition3`] must be
-/// stable: every backend sees the same key order, draws the same pivots,
-/// and charges the same `⌈m/B'⌉` scan per pass.
-fn kth_largest_bits(backend: Backend, passes: Passes, mut keys: Vec<u64>, mut k: usize) -> u64 {
+/// The `k`-th largest of `keys` (1-based: `k = 1` is the maximum), by
+/// quickselect. The pivot sequence is a deterministic LCG seeded by the
+/// *initial* length, drawing indices into the surviving partition — which
+/// is why [`kernels::partition3`] must be stable: every backend sees the
+/// same key order, draws the same pivots, and charges the same `⌈m/B'⌉`
+/// scan per pass. Panics if `k == 0` or `k > keys.len()`.
+fn quickselect(backend: Backend, passes: Passes, mut keys: Vec<u64>, mut k: usize) -> u64 {
+    assert!(k >= 1 && k <= keys.len(), "k out of range");
     let mut state: u64 = 0x9E37_79B9_7F4A_7C15 ^ (keys.len() as u64);
     loop {
         if keys.len() <= 32 {
@@ -271,47 +178,6 @@ fn kth_largest_bits(backend: Backend, passes: Passes, mut keys: Vec<u64>, mut k:
     }
 }
 
-/// Generic quickselect twin of [`kth_largest_bits`] for arbitrary `Ord`
-/// keys — the comparison-based fallback path. Identical pivot-draw
-/// sequence and metered charges.
-fn kth_largest_ord<K: Ord + Copy>(passes: Passes, mut keys: Vec<K>, mut k: usize) -> K {
-    let mut state: u64 = 0x9E37_79B9_7F4A_7C15 ^ (keys.len() as u64);
-    loop {
-        if keys.len() <= 32 {
-            passes.scan::<u64>(keys.len());
-            keys.sort_unstable_by(|a, b| b.cmp(a));
-            return keys[k - 1];
-        }
-        let draw = |state: &mut u64| {
-            *state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            keys[(*state % keys.len() as u64) as usize]
-        };
-        let (a, b, c) = (draw(&mut state), draw(&mut state), draw(&mut state));
-        let pivot = a.max(b).min(a.min(b).max(c));
-        passes.scan::<u64>(keys.len());
-        let mut greater = Vec::new();
-        let mut less = Vec::new();
-        let mut equal = 0usize;
-        for &x in &keys {
-            match x.cmp(&pivot) {
-                std::cmp::Ordering::Greater => greater.push(x),
-                std::cmp::Ordering::Less => less.push(x),
-                std::cmp::Ordering::Equal => equal += 1,
-            }
-        }
-        if k <= greater.len() {
-            keys = greater;
-        } else if k <= greater.len() + equal {
-            return pivot;
-        } else {
-            k -= greater.len() + equal;
-            keys = less;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,6 +195,14 @@ mod tests {
             EmConfig::new(64),
             Substrate { kernels: backend, ..Substrate::current() },
         )
+    }
+
+    /// The `k`-th largest of `keys`, charged to `m` as a selection's
+    /// extraction scan and quickselect passes are.
+    fn kth(m: &CostModel, keys: &[u64], k: usize) -> u64 {
+        let passes = Passes::for_selection::<u64>(m, k, keys.len());
+        passes.scan::<u64>(keys.len());
+        quickselect(m.kernels(), passes, keys.to_vec(), k)
     }
 
     fn brute_top_k(items: &[u64], k: usize) -> Vec<u64> {
@@ -353,7 +227,7 @@ mod tests {
         let mut sorted = items.clone();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
         for k in [1, 2, 10, 500, 999, 1000] {
-            assert_eq!(kth_largest(&m, &items, k, &|&x| x), sorted[k - 1], "k={k}");
+            assert_eq!(kth(&m, &items, k), sorted[k - 1], "k={k}");
         }
     }
 
@@ -383,7 +257,7 @@ mod tests {
         let m = model();
         let items: Vec<u64> = (0..100_000u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
         m.reset();
-        kth_largest(&m, &items, 50_000, &|&x| x);
+        kth(&m, &items, 50_000);
         let reads = m.report().reads;
         // Expected passes sum to ~2n scans; allow generous slack (6n/B).
         let n_over_b = 100_000u64.div_ceil(64);
@@ -397,7 +271,7 @@ mod tests {
     fn k_zero_is_empty_and_kth_panics_on_zero() {
         let m = model();
         assert!(top_k_by_weight(&m, &[1u64, 2, 3], 0, |&x| x).is_empty());
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kth_largest(&m, &[1u64], 0, &|&x| x))).is_err());
+        assert!(std::panic::catch_unwind(|| kth(&model(), &[1u64], 0)).is_err());
     }
 
     #[test]
@@ -406,8 +280,8 @@ mod tests {
         // should still be exact under ties.
         let m = model();
         let items = vec![5u64, 5, 5, 3, 3, 1];
-        assert_eq!(kth_largest(&m, &items, 2, &|&x| x), 5);
-        assert_eq!(kth_largest(&m, &items, 4, &|&x| x), 3);
+        assert_eq!(kth(&m, &items, 2), 5);
+        assert_eq!(kth(&m, &items, 4), 3);
         assert_eq!(top_k_by_weight(&m, &items, 4, |&x| x), vec![5, 5, 5, 3]);
     }
 
@@ -429,7 +303,6 @@ mod tests {
             want.truncate(k);
             let m = model();
             assert_eq!(top_k_by_weight(&m, &items, k, |t| t.0), want, "k={k}");
-            assert_eq!(top_k_by_ord(&m, &items, k, |t| t.0), want, "k={k}");
         }
     }
 
@@ -517,23 +390,32 @@ mod tests {
 
     #[test]
     fn typed_keys_dispatch_and_agree_with_ord_fallback() {
-        let m = model();
+        // Other key types reach the u64 kernels through an order-preserving
+        // map in the caller's key function, and agree with a comparison
+        // sort by the original key.
+        fn check<K: Copy + PartialOrd + std::fmt::Debug>(xs: &[K], to_u64: impl Fn(K) -> u64) {
+            let m = model();
+            let got = top_k_by_weight(&m, xs, 40, |&x| to_u64(x));
+            let mut want = xs.to_vec();
+            want.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            want.truncate(40);
+            assert_eq!(got, want);
+        }
         let xs: Vec<i64> = (0..2000i64).map(|i| (i * 37 % 501) - 250).collect();
-        let kernel = top_k_by_key(&m, &xs, 40, |&x| x);
-        let generic = top_k_by_ord(&m, &xs, 40, |&x| x);
-        assert_eq!(kernel, generic);
+        check(&xs, |x| (x as u64) ^ (1 << 63));
         let fs: Vec<f64> = (0..2000)
             .map(|i| ((i * 37 % 501) as f64 - 250.0) * 1.5)
             .collect();
-        let kernel = top_k_by_key(&m, &fs, 40, |&x| x);
-        let mut brute = fs.clone();
-        brute.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        brute.truncate(40);
-        assert_eq!(kernel, brute);
+        check(&fs, |x| {
+            let b = x.to_bits();
+            if b >> 63 == 1 {
+                !b
+            } else {
+                b | (1 << 63)
+            }
+        });
         let us: Vec<u32> = (0..2000u32).map(|i| i.wrapping_mul(2_654_435_761) % 997).collect();
-        let kernel = top_k_by_key(&m, &us, 40, |&x| x);
-        let generic = top_k_by_ord(&m, &us, 40, |&x| x);
-        assert_eq!(kernel, generic);
+        check(&us, u64::from);
     }
 
     /// A fixed, scrambled input for the charging-rule tests.
@@ -555,12 +437,12 @@ mod tests {
         let spent = m.report().since(&before);
         assert_eq!(spent.reads, 1, "⌈|out|/B'⌉ = ⌈10/64⌉");
         assert_eq!((spent.pool_hits, spent.pool_misses), (0, 0));
-        assert_eq!(kth_largest(&m, &items, 10, &|&x| x), out[9]);
-        assert_eq!(m.report().since(&before).reads, 1, "a key has no output scan");
+        assert_eq!(kth(&m, &items, 10), out[9]);
+        assert_eq!(m.report().since(&before).reads, 1, "a resident quickselect is free");
         // k ≥ m: the whole input is the working set.
         let few = scrambled(100);
         let before = m.report();
-        assert_eq!(top_k_by_ord(&m, &few, 500, |&x| x), brute_top_k(&few, 500));
+        assert_eq!(top_k_by_weight(&m, &few, 500, |&x| x), brute_top_k(&few, 500));
         assert_eq!(m.report().since(&before).reads, 2, "⌈100/64⌉");
     }
 
@@ -571,9 +453,6 @@ mod tests {
         let m = model();
         let items = scrambled(10_000);
         assert_eq!(top_k_by_weight(&m, &items, 10, |&x| x), brute_top_k(&items, 10));
-        assert_eq!(m.report().reads, UNPOOLED_READS);
-        let m = model();
-        assert_eq!(top_k_by_ord(&m, &items, 10, |&x| x), brute_top_k(&items, 10));
         assert_eq!(m.report().reads, UNPOOLED_READS);
     }
 
@@ -627,7 +506,8 @@ mod tests {
     fn ord_fallback_handles_non_kernel_key_types() {
         let m = model();
         let items: Vec<(u8, u8)> = (0..300u16).map(|i| ((i % 17) as u8, (i % 11) as u8)).collect();
-        let out = top_k_by_ord(&m, &items, 5, |t| *t);
+        // A composite key packed into one word in its lexicographic order.
+        let out = top_k_by_weight(&m, &items, 5, |&(a, b)| (u64::from(a) << 8) | u64::from(b));
         let mut brute = items.clone();
         brute.sort_by_key(|t| std::cmp::Reverse(*t));
         brute.truncate(5);

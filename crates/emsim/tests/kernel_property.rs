@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use emsim::kernels::{avx2_available, Backend};
-use emsim::select::{top_k_by_ord, top_k_by_weight};
+use emsim::select::top_k_by_weight;
 use emsim::trace::{phase, RecordingSink};
 use emsim::{CostModel, EmConfig, FaultPlan, IoReport, Substrate};
 use proptest::prelude::*;
@@ -39,20 +39,8 @@ type PhaseSums = Vec<(&'static str, [u64; 6])>;
 /// report, and the per-phase trace sums.
 type Observed = (Vec<u64>, IoReport, PhaseSums);
 
-/// One selection entry point under test.
-type Select = fn(&CostModel, &[u64], usize) -> Vec<u64>;
-
-fn by_weight(model: &CostModel, items: &[u64], k: usize) -> Vec<u64> {
-    top_k_by_weight(model, items, k, |&x| x)
-}
-
-fn by_ord(model: &CostModel, items: &[u64], k: usize) -> Vec<u64> {
-    top_k_by_ord(model, items, k, |&x| x)
-}
-
 fn observe(
     backend: Backend,
-    select: Select,
     items: &[u64],
     k: usize,
     plan: &FaultPlan,
@@ -76,7 +64,7 @@ fn observe(
     }
     let out = {
         let _g = model.span(phase::SELECT);
-        select(&model, items, k)
+        top_k_by_weight(&model, items, k, |&x| x)
     };
     let agg = model.report();
     let phases = sink
@@ -96,24 +84,18 @@ fn check_equivalence(
     plan: &FaultPlan,
     touches: &[(u64, u64)],
 ) -> Result<(), TestCaseError> {
-    let reference = observe(Backend::Scalar, by_weight, items, k, plan, touches);
+    let reference = observe(Backend::Scalar, items, k, plan, touches);
     // The scalar path must itself agree with a sort-based oracle.
     let mut oracle = items.to_vec();
     oracle.sort_unstable_by(|a, b| b.cmp(a));
     oracle.truncate(k);
     prop_assert_eq!(&reference.0, &oracle, "scalar backend vs sort oracle");
     for b in backends() {
-        let got = observe(b, by_weight, items, k, plan, touches);
+        let got = observe(b, items, k, plan, touches);
         prop_assert_eq!(&got.0, &reference.0, "answers differ on {:?}", b);
         prop_assert_eq!(got.1, reference.1, "meter reports differ on {:?}", b);
         prop_assert_eq!(&got.2, &reference.2, "trace-phase sums differ on {:?}", b);
     }
-    // The generic Ord-bound fallback (the dispatch macro's fallback arm)
-    // answers identically and charges identically, under the resident
-    // rule (k ≤ 32 survivors fit the 4 frames of 8) and the external one.
-    let generic = observe(Backend::Scalar, by_ord, items, k, plan, touches);
-    prop_assert_eq!(&generic.0, &reference.0, "Ord fallback answers differ");
-    prop_assert_eq!(generic.1, reference.1, "Ord fallback meter report differs");
     Ok(())
 }
 

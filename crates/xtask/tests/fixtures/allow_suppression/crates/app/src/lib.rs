@@ -1,8 +1,8 @@
 //! Suppression fixture: a real violation excused by a valid marker.
 
-pub fn sum_blocks(arr: &emsim::BlockArray<u64>) -> u64 {
-    // allow_invariant(meter-soundness): this helper feeds the checksum
-    // verifier, which by design audits bytes without charging I/Os — the
-    // metered twin lives next to it and golden baselines pin its counts.
-    arr.raw().iter().sum()
+pub fn drop_scratch(path: &str) {
+    // allow_invariant(device-hygiene): this helper deletes the checksum
+    // verifier's scratch file, which is not block storage — the device
+    // layer never reads it and no golden baseline counts it.
+    std::fs::remove_file(path).ok();
 }

@@ -5,9 +5,9 @@
 pub fn a() {}
 
 // Line 8 marker: valid rule, but the reason is empty.
-// allow_invariant(meter-soundness):
+// allow_invariant(device-hygiene):
 pub fn b() {}
 
 // Line 12 marker: valid rule and reason, but nothing below violates it —
-// allow_invariant(select-chokepoint): historical exception, code was removed
+// allow_invariant(device-hygiene): historical exception, code was removed
 pub fn c() {}
