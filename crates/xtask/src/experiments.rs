@@ -56,7 +56,10 @@ pub fn documented_tables(md: &str) -> Vec<DocTable> {
             if is_header(first) {
                 out.push(DocTable {
                     line: i + 1,
-                    lines: block.iter().map(|&(_, l)| l.trim_end().to_string()).collect(),
+                    lines: block
+                        .iter()
+                        .map(|&(_, l)| l.trim_end().to_string())
+                        .collect(),
                 });
             }
         }
@@ -77,7 +80,9 @@ pub fn printed_tables(stdout: &str) -> Vec<Vec<String>> {
         } else if line.is_empty() {
             open = false;
         } else if open {
-            out.last_mut().expect("a header opened this table").push(line.to_string());
+            out.last_mut()
+                .expect("a header opened this table")
+                .push(line.to_string());
         }
     }
     out
@@ -231,7 +236,11 @@ closed                  cap   40
     fn an_edited_number_is_reported_with_its_block() {
         let (moved, _) = check(&MD.replace("16   20", "16   21"), OUT);
         assert_eq!(moved.len(), 1);
-        assert!(moved[0].starts_with("EXPERIMENTS.md:4: table moved"), "{}", moved[0]);
+        assert!(
+            moved[0].starts_with("EXPERIMENTS.md:4: table moved"),
+            "{}",
+            moved[0]
+        );
         assert!(moved[0].contains("16   21") && moved[0].contains("16   20"));
     }
 

@@ -277,8 +277,7 @@ pub fn lex(src: &str) -> Lexed {
                 {
                     // Don't swallow `..` range punctuation or a method call
                     // on a literal.
-                    if cur.peek(0) == Some(b'.')
-                        && !cur.peek(1).is_some_and(|c| c.is_ascii_digit())
+                    if cur.peek(0) == Some(b'.') && !cur.peek(1).is_some_and(|c| c.is_ascii_digit())
                     {
                         break;
                     }
@@ -409,7 +408,10 @@ mod tests {
             .count();
         assert_eq!(strs, 1);
         assert_eq!(
-            l.tokens.iter().filter(|t| t.kind == TokKind::Lifetime).count(),
+            l.tokens
+                .iter()
+                .filter(|t| t.kind == TokKind::Lifetime)
+                .count(),
             2
         );
     }

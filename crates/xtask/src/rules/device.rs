@@ -50,11 +50,7 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 fn check_no_direct_fs(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     let toks = &ctx.lexed.tokens;
     for w in toks.windows(4) {
-        if w[0].is_ident("std")
-            && w[1].is_punct(':')
-            && w[2].is_punct(':')
-            && w[3].is_ident("fs")
-        {
+        if w[0].is_ident("std") && w[1].is_punct(':') && w[2].is_punct(':') && w[3].is_ident("fs") {
             if ctx.in_test(w[3].line) {
                 continue;
             }

@@ -128,8 +128,8 @@ pub fn check(ctx: &FileCtx, reg: &PhaseRegistry, out: &mut Vec<Diagnostic>) {
                 if let Some(name) = name_tok.ident() {
                     // Only consts look like labels (SCREAMING_CASE); skip
                     // paths like `phase::scope_fn` or the mod decl itself.
-                    let screaming =
-                        name.chars().all(|c| c.is_ascii_uppercase() || c == '_') && !name.is_empty();
+                    let screaming = name.chars().all(|c| c.is_ascii_uppercase() || c == '_')
+                        && !name.is_empty();
                     if screaming && !reg.consts.contains_key(name) {
                         out.push(Diagnostic {
                             rule: PHASE_TAXONOMY,
