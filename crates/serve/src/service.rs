@@ -298,7 +298,10 @@ where
                 .filter(|&i| verdicts[&batch[i].tenant] != Verdict::Shed)
                 .collect();
             let keys: Vec<&Q> = runnable.iter().map(|&i| &batch[i].query).collect();
-            locality_order(&keys).into_iter().map(|j| runnable[j]).collect()
+            locality_order(&keys)
+                .into_iter()
+                .map(|j| runnable[j])
+                .collect()
         };
         {
             let _shed = self.model.span(phase::SHED);

@@ -93,7 +93,7 @@ mod tests {
         // Depth pressure coarsens...
         assert_eq!(s.verdict(0, 10), Verdict::Coarsen);
         assert_eq!(s.verdict(99, 50), Verdict::Coarsen); // full-but-legal queue
-        // ...until the backlog passes the hard bound and sheds.
+                                                         // ...until the backlog passes the hard bound and sheds.
         assert_eq!(s.verdict(0, 51), Verdict::Shed);
         // Budget exhaustion sheds regardless of depth.
         assert_eq!(s.verdict(100, 0), Verdict::Shed);

@@ -144,7 +144,9 @@ fn budget_sheds_and_epoch_rollover_readmits() {
     let requests: Vec<_> = (0..40)
         .map(|i| QueryRequest {
             tenant: 0,
-            query: PrefixQuery { x_max: n as u64 - 1 },
+            query: PrefixQuery {
+                x_max: n as u64 - 1,
+            },
             k: 1 + (i % 3),
         })
         .collect();
@@ -197,10 +199,8 @@ fn closed_loop_is_bit_identical_across_worker_counts() {
         let replies = service.serve_closed(&requests);
         let io = service.model().report();
         let report = service.report();
-        let fingerprint: Vec<(Rung, TopKAnswer<ToyElem>)> = replies
-            .into_iter()
-            .map(|r| (r.rung, r.answer))
-            .collect();
+        let fingerprint: Vec<(Rung, TopKAnswer<ToyElem>)> =
+            replies.into_iter().map(|r| (r.rung, r.answer)).collect();
         let tenant_ios: Vec<(u32, u64, u64)> = report
             .tenants
             .iter()
