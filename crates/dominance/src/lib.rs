@@ -35,7 +35,10 @@ pub struct Hotel {
 impl Hotel {
     /// Construct; coordinates must be finite.
     pub fn new(coords: [f64; 3], weight: Weight) -> Self {
-        assert!(coords.iter().all(|c| c.is_finite()), "coordinates must be finite");
+        assert!(
+            coords.iter().all(|c| c.is_finite()),
+            "coordinates must be finite"
+        );
         Hotel { coords, weight }
     }
 
@@ -316,7 +319,11 @@ impl PrioritizedIndex<Hotel, [f64; 3]> for DomZTree {
     }
 
     fn space_blocks(&self) -> u64 {
-        self.nodes.iter().map(|n| n.xy.space_blocks() + 1).sum::<u64>().max(1)
+        self.nodes
+            .iter()
+            .map(|n| n.xy.space_blocks() + 1)
+            .sum::<u64>()
+            .max(1)
     }
 
     fn len(&self) -> usize {
@@ -334,9 +341,7 @@ impl MaxIndex<Hotel, [f64; 3]> for DomZTree {
                 // Straddling leaf: threshold-scan with z filtering.
                 let floor = best.as_ref().map_or(0, |b| b.weight.saturating_add(1));
                 xy.for_each_in(Self::NEG, qx, Self::NEG, qy, floor, &mut |h| {
-                    if h.coords[2] <= qz
-                        && best.as_ref().is_none_or(|b| h.weight > b.weight)
-                    {
+                    if h.coords[2] <= qz && best.as_ref().is_none_or(|b| h.weight > b.weight) {
                         best = Some(*h);
                     }
                     true
