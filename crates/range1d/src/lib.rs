@@ -220,9 +220,9 @@ pub fn topk_range1d_counting(model: &CostModel, items: Vec<WPoint1>) -> Range1DC
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use topk_core::TopKIndex;
     use rand::{Rng, SeedableRng};
     use topk_core::brute;
+    use topk_core::TopKIndex;
 
     fn mk(n: usize, seed: u64) -> Vec<WPoint1> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -311,7 +311,11 @@ mod tests {
     #[test]
     fn point_range_queries() {
         let model = CostModel::ram();
-        let items = vec![WPoint1::new(5.0, 1), WPoint1::new(5.0, 2), WPoint1::new(6.0, 3)];
+        let items = vec![
+            WPoint1::new(5.0, 1),
+            WPoint1::new(5.0, 2),
+            WPoint1::new(6.0, 3),
+        ];
         let idx = RangePst::build(&model, items);
         let q = Range::new(5.0, 5.0);
         let mut out = Vec::new();
