@@ -282,9 +282,9 @@ pub fn topk_range2d_rangetree(model: &CostModel, items: Vec<WPt>, seed: u64) -> 
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use topk_core::TopKIndex;
     use rand::{Rng, SeedableRng};
     use topk_core::brute;
+    use topk_core::TopKIndex;
 
     fn mk(n: usize, seed: u64) -> Vec<WPt> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -354,13 +354,25 @@ mod tests {
                     .collect();
                 let mut v = Vec::new();
                 t2.query_topk(&q, k, &mut v);
-                assert_eq!(v.iter().map(|p| p.weight).collect::<Vec<_>>(), want, "t2 k={k}");
+                assert_eq!(
+                    v.iter().map(|p| p.weight).collect::<Vec<_>>(),
+                    want,
+                    "t2 k={k}"
+                );
                 let mut v = Vec::new();
                 t1.query_topk(&q, k, &mut v);
-                assert_eq!(v.iter().map(|p| p.weight).collect::<Vec<_>>(), want, "t1 k={k}");
+                assert_eq!(
+                    v.iter().map(|p| p.weight).collect::<Vec<_>>(),
+                    want,
+                    "t1 k={k}"
+                );
                 let mut v = Vec::new();
                 bs.query_topk(&q, k, &mut v);
-                assert_eq!(v.iter().map(|p| p.weight).collect::<Vec<_>>(), want, "bs k={k}");
+                assert_eq!(
+                    v.iter().map(|p| p.weight).collect::<Vec<_>>(),
+                    want,
+                    "bs k={k}"
+                );
             }
         }
     }
@@ -378,7 +390,11 @@ mod tests {
                     .collect();
                 let mut v = Vec::new();
                 idx.query_topk(&q, k, &mut v);
-                assert_eq!(v.iter().map(|p| p.weight).collect::<Vec<_>>(), want, "k={k}");
+                assert_eq!(
+                    v.iter().map(|p| p.weight).collect::<Vec<_>>(),
+                    want,
+                    "k={k}"
+                );
             }
         }
     }
