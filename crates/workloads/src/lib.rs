@@ -46,7 +46,7 @@ pub fn skewed_weights(n: usize, rng: &mut StdRng) -> Vec<u64> {
 
 /// Interval workloads for Theorem 4.
 pub mod intervals {
-    use super::{StdRng, SeedableRng, distinct_weights, Rng};
+    use super::{distinct_weights, Rng, SeedableRng, StdRng};
     use interval::Interval;
 
     /// Uniform starts in `[0, span)`, lengths in `[0, max_len)`.
@@ -101,7 +101,7 @@ pub mod intervals {
 
 /// Rectangle workloads for Theorem 5.
 pub mod rects {
-    use super::{StdRng, SeedableRng, distinct_weights, Rng};
+    use super::{distinct_weights, Rng, SeedableRng, StdRng};
     use enclosure::Rect;
     use geom::Point2;
 
@@ -160,7 +160,7 @@ pub mod rects {
 
 /// 3D dominance workloads for Theorem 6.
 pub mod hotels {
-    use super::{StdRng, SeedableRng, distinct_weights, Rng};
+    use super::{distinct_weights, Rng, SeedableRng, StdRng};
     use dominance::Hotel;
 
     /// Uniform hotels in `[0, 100)³` (price, distance, 100 − security).
@@ -218,7 +218,7 @@ pub mod hotels {
 
 /// Point-cloud workloads for Theorem 3 / Corollary 1.
 pub mod points {
-    use super::{StdRng, SeedableRng, distinct_weights, Rng};
+    use super::{distinct_weights, Rng, SeedableRng, StdRng};
     use halfspace::{WPoint2, WPointD};
 
     /// Uniform 2D cloud in `[−span, span)²`.
@@ -323,7 +323,7 @@ pub mod points {
 /// structural weaknesses (interval-tree centers, kd splits, weight-order
 /// correlation). Used by the soak tests and available to the harness.
 pub mod adversarial {
-    use super::{StdRng, SeedableRng, Rng, distinct_weights};
+    use super::{distinct_weights, Rng, SeedableRng, StdRng};
     use interval::Interval;
 
     /// Intervals whose weights are perfectly correlated with their spans
@@ -389,7 +389,7 @@ pub mod adversarial {
 
 /// 1D workloads for the range1d showcase and the E6 baseline duel.
 pub mod line {
-    use super::{StdRng, SeedableRng, distinct_weights, Rng};
+    use super::{distinct_weights, Rng, SeedableRng, StdRng};
     use range1d::{Range, WPoint1};
 
     /// Uniform points on `[0, span)`.
@@ -480,8 +480,8 @@ mod tests {
 
         let col = adversarial::collinear_points(100, 3);
         for w in col.windows(3) {
-            let cross = (w[1].x - w[0].x) * (w[2].y - w[0].y)
-                - (w[1].y - w[0].y) * (w[2].x - w[0].x);
+            let cross =
+                (w[1].x - w[0].x) * (w[2].y - w[0].y) - (w[1].y - w[0].y) * (w[2].x - w[0].x);
             assert!(cross.abs() < 1e-9);
         }
 
