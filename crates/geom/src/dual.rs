@@ -22,7 +22,10 @@ pub struct Line {
 impl Line {
     /// Construct; parameters must be finite.
     pub fn new(m: f64, c: f64) -> Self {
-        assert!(m.is_finite() && c.is_finite(), "line parameters must be finite");
+        assert!(
+            m.is_finite() && c.is_finite(),
+            "line parameters must be finite"
+        );
         Line { m, c }
     }
 

@@ -164,9 +164,9 @@ mod tests {
     #[test]
     fn intersection_of_box_halfplanes() {
         let hs = vec![
-            Halfplane::new(1.0, 0.0, 1.0),  // x ≥ 1
+            Halfplane::new(1.0, 0.0, 1.0),   // x ≥ 1
             Halfplane::new(-1.0, 0.0, -3.0), // x ≤ 3
-            Halfplane::new(0.0, 1.0, 0.0),  // y ≥ 0
+            Halfplane::new(0.0, 1.0, 0.0),   // y ≥ 0
             Halfplane::new(0.0, -1.0, -2.0), // y ≤ 2
         ];
         let poly = intersect_halfplanes(&hs, 1e6);

@@ -48,7 +48,10 @@ pub fn convex_hull_indices(pts: &[Point2]) -> Vec<usize> {
 
 /// Convenience: the hull as points (CCW).
 pub fn convex_hull(pts: &[Point2]) -> Vec<Point2> {
-    convex_hull_indices(pts).into_iter().map(|i| pts[i]).collect()
+    convex_hull_indices(pts)
+        .into_iter()
+        .map(|i| pts[i])
+        .collect()
 }
 
 /// A convex polygon with CCW vertices, supporting `O(log n)` queries.

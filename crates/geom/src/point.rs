@@ -95,11 +95,7 @@ impl<const D: usize> PointD<D> {
 
     /// Dot product with a direction vector.
     pub fn dot(&self, dir: &[f64; D]) -> f64 {
-        self.coords
-            .iter()
-            .zip(dir.iter())
-            .map(|(a, b)| a * b)
-            .sum()
+        self.coords.iter().zip(dir.iter()).map(|(a, b)| a * b).sum()
     }
 
     /// Squared Euclidean distance.
@@ -113,10 +109,7 @@ impl<const D: usize> PointD<D> {
 
     /// Componentwise dominance `self ⪯ q`.
     pub fn dominated_by(&self, q: &PointD<D>) -> bool {
-        self.coords
-            .iter()
-            .zip(q.coords.iter())
-            .all(|(a, b)| a <= b)
+        self.coords.iter().zip(q.coords.iter()).all(|(a, b)| a <= b)
     }
 }
 
@@ -159,7 +152,10 @@ pub struct BallD<const D: usize> {
 impl<const D: usize> BallD<D> {
     /// Construct; radius must be positive and finite.
     pub fn new(center: PointD<D>, radius: f64) -> Self {
-        assert!(radius.is_finite() && radius > 0.0, "radius must be positive");
+        assert!(
+            radius.is_finite() && radius > 0.0,
+            "radius must be positive"
+        );
         BallD { center, radius }
     }
 
