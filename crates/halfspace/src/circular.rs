@@ -26,7 +26,10 @@ pub struct Disk {
 impl Disk {
     /// Construct a disk.
     pub fn new(center: (f64, f64), radius: f64) -> Self {
-        assert!(radius > 0.0 && radius.is_finite(), "radius must be positive");
+        assert!(
+            radius > 0.0 && radius.is_finite(),
+            "radius must be positive"
+        );
         Disk { center, radius }
     }
 
@@ -79,11 +82,7 @@ impl TopKCircular {
         let h: HalfspaceD<3> = lift_ball(&q.to_ball());
         let mut lifted_out = Vec::new();
         self.inner.query_topk(&h, k, &mut lifted_out);
-        out.extend(
-            lifted_out
-                .iter()
-                .map(|l| self.originals[&l.weight]),
-        );
+        out.extend(lifted_out.iter().map(|l| self.originals[&l.weight]));
     }
 
     /// Space in blocks.

@@ -34,7 +34,10 @@ pub struct WPointD<const D: usize> {
 impl<const D: usize> WPointD<D> {
     /// Construct; coordinates must be finite.
     pub fn new(coords: [f64; D], weight: Weight) -> Self {
-        assert!(coords.iter().all(|c| c.is_finite()), "coordinates must be finite");
+        assert!(
+            coords.iter().all(|c| c.is_finite()),
+            "coordinates must be finite"
+        );
         WPointD { coords, weight }
     }
 
@@ -331,10 +334,7 @@ mod tests {
         let idx = KdHalfspaceMaxBuilder.build(&model, items.clone());
         for h in halfspaces4(128, 40) {
             let want = brute::max(&items, |p| h.contains(&p.point()));
-            assert_eq!(
-                idx.query_max(&h).map(|p| p.weight),
-                want.map(|p| p.weight)
-            );
+            assert_eq!(idx.query_max(&h).map(|p| p.weight), want.map(|p| p.weight));
         }
     }
 

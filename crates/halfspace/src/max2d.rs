@@ -191,7 +191,8 @@ mod tests {
 
         let idx = WeightHullTree::build(&model, vec![WPoint2::new(3.0, 4.0, 9)]);
         assert_eq!(
-            idx.query_max(&Halfplane::new(1.0, 0.0, 0.0)).map(|p| p.weight),
+            idx.query_max(&Halfplane::new(1.0, 0.0, 0.0))
+                .map(|p| p.weight),
             Some(9)
         );
         assert_eq!(idx.query_max(&Halfplane::new(1.0, 0.0, 5.0)), None);

@@ -82,7 +82,7 @@ impl TopKIndex<WPoint2, Halfplane> for TopKHalfplane {
 mod tests {
     use super::*;
     use crate::testutil::{cloud, halfplanes};
-    use topk_core::{brute, PrioritizedIndex, PrioritizedBuilder};
+    use topk_core::{brute, PrioritizedBuilder, PrioritizedIndex};
 
     #[test]
     fn prioritized_2d_matches_brute() {
