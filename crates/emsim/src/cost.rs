@@ -24,10 +24,10 @@
 //! call; [`credit_thread`] folds a worker thread's tally back into its
 //! parent's.
 
-use std::cell::Cell;
-use std::collections::HashMap;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use crate::sync::{Arc, Mutex, MutexGuard};
+use std::cell::Cell;
+use std::collections::HashMap;
 
 use crate::device::{self, BlockDevice, BlockId, DeviceClass};
 use crate::error::EmError;
@@ -94,7 +94,10 @@ impl EmConfig {
     /// The RAM model: unit-size blocks, no cache (§1.1: "by setting M and B
     /// to appropriate constants, all our EM results also hold in RAM").
     pub fn ram() -> Self {
-        EmConfig { b: 1, mem_blocks: 0 }
+        EmConfig {
+            b: 1,
+            mem_blocks: 0,
+        }
     }
 
     /// How many `T` items fit in one block (at least 1; a word is 8 bytes).
@@ -284,7 +287,13 @@ impl CostModel {
     /// Create a meter on the default substrate whose fallible accessors
     /// are subject to `plan`.
     pub fn with_faults(config: EmConfig, plan: FaultPlan) -> Self {
-        CostModel::with_substrate(config, Substrate { faults: plan, ..Substrate::current() })
+        CostModel::with_substrate(
+            config,
+            Substrate {
+                faults: plan,
+                ..Substrate::current()
+            },
+        )
     }
 
     /// Create a meter on `substrate`: its shared file store, or a private
@@ -299,7 +308,13 @@ impl CostModel {
         // meter and every `scoped` child lands on the same ledger, feeding
         // `physical()` and the EXPLAIN physical-bytes row.
         let device = Arc::new(device::CountingDevice::new(device));
-        CostModel::with_counting(config, substrate.faults, substrate.kernels, substrate.trace, device)
+        CostModel::with_counting(
+            config,
+            substrate.faults,
+            substrate.kernels,
+            substrate.trace,
+            device,
+        )
     }
 
     /// Create a meter with fault plan `plan` on an explicit [`BlockDevice`],
@@ -420,7 +435,11 @@ impl CostModel {
         if !self.inner.device.can_damage() {
             return;
         }
-        let id = BlockId { ns: self.inner.ns, array: array_id, block };
+        let id = BlockId {
+            ns: self.inner.ns,
+            array: array_id,
+            block,
+        };
         let _ = self.inner.device.write(id, &image());
     }
 
@@ -505,7 +524,11 @@ impl CostModel {
     /// ```
     pub fn span(&self, phase: &'static str) -> SpanGuard {
         if !self.inner.sink_active.load(Relaxed) {
-            return SpanGuard { sink: None, phase, start: None };
+            return SpanGuard {
+                sink: None,
+                phase,
+                start: None,
+            };
         }
         let sink = lock_recover(&self.inner.sink).clone();
         let start = if let Some(s) = &sink {
@@ -740,7 +763,11 @@ impl CostModel {
     /// onto the logical `(array_id, block)` address (the device reports its
     /// own [`BlockId`] coordinates, which callers upstream don't know).
     fn device_verify(&self, array_id: u64, block: u64) -> Result<(), EmError> {
-        let id = BlockId { ns: self.inner.ns, array: array_id, block };
+        let id = BlockId {
+            ns: self.inner.ns,
+            array: array_id,
+            block,
+        };
         match self.inner.device.read(id) {
             Ok(_) => Ok(()),
             Err(EmError::Transient { .. }) => Err(EmError::Transient { array_id, block }),
@@ -1048,7 +1075,11 @@ mod tests {
             a.touch(0, blk);
             b.try_fetch(0, blk, 0).expect("inert plan never fails");
         }
-        assert_eq!(a.report(), b.report(), "no meter drift from the fallible path");
+        assert_eq!(
+            a.report(),
+            b.report(),
+            "no meter drift from the fallible path"
+        );
         assert_eq!(a.report().faults, 0);
     }
 

@@ -139,7 +139,11 @@ const fn crc64_table() -> [u64; 256] {
         let mut crc = i as u64;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 == 1 { (crc >> 1) ^ CRC64_POLY } else { crc >> 1 };
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ CRC64_POLY
+            } else {
+                crc >> 1
+            };
             bit += 1;
         }
         table[i] = crc;
@@ -228,7 +232,9 @@ impl MemDevice {
     }
 
     fn lock(&self) -> crate::sync::MutexGuard<'_, MemState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -254,13 +260,19 @@ impl BlockDevice for MemDevice {
         let idx = st.reads;
         st.reads += 1;
         if self.plan.is_short_read(idx) {
-            return Err(EmError::Transient { array_id: id.array, block: id.block });
+            return Err(EmError::Transient {
+                array_id: id.array,
+                block: id.block,
+            });
         }
         let Some(stored) = st.staged.get(&id).or_else(|| st.committed.get(&id)) else {
             return Ok(None);
         };
         if payload_crc(id, &stored.bytes) != stored.crc {
-            return Err(EmError::Corrupt { array_id: id.array, block: id.block });
+            return Err(EmError::Corrupt {
+                array_id: id.array,
+                block: id.block,
+            });
         }
         Ok(Some(stored.bytes.clone()))
     }
@@ -279,7 +291,13 @@ impl BlockDevice for MemDevice {
         st.writes += 1;
         let crc = payload_crc(id, payload);
         if self.plan.crash_after == Some(idx) {
-            st.staged.insert(id, StoredBlock { bytes: payload[..torn_len(payload.len())].to_vec(), crc });
+            st.staged.insert(
+                id,
+                StoredBlock {
+                    bytes: payload[..torn_len(payload.len())].to_vec(),
+                    crc,
+                },
+            );
             st.poisoned = true;
             return Err(EmError::io(
                 "pwrite",
@@ -476,7 +494,9 @@ impl FileDevice {
     }
 
     fn lock(&self) -> crate::sync::MutexGuard<'_, FileState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn data_path(&self) -> PathBuf {
@@ -511,7 +531,9 @@ impl FileDevice {
         // extent that overflows is a corrupt catalog, not a panic.
         let extent = committed
             .values()
-            .try_fold(0u64, |m, e| Some(m.max(e.offset.checked_add(u64::from(e.len))?)))
+            .try_fold(0u64, |m, e| {
+                Some(m.max(e.offset.checked_add(u64::from(e.len))?))
+            })
             .ok_or_else(catalog_corrupt)?;
         let data_path = self.data_path();
         let data_len = state
@@ -586,8 +608,8 @@ impl FileDevice {
         // DURABILITY: the rename lives in the directory; fsync the
         // directory entry so the *new* catalog (not the old one) is what a
         // post-crash open sees once sync() returns.
-        let dirf = fs::File::open(&self.dir)
-            .map_err(|e| EmError::io("open", self.dir.clone(), 0, e))?;
+        let dirf =
+            fs::File::open(&self.dir).map_err(|e| EmError::io("open", self.dir.clone(), 0, e))?;
         dirf.sync_all()
             .map_err(|e| EmError::io("fsync", self.dir.clone(), 0, e))?;
         st.committed = merged;
@@ -649,7 +671,10 @@ fn serialize_catalog(generation: u64, entries: &HashMap<BlockId, CatEntry>) -> V
 /// The catalog-is-corrupt sentinel: there is no logical block to blame, so
 /// the whole-store address `(u64::MAX, u64::MAX)` is used.
 fn catalog_corrupt() -> EmError {
-    EmError::Corrupt { array_id: u64::MAX, block: u64::MAX }
+    EmError::Corrupt {
+        array_id: u64::MAX,
+        block: u64::MAX,
+    }
 }
 
 fn parse_catalog(bytes: &[u8]) -> Result<(u64, HashMap<BlockId, CatEntry>), EmError> {
@@ -702,9 +727,17 @@ impl BlockDevice for FileDevice {
         let idx = st.reads;
         st.reads += 1;
         if self.plan.is_short_read(idx) {
-            return Err(EmError::Transient { array_id: id.array, block: id.block });
+            return Err(EmError::Transient {
+                array_id: id.array,
+                block: id.block,
+            });
         }
-        let Some(entry) = st.staged.get(&id).or_else(|| st.committed.get(&id)).copied() else {
+        let Some(entry) = st
+            .staged
+            .get(&id)
+            .or_else(|| st.committed.get(&id))
+            .copied()
+        else {
             return Ok(None);
         };
         if entry.offset + u64::from(entry.len) > st.data_len {
@@ -719,12 +752,18 @@ impl BlockDevice for FileDevice {
             // A cataloged block with no bytes under it is corruption (a
             // truncated or misdirected store), not an I/O environment error.
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                return Err(EmError::Corrupt { array_id: id.array, block: id.block });
+                return Err(EmError::Corrupt {
+                    array_id: id.array,
+                    block: id.block,
+                });
             }
             Err(e) => return Err(EmError::io("pread", self.data_path(), entry.offset, e)),
         }
         if payload_crc(id, &buf) != entry.crc {
-            return Err(EmError::Corrupt { array_id: id.array, block: id.block });
+            return Err(EmError::Corrupt {
+                array_id: id.array,
+                block: id.block,
+            });
         }
         Ok(Some(buf))
     }
@@ -762,7 +801,14 @@ impl BlockDevice for FileDevice {
             .map_err(|e| EmError::io("pwrite", self.data_path(), offset, e))?;
         // The writer believes the full payload landed: the entry records
         // the intended length and CRC, the tail advances past the gap.
-        st.staged.insert(id, CatEntry { offset, len: full_len as u32, crc });
+        st.staged.insert(
+            id,
+            CatEntry {
+                offset,
+                len: full_len as u32,
+                crc,
+            },
+        );
         st.tail = offset + full_len as u64;
         st.data_len = st.data_len.max(offset + persisted.len() as u64);
         Ok(())
@@ -906,7 +952,8 @@ impl DeviceLedger {
 
     /// Record one `sync` attempt.
     fn note_sync(&self) {
-        self.syncs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.syncs
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// The counts so far.
@@ -1000,10 +1047,8 @@ mod tests {
     use super::*;
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "emsim-device-test-{}-{name}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("emsim-device-test-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -1031,7 +1076,10 @@ mod tests {
         for dev in both_devices("ryw") {
             assert!(dev.is_empty());
             dev.write(id(1, 2, 3), b"hello").expect("write");
-            assert_eq!(dev.read(id(1, 2, 3)).expect("read"), Some(b"hello".to_vec()));
+            assert_eq!(
+                dev.read(id(1, 2, 3)).expect("read"),
+                Some(b"hello".to_vec())
+            );
             assert_eq!(dev.read(id(1, 2, 4)).expect("read"), None);
             assert_eq!(dev.len(), 1);
             assert_eq!(dev.blocks_of(1, 2), vec![3]);
@@ -1045,8 +1093,15 @@ mod tests {
             dev.sync().expect("sync");
             dev.write(id(0, 0, 1), b"staged").expect("write");
             dev.crash();
-            assert_eq!(dev.read(id(0, 0, 0)).expect("read"), Some(b"durable".to_vec()));
-            assert_eq!(dev.read(id(0, 0, 1)).expect("read"), None, "unsynced write lost");
+            assert_eq!(
+                dev.read(id(0, 0, 0)).expect("read"),
+                Some(b"durable".to_vec())
+            );
+            assert_eq!(
+                dev.read(id(0, 0, 1)).expect("read"),
+                None,
+                "unsynced write lost"
+            );
             assert_eq!(dev.generation(), 1);
         }
     }
@@ -1057,7 +1112,10 @@ mod tests {
             dev.write(id(0, 7, 0), b"v1").expect("write");
             dev.sync().expect("sync");
             dev.write(id(0, 7, 0), b"v2-longer").expect("write");
-            assert_eq!(dev.read(id(0, 7, 0)).expect("read"), Some(b"v2-longer".to_vec()));
+            assert_eq!(
+                dev.read(id(0, 7, 0)).expect("read"),
+                Some(b"v2-longer".to_vec())
+            );
             dev.crash();
             assert_eq!(dev.read(id(0, 7, 0)).expect("read"), Some(b"v1".to_vec()));
         }
@@ -1071,7 +1129,8 @@ mod tests {
             dev.write(id(NAMED_NS, 9, 0), b"block-zero").expect("write");
             dev.write(id(NAMED_NS, 9, 1), b"block-one").expect("write");
             dev.sync().expect("sync");
-            dev.write(id(NAMED_NS, 9, 2), b"never-synced").expect("write");
+            dev.write(id(NAMED_NS, 9, 2), b"never-synced")
+                .expect("write");
         }
         let dev = FileDevice::open(&dir).expect("reopen");
         let rec = dev.recovery();
@@ -1079,8 +1138,14 @@ mod tests {
         assert_eq!(rec.committed_blocks, 2);
         assert_eq!(rec.corrupt_blocks, 0);
         assert!(rec.truncated_bytes >= b"never-synced".len() as u64);
-        assert_eq!(dev.read(id(NAMED_NS, 9, 0)).expect("read"), Some(b"block-zero".to_vec()));
-        assert_eq!(dev.read(id(NAMED_NS, 9, 1)).expect("read"), Some(b"block-one".to_vec()));
+        assert_eq!(
+            dev.read(id(NAMED_NS, 9, 0)).expect("read"),
+            Some(b"block-zero".to_vec())
+        );
+        assert_eq!(
+            dev.read(id(NAMED_NS, 9, 1)).expect("read"),
+            Some(b"block-one".to_vec())
+        );
         assert_eq!(dev.read(id(NAMED_NS, 9, 2)).expect("read"), None);
         assert_eq!(dev.blocks_of(NAMED_NS, 9), vec![0, 1]);
         let _ = fs::remove_dir_all(&dir);
@@ -1093,9 +1158,16 @@ mod tests {
             Box::new(MemDevice::with_plan(plan)) as Box<dyn BlockDevice>,
             Box::new(FileDevice::open_with(tmp_dir("torn"), plan).expect("open")),
         ] {
-            dev.write(id(0, 1, 0), b"sixteen bytes!!!").expect("writer sees success");
+            dev.write(id(0, 1, 0), b"sixteen bytes!!!")
+                .expect("writer sees success");
             let e = dev.read(id(0, 1, 0)).expect_err("prefix must fail CRC");
-            assert_eq!(e, EmError::Corrupt { array_id: 1, block: 0 });
+            assert_eq!(
+                e,
+                EmError::Corrupt {
+                    array_id: 1,
+                    block: 0
+                }
+            );
         }
     }
 
@@ -1108,7 +1180,9 @@ mod tests {
             dev.write(id(0, 0, 0), b"first-write!").expect("write 0");
             dev.write(id(0, 0, 1), b"second-write").expect("write 1");
             dev.sync().expect("sync");
-            let e = dev.write(id(0, 0, 2), b"third-write!").expect_err("crash point");
+            let e = dev
+                .write(id(0, 0, 2), b"third-write!")
+                .expect_err("crash point");
             assert!(matches!(e, EmError::Io { op: "pwrite", .. }), "{e:?}");
             // Poisoned: everything fails now.
             assert!(dev.read(id(0, 0, 0)).is_err());
@@ -1122,9 +1196,18 @@ mod tests {
         assert_eq!(rec.generation, 1);
         assert_eq!(rec.committed_blocks, 2);
         assert_eq!(rec.corrupt_blocks, 0);
-        assert!(rec.truncated_bytes > 0, "the torn third write was truncated");
-        assert_eq!(dev.read(id(0, 0, 0)).expect("read"), Some(b"first-write!".to_vec()));
-        assert_eq!(dev.read(id(0, 0, 1)).expect("read"), Some(b"second-write".to_vec()));
+        assert!(
+            rec.truncated_bytes > 0,
+            "the torn third write was truncated"
+        );
+        assert_eq!(
+            dev.read(id(0, 0, 0)).expect("read"),
+            Some(b"first-write!".to_vec())
+        );
+        assert_eq!(
+            dev.read(id(0, 0, 1)).expect("read"),
+            Some(b"second-write".to_vec())
+        );
         assert_eq!(dev.read(id(0, 0, 2)).expect("read"), None);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1139,11 +1222,17 @@ mod tests {
         for _ in 0..200 {
             match dev.read(id(0, 4, 0)) {
                 Ok(Some(_)) => successes += 1,
-                Err(EmError::Transient { array_id: 4, block: 0 }) => failures += 1,
+                Err(EmError::Transient {
+                    array_id: 4,
+                    block: 0,
+                }) => failures += 1,
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
-        assert!(failures > 0 && successes > 0, "{failures} fails / {successes} oks");
+        assert!(
+            failures > 0 && successes > 0,
+            "{failures} fails / {successes} oks"
+        );
     }
 
     #[test]
@@ -1177,7 +1266,13 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&cat, bytes).expect("rewrite catalog");
         let err = FileDevice::open(&dir).expect_err("corrupt catalog");
-        assert_eq!(err, EmError::Corrupt { array_id: u64::MAX, block: u64::MAX });
+        assert_eq!(
+            err,
+            EmError::Corrupt {
+                array_id: u64::MAX,
+                block: u64::MAX
+            }
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1205,7 +1300,11 @@ mod tests {
 
     #[test]
     fn forged_extent_past_u64_max_is_corrupt_not_an_overflow() {
-        let entry = CatEntry { offset: u64::MAX - 2, len: 16, crc: 0 };
+        let entry = CatEntry {
+            offset: u64::MAX - 2,
+            len: 16,
+            crc: 0,
+        };
         let catalog = serialize_catalog(1, &HashMap::from([(id(0, 0, 0), entry)]));
         let err = open_with_forged_catalog("forged-extent", &catalog).expect_err("forged extent");
         assert_eq!(err, catalog_corrupt());
@@ -1216,17 +1315,30 @@ mod tests {
         // A 4 GiB and a 64-byte extent over an empty data file: recovery
         // counts both as corrupt without reading them, and reading either
         // is `Corrupt` without allocating its length.
-        let huge = CatEntry { offset: 0, len: u32::MAX, crc: 0 };
-        let small = CatEntry { offset: 0, len: 64, crc: 0 };
-        let catalog =
-            serialize_catalog(1, &HashMap::from([(id(0, 0, 0), huge), (id(0, 0, 1), small)]));
+        let huge = CatEntry {
+            offset: 0,
+            len: u32::MAX,
+            crc: 0,
+        };
+        let small = CatEntry {
+            offset: 0,
+            len: 64,
+            crc: 0,
+        };
+        let catalog = serialize_catalog(
+            1,
+            &HashMap::from([(id(0, 0, 0), huge), (id(0, 0, 1), small)]),
+        );
         let dev = open_with_forged_catalog("forged-len", &catalog).expect("open");
         assert_eq!(dev.recovery().corrupt_blocks, 2);
         assert!(matches!(
             dev.read(id(0, 0, 0)),
             Err(EmError::Corrupt { .. })
         ));
-        assert!(matches!(dev.read(id(0, 0, 1)), Err(EmError::Corrupt { .. })));
+        assert!(matches!(
+            dev.read(id(0, 0, 1)),
+            Err(EmError::Corrupt { .. })
+        ));
     }
 
     #[test]
@@ -1244,14 +1356,22 @@ mod tests {
                 preads: 2,
                 pwrites: 2,
                 syncs: 1,
-                bytes_read: 1,  // the hit returned 1 byte; the miss none
+                bytes_read: 1, // the hit returned 1 byte; the miss none
                 bytes_written: 2,
             }
         );
-        let later = DeviceCounts { preads: 5, bytes_read: 9, ..dev.counts() };
+        let later = DeviceCounts {
+            preads: 5,
+            bytes_read: 9,
+            ..dev.counts()
+        };
         assert_eq!(
             later.since(&dev.counts()),
-            DeviceCounts { preads: 3, bytes_read: 8, ..DeviceCounts::default() }
+            DeviceCounts {
+                preads: 3,
+                bytes_read: 8,
+                ..DeviceCounts::default()
+            }
         );
         assert_eq!(dev.class(), DeviceClass::Mem);
         assert_eq!(dev.len(), 2);

@@ -126,24 +126,60 @@ impl PartialEq for EmError {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (
-                EmError::Transient { array_id: a1, block: b1 },
-                EmError::Transient { array_id: a2, block: b2 },
+                EmError::Transient {
+                    array_id: a1,
+                    block: b1,
+                },
+                EmError::Transient {
+                    array_id: a2,
+                    block: b2,
+                },
             )
             | (
-                EmError::BadBlock { array_id: a1, block: b1 },
-                EmError::BadBlock { array_id: a2, block: b2 },
+                EmError::BadBlock {
+                    array_id: a1,
+                    block: b1,
+                },
+                EmError::BadBlock {
+                    array_id: a2,
+                    block: b2,
+                },
             )
             | (
-                EmError::Corrupt { array_id: a1, block: b1 },
-                EmError::Corrupt { array_id: a2, block: b2 },
+                EmError::Corrupt {
+                    array_id: a1,
+                    block: b1,
+                },
+                EmError::Corrupt {
+                    array_id: a2,
+                    block: b2,
+                },
             ) => (a1, b1) == (a2, b2),
             (
-                EmError::Exhausted { array_id: a1, block: b1, attempts: n1 },
-                EmError::Exhausted { array_id: a2, block: b2, attempts: n2 },
+                EmError::Exhausted {
+                    array_id: a1,
+                    block: b1,
+                    attempts: n1,
+                },
+                EmError::Exhausted {
+                    array_id: a2,
+                    block: b2,
+                    attempts: n2,
+                },
             ) => (a1, b1, n1) == (a2, b2, n2),
             (
-                EmError::Io { op: o1, path: p1, offset: f1, source: s1 },
-                EmError::Io { op: o2, path: p2, offset: f2, source: s2 },
+                EmError::Io {
+                    op: o1,
+                    path: p1,
+                    offset: f1,
+                    source: s1,
+                },
+                EmError::Io {
+                    op: o2,
+                    path: p2,
+                    offset: f2,
+                    source: s2,
+                },
             ) => o1 == o2 && p1 == p2 && f1 == f2 && s1.kind() == s2.kind(),
             _ => false,
         }
@@ -199,26 +235,65 @@ mod tests {
 
     #[test]
     fn transient_is_the_only_retryable_kind() {
-        assert!(EmError::Transient { array_id: 0, block: 1 }.is_transient());
-        assert!(!EmError::BadBlock { array_id: 0, block: 1 }.is_transient());
-        assert!(!EmError::Corrupt { array_id: 0, block: 1 }.is_transient());
-        assert!(!EmError::Exhausted { array_id: 0, block: 1, attempts: 4 }.is_transient());
+        assert!(EmError::Transient {
+            array_id: 0,
+            block: 1
+        }
+        .is_transient());
+        assert!(!EmError::BadBlock {
+            array_id: 0,
+            block: 1
+        }
+        .is_transient());
+        assert!(!EmError::Corrupt {
+            array_id: 0,
+            block: 1
+        }
+        .is_transient());
+        assert!(!EmError::Exhausted {
+            array_id: 0,
+            block: 1,
+            attempts: 4
+        }
+        .is_transient());
     }
 
     #[test]
     fn location_reports_the_failing_block() {
-        assert_eq!(EmError::BadBlock { array_id: 7, block: 9 }.location(), (7, 9));
         assert_eq!(
-            EmError::Exhausted { array_id: 1, block: 2, attempts: 3 }.location(),
+            EmError::BadBlock {
+                array_id: 7,
+                block: 9
+            }
+            .location(),
+            (7, 9)
+        );
+        assert_eq!(
+            EmError::Exhausted {
+                array_id: 1,
+                block: 2,
+                attempts: 3
+            }
+            .location(),
             (1, 2)
         );
     }
 
     #[test]
     fn display_names_the_fault_kind() {
-        let e = EmError::Corrupt { array_id: 3, block: 4 };
+        let e = EmError::Corrupt {
+            array_id: 3,
+            block: 4,
+        };
         assert!(e.to_string().contains("checksum"));
-        assert!(format!("{}", EmError::Transient { array_id: 0, block: 0 }).contains("transient"));
+        assert!(format!(
+            "{}",
+            EmError::Transient {
+                array_id: 0,
+                block: 0
+            }
+        )
+        .contains("transient"));
     }
 
     #[test]
@@ -245,9 +320,20 @@ mod tests {
         use std::io::{Error, ErrorKind};
         let a = EmError::io("fsync", "/d/cat", 0, Error::new(ErrorKind::NotFound, "x"));
         let b = EmError::io("fsync", "/d/cat", 0, Error::new(ErrorKind::NotFound, "y"));
-        let c = EmError::io("fsync", "/d/cat", 0, Error::new(ErrorKind::PermissionDenied, "x"));
+        let c = EmError::io(
+            "fsync",
+            "/d/cat",
+            0,
+            Error::new(ErrorKind::PermissionDenied, "x"),
+        );
         assert_eq!(a, b, "same kind compares equal regardless of message");
         assert_ne!(a, c, "different kinds differ");
-        assert_ne!(a, EmError::Corrupt { array_id: 0, block: 0 });
+        assert_ne!(
+            a,
+            EmError::Corrupt {
+                array_id: 0,
+                block: 0
+            }
+        );
     }
 }

@@ -245,8 +245,7 @@ impl FaultPlan {
 
     /// Whether this block is permanently unreadable under the plan.
     pub fn is_bad_block(&self, array_id: u64, block: u64) -> bool {
-        self.permanent > 0.0
-            && unit(self.hash(SALT_PERMANENT, array_id, block, 0)) < self.permanent
+        self.permanent > 0.0 && unit(self.hash(SALT_PERMANENT, array_id, block, 0)) < self.permanent
     }
 
     /// Whether this block's payload is silently corrupted under the plan.
@@ -421,7 +420,10 @@ mod tests {
         let out = r.run(|attempt| {
             calls += 1;
             if attempt < 2 {
-                Err(EmError::Transient { array_id: 0, block: 0 })
+                Err(EmError::Transient {
+                    array_id: 0,
+                    block: 0,
+                })
             } else {
                 Ok(attempt)
             }
@@ -433,10 +435,19 @@ mod tests {
     #[test]
     fn retrier_exhausts_into_typed_error() {
         let r = Retrier::new(2);
-        let out: Result<(), _> = r.run(|_| Err(EmError::Transient { array_id: 1, block: 9 }));
+        let out: Result<(), _> = r.run(|_| {
+            Err(EmError::Transient {
+                array_id: 1,
+                block: 9,
+            })
+        });
         assert_eq!(
             out,
-            Err(EmError::Exhausted { array_id: 1, block: 9, attempts: 3 })
+            Err(EmError::Exhausted {
+                array_id: 1,
+                block: 9,
+                attempts: 3
+            })
         );
     }
 
@@ -445,9 +456,18 @@ mod tests {
         let mut calls = 0;
         let out: Result<(), _> = Retrier::new(5).run(|_| {
             calls += 1;
-            Err(EmError::BadBlock { array_id: 0, block: 3 })
+            Err(EmError::BadBlock {
+                array_id: 0,
+                block: 3,
+            })
         });
-        assert_eq!(out, Err(EmError::BadBlock { array_id: 0, block: 3 }));
+        assert_eq!(
+            out,
+            Err(EmError::BadBlock {
+                array_id: 0,
+                block: 3
+            })
+        );
         assert_eq!(calls, 1, "permanent faults fail fast");
     }
 
@@ -459,9 +479,15 @@ mod tests {
             .with_short_read(0.3)
             .with_crash_point(5);
         assert!(p.has_device_faults());
-        assert!(!p.is_active(), "device kinds alone don't arm the logical path");
+        assert!(
+            !p.is_active(),
+            "device kinds alone don't arm the logical path"
+        );
         let torn: Vec<bool> = (0..500).map(|i| p.is_torn_write(i)).collect();
-        assert_eq!(torn, (0..500).map(|i| p.is_torn_write(i)).collect::<Vec<_>>());
+        assert_eq!(
+            torn,
+            (0..500).map(|i| p.is_torn_write(i)).collect::<Vec<_>>()
+        );
         assert!(torn.iter().any(|&t| t) && torn.iter().any(|&t| !t));
         // Scoping: a file-only plan is inert for the Mem class.
         let scoped = p.with_scope(FaultScope::File);
@@ -479,22 +505,41 @@ mod tests {
         let _serial = crate::substrate::install_lock();
         let before = Substrate::current();
         let plan = FaultPlan::chaos(99, 0.25).with_scope(FaultScope::File);
-        let guard = Substrate { faults: plan, ..before.clone() }.install();
+        let guard = Substrate {
+            faults: plan,
+            ..before.clone()
+        }
+        .install();
         assert_eq!(Substrate::current().faults, plan);
         let m = CostModel::new(EmConfig::new(64));
-        assert!(!m.fault_plan().is_active(), "scope-filtered on an in-memory meter");
-        let dir = std::env::temp_dir()
-            .join(format!("emsim-fault-test-{}-global-plan", std::process::id()));
+        assert!(
+            !m.fault_plan().is_active(),
+            "scope-filtered on an in-memory meter"
+        );
+        let dir = std::env::temp_dir().join(format!(
+            "emsim-fault-test-{}-global-plan",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let file = crate::sync::Arc::new(FileDevice::open(&dir).expect("open"));
-        let on_file = Substrate { device: Some(file), ..Substrate::current() };
+        let on_file = Substrate {
+            device: Some(file),
+            ..Substrate::current()
+        };
         let armed = CostModel::with_substrate(EmConfig::new(64), on_file.clone());
         assert_eq!(armed.fault_plan(), plan);
         drop(guard);
         assert_eq!(Substrate::current().faults, before.faults);
-        let cleared = Substrate { device: on_file.device, ..Substrate::current() };
+        let cleared = Substrate {
+            device: on_file.device,
+            ..Substrate::current()
+        };
         let m2 = CostModel::with_substrate(EmConfig::new(64), cleared);
-        assert_eq!(m2.fault_plan(), before.faults, "cleared back to the previous default");
+        assert_eq!(
+            m2.fault_plan(),
+            before.faults,
+            "cleared back to the previous default"
+        );
         assert_eq!(armed.fault_plan(), plan, "a built meter keeps its plan");
         drop((armed, m2));
         let _ = std::fs::remove_dir_all(&dir);

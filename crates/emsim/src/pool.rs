@@ -327,7 +327,9 @@ mod tests {
         let (mut hits, mut misses) = (0u64, 0u64);
         let mut x: u64 = 12345;
         for _ in 0..10_000 {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
             let key = (x >> 61, (x >> 33) % 6);
             let model_hit = if let Some(pos) = model.iter().position(|&k| k == key) {
                 model.remove(pos);

@@ -14,11 +14,7 @@ use crate::cost::CostModel;
 ///
 /// The in-memory capacity is taken as `mem_blocks · items_per_block`, with a
 /// floor of `4` blocks so the simulation still works for cache-less configs.
-pub fn external_sort_by<T, K: Ord>(
-    model: &CostModel,
-    items: &mut Vec<T>,
-    key: impl Fn(&T) -> K,
-) {
+pub fn external_sort_by<T, K: Ord>(model: &CostModel, items: &mut Vec<T>, key: impl Fn(&T) -> K) {
     let per_block = model.config().items_per_block::<T>();
     let mem_blocks = model.config().mem_blocks.max(4);
     let run_len = (mem_blocks * per_block).max(1);
@@ -52,8 +48,10 @@ pub fn external_sort_by<T, K: Ord>(
             model.charge_scan::<T>(total);
             model.charge_writes(total.div_ceil(per_block) as u64);
             let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::new();
-            let mut iters: Vec<std::vec::IntoIter<T>> =
-                group.iter_mut().map(|r| std::mem::take(r).into_iter()).collect();
+            let mut iters: Vec<std::vec::IntoIter<T>> = group
+                .iter_mut()
+                .map(|r| std::mem::take(r).into_iter())
+                .collect();
             let mut heads: Vec<Option<T>> = Vec::with_capacity(iters.len());
             for (i, it) in iters.iter_mut().enumerate() {
                 let head = it.next();
@@ -86,7 +84,9 @@ mod tests {
     #[test]
     fn sorts_correctly() {
         let m = CostModel::new(EmConfig::with_memory(64, 8));
-        let mut v: Vec<u64> = (0..10_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        let mut v: Vec<u64> = (0..10_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
         let mut expected = v.clone();
         expected.sort_unstable();
         external_sort_by(&m, &mut v, |&x| x);
@@ -126,6 +126,9 @@ mod tests {
         let total = m.report().total();
         let n_over_b = (n as u64).div_ceil(b as u64);
         assert!(total <= 10 * n_over_b, "total {total} vs n/B {n_over_b}");
-        assert!(total >= 2 * n_over_b, "sorting can't be cheaper than a read+write pass");
+        assert!(
+            total >= 2 * n_over_b,
+            "sorting can't be cheaper than a read+write pass"
+        );
     }
 }

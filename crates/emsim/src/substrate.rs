@@ -72,7 +72,12 @@ impl Substrate {
                 .expect("EMSIM_DEVICE=file: opening the FileDevice failed");
             Arc::new(dev)
         });
-        Substrate { device, kernels: env.kernels, faults: env.faults, trace: None }
+        Substrate {
+            device,
+            kernels: env.kernels,
+            faults: env.faults,
+            trace: None,
+        }
     }
 
     /// Delete the process default's file store if it lives where
@@ -106,7 +111,9 @@ impl Substrate {
         // leaving the environment to be parsed (and a file store opened)
         // a second time.
         let current = slot.get_or_insert_with(Substrate::from_env);
-        SubstrateGuard { previous: Some(std::mem::replace(current, self)) }
+        SubstrateGuard {
+            previous: Some(std::mem::replace(current, self)),
+        }
     }
 }
 
@@ -161,10 +168,16 @@ fn parse_env(var: impl Fn(&str) -> Option<String>, avx2: bool) -> EnvChoice {
         .and_then(|s| s.parse::<f64>().ok())
         .filter(|&rate| rate > 0.0)
         .map_or_else(FaultPlan::none, |rate| {
-            let seed = var("FAULT_SEED").and_then(|s| s.parse().ok()).unwrap_or(0xFA_017);
+            let seed = var("FAULT_SEED")
+                .and_then(|s| s.parse().ok())
+                .unwrap_or(0xFA_017);
             FaultPlan::chaos(seed, rate.min(1.0))
         });
-    EnvChoice { file_dir, kernels, faults }
+    EnvChoice {
+        file_dir,
+        kernels,
+        faults,
+    }
 }
 
 #[cfg(test)]
@@ -175,7 +188,9 @@ mod tests {
 
     fn parse(vars: &[(&str, &str)], avx2: bool) -> EnvChoice {
         let lookup = |key: &str| {
-            vars.iter().find(|(k, _)| *k == key).map(|(_, v)| (*v).to_string())
+            vars.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| (*v).to_string())
         };
         parse_env(lookup, avx2)
     }
@@ -185,7 +200,11 @@ mod tests {
         let unset = parse(&[], true);
         assert_eq!(
             unset,
-            EnvChoice { file_dir: None, kernels: Backend::Avx2, faults: FaultPlan::none() }
+            EnvChoice {
+                file_dir: None,
+                kernels: Backend::Avx2,
+                faults: FaultPlan::none()
+            }
         );
 
         for (device, dir) in [
@@ -193,12 +212,18 @@ mod tests {
             ("junk", None),
             ("file", Some(PathBuf::from("/data/emsim"))),
         ] {
-            let got = parse(&[("EMSIM_DEVICE", device), ("EMSIM_DATA_DIR", "/data/emsim")], true);
+            let got = parse(
+                &[("EMSIM_DEVICE", device), ("EMSIM_DATA_DIR", "/data/emsim")],
+                true,
+            );
             assert_eq!(got.file_dir, dir, "EMSIM_DEVICE={device}");
         }
         let default_dir = parse(&[("EMSIM_DEVICE", "file")], true).file_dir;
         let pid = std::process::id();
-        assert_eq!(default_dir, Some(std::env::temp_dir().join(format!("emsim-data-{pid}"))));
+        assert_eq!(
+            default_dir,
+            Some(std::env::temp_dir().join(format!("emsim-data-{pid}")))
+        );
 
         for (kernels, avx2, want) in [
             ("scalar", true, Backend::Scalar),
@@ -223,7 +248,11 @@ mod tests {
             ("0.2", FaultPlan::chaos(0xFA_017, 0.2)),
             ("7.5", FaultPlan::chaos(0xFA_017, 1.0)),
         ] {
-            assert_eq!(parse(&[("FAULT_RATE", rate)], true).faults, want, "FAULT_RATE={rate}");
+            assert_eq!(
+                parse(&[("FAULT_RATE", rate)], true).faults,
+                want,
+                "FAULT_RATE={rate}"
+            );
         }
         let seeded = parse(&[("FAULT_RATE", "0.02"), ("FAULT_SEED", "7")], true);
         assert_eq!(seeded.faults, FaultPlan::chaos(7, 0.02));
@@ -263,12 +292,18 @@ mod tests {
         }));
         assert!(r.is_err());
         let after = Substrate::current();
-        assert_eq!((after.kernels, after.faults), (before.kernels, before.faults));
+        assert_eq!(
+            (after.kernels, after.faults),
+            (before.kernels, before.faults)
+        );
         assert!(after.trace.is_none(), "restored after panic");
         // An explicit substrate needs no default at all.
         let m = CostModel::with_substrate(
             EmConfig::new(64),
-            Substrate { kernels: Backend::Scalar, ..Substrate::current() },
+            Substrate {
+                kernels: Backend::Scalar,
+                ..Substrate::current()
+            },
         );
         assert_eq!(m.kernels(), Backend::Scalar);
     }

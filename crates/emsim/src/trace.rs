@@ -483,7 +483,10 @@ impl TraceSink for ChromeTraceSink {
             dur_us: 0,
             stats: PhaseStats::default(),
         };
-        lock_recover(&self.open).entry(span.tid).or_default().push(span);
+        lock_recover(&self.open)
+            .entry(span.tid)
+            .or_default()
+            .push(span);
     }
 
     fn span_end(&self, phase: &'static str) {
@@ -817,7 +820,11 @@ mod tests {
         let _serial = crate::substrate::install_lock();
         let before = crate::Substrate::current();
         let sink = Arc::new(RecordingSink::new());
-        let guard = crate::Substrate { trace: Some(sink.clone()), ..before.clone() }.install();
+        let guard = crate::Substrate {
+            trace: Some(sink.clone()),
+            ..before.clone()
+        }
+        .install();
         let m = CostModel::new(EmConfig::new(64));
         assert!(m.trace_sink().is_some());
         {
@@ -850,12 +857,18 @@ mod tests {
                 ..PhaseStats::default()
             },
         );
-        let mut r = CostReport { phases, ..CostReport::default() };
+        let mut r = CostReport {
+            phases,
+            ..CostReport::default()
+        };
         let text = r.render("theorem1 query");
         assert!(text.contains("EXPLAIN theorem1 query"));
         assert!(text.contains("probe"));
         assert!(text.contains("TOTAL"));
-        assert!(!text.contains("physical:"), "all-zero physical row is elided");
+        assert!(
+            !text.contains("physical:"),
+            "all-zero physical row is elided"
+        );
         let prom = r.prometheus();
         assert!(prom.contains("# TYPE emsim_phase_reads counter"));
         assert!(prom.contains("emsim_phase_reads{phase=\"scan\"} 40"));

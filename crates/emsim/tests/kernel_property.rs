@@ -72,7 +72,17 @@ fn observe(
         .phases
         .iter()
         .map(|(name, p)| {
-            (*name, [p.reads, p.writes, p.pool_hits, p.pool_misses, p.faults, p.retries])
+            (
+                *name,
+                [
+                    p.reads,
+                    p.writes,
+                    p.pool_hits,
+                    p.pool_misses,
+                    p.faults,
+                    p.retries,
+                ],
+            )
         })
         .collect();
     (out, agg, phases)
