@@ -120,7 +120,7 @@ fn theorem2_ladder_is_pinned() {
     let retrier = Retrier::new(2);
     assert_eq!(
         tally(&model, solo(&t2, &retrier)),
-        (203, 157, 0, 104_430, 188_276, 6_274)
+        (203, 157, 0, 104_430, 187_484, 6_274)
     );
 }
 
@@ -144,7 +144,7 @@ fn scan_ladder_is_pinned() {
     let retrier = Retrier::new(2);
     assert_eq!(
         tally(&model, solo(&sc, &retrier)),
-        (105, 255, 0, 31_542, 148_690, 825)
+        (105, 255, 0, 27_343, 137_365, 825)
     );
 }
 
@@ -165,5 +165,5 @@ fn scan_batch_ladder_is_pinned() {
             .collect();
         sc.try_query_topk_batch(&batch, k, &retrier)
     });
-    assert_eq!(got, (420, 1_020, 0, 288_177, 363_242, 825));
+    assert_eq!(got, (420, 1_020, 0, 250_047, 324_555, 825));
 }
