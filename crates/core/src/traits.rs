@@ -30,8 +30,10 @@ pub trait Element: Clone {
 /// The reductions' one entry into k-selection: the `k` heaviest of `items`
 /// by [`Element::weight`], heaviest first. When `model` has a buffer pool
 /// that holds the `min(k, |items|)` survivors, they are held there and
-/// only the output is charged; otherwise the quickselect scans are
-/// charged to `model` (`emsim::select`, DESIGN.md substitution 10).
+/// only the output is charged; otherwise the selection's passes are
+/// charged to `model`: one scan of `items` when the `k` survivors fit one
+/// block, else quickselect's scans (`emsim::select`, DESIGN.md
+/// substitution 10).
 ///
 /// Weights are `u64`, so every call dispatches to emsim's specialized
 /// selection kernels (branch-free stable partition, vectorized
