@@ -12,9 +12,8 @@
 //!   pivot sequence indexes into the live key vector, so preserving
 //!   relative order keeps the pivot draws — and therefore the metered
 //!   pass count — bit-identical to the scalar path.
-//! * [`filter_ge_indices`] — block scan-for-threshold, vectorized with
-//!   AVX2 intrinsics where the CPU supports them and with a branch-free
-//!   gather everywhere else.
+//! * [`filter_ge_indices`] — block scan-for-threshold, a branch-free
+//!   gather (unconditional index store, conditional advance).
 //!
 //! `partition3` is crate-private: selection is its only caller, so code
 //! outside emsim reaches it only through
@@ -44,21 +43,12 @@
 //! Every kernel returns *bit-identical* results on every backend — same
 //! outputs, same stability, same multiset splits — which is what lets the
 //! golden I/O baselines pin one number for all dispatch paths.
-//!
-//! This is the one module in the crate allowed to use `unsafe`: the AVX2
-//! intrinsics require it. Every `unsafe` block is behind a runtime CPU
-//! feature check and a `#[target_feature]` function boundary.
-
-#![allow(unsafe_code)]
 
 /// Which implementation family the kernels run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// AVX2 intrinsics (4 × 64-bit lanes) for the scan kernels, branch-free
-    /// stores for partitioning. Runs `Unrolled` where the CPU lacks AVX2.
-    Avx2,
     /// Branch-free scalar loops (unconditional store, conditional
-    /// advance) — the portable fast path.
+    /// advance) — the default on every host.
     Unrolled,
     /// The original one-element-at-a-time code, kept as the reference
     /// implementation and forced via `EMSIM_KERNELS=scalar`.
@@ -69,27 +59,9 @@ impl Backend {
     /// Stable lowercase name (matches the `EMSIM_KERNELS` values).
     pub fn name(self) -> &'static str {
         match self {
-            Backend::Avx2 => "avx2",
             Backend::Unrolled => "unrolled",
             Backend::Scalar => "scalar",
         }
-    }
-}
-
-/// Whether AVX2 kernels can actually run on this machine.
-///
-/// Always `false` under Miri: the interpreter has no implementation of
-/// the AVX2 intrinsics, so the CI Miri lane must dispatch to the scalar /
-/// unrolled kernels. Every `Avx2` dispatch checks this first, so a meter
-/// built on an `Avx2` substrate runs `Unrolled` where AVX2 is missing.
-pub fn avx2_available() -> bool {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        is_x86_feature_detected!("avx2")
-    }
-    #[cfg(any(not(target_arch = "x86_64"), miri))]
-    {
-        false
     }
 }
 
@@ -116,7 +88,7 @@ pub(crate) fn partition3(
 ) -> (Vec<u64>, Vec<u64>, usize) {
     match backend {
         Backend::Scalar => partition3_scalar(keys, pivot),
-        Backend::Avx2 | Backend::Unrolled => partition3_branchfree(keys, pivot),
+        Backend::Unrolled => partition3_branchfree(keys, pivot),
     }
 }
 
@@ -160,12 +132,7 @@ fn partition3_branchfree(keys: &[u64], pivot: u64) -> (Vec<u64>, Vec<u64>, usize
 /// Indices (in input order) of every key `>= threshold`.
 pub fn filter_ge_indices(backend: Backend, keys: &[u64], threshold: u64) -> Vec<usize> {
     match backend {
-        // SAFETY: the guard just confirmed CPU support through
-        // `is_x86_feature_detected!("avx2")`, the sole precondition of
-        // `filter_ge_avx2`.
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if avx2_available() => unsafe { filter_ge_avx2(keys, threshold) },
-        Backend::Avx2 | Backend::Unrolled => filter_ge_unrolled(keys, threshold),
+        Backend::Unrolled => filter_ge_unrolled(keys, threshold),
         Backend::Scalar => keys
             .iter()
             .enumerate()
@@ -187,65 +154,11 @@ fn filter_ge_unrolled(keys: &[u64], threshold: u64) -> Vec<usize> {
     out
 }
 
-/// # Safety
-/// Caller must ensure the CPU supports AVX2 (`is_x86_feature_detected!`
-/// before dispatching here). No alignment precondition: the only wide
-/// load is `_mm256_loadu_si256`, which permits unaligned addresses; no
-/// length precondition beyond the slice's own bounds: `chunks_exact(4)`
-/// keeps every 32-byte load over exactly four in-bounds `u64` lanes, and
-/// the `remainder()` elements are read scalar.
-// SAFETY: see the `# Safety` section above — the `#[target_feature]`
-// boundary is the one unsafe obligation, discharged by runtime detection.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// `loadu` is the unaligned load; the 8→32-byte pointer cast is its calling
-// convention, not an alignment claim.
-#[allow(clippy::cast_ptr_alignment)]
-unsafe fn filter_ge_avx2(keys: &[u64], threshold: u64) -> Vec<usize> {
-    use std::arch::x86_64::{
-        __m256i, _mm256_castsi256_pd, _mm256_cmpgt_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
-        _mm256_set1_epi64x, _mm256_xor_si256,
-    };
-    let mut out = Vec::with_capacity(keys.len());
-    // AVX2 has only *signed* 64-bit compares; XOR-ing the sign bit maps
-    // the unsigned order onto the signed one.
-    let sign = _mm256_set1_epi64x(i64::MIN);
-    let tv = _mm256_xor_si256(_mm256_set1_epi64x(threshold as i64), sign);
-    let chunks = keys.chunks_exact(4);
-    let rem_base = keys.len() - chunks.remainder().len();
-    let rem = chunks.remainder();
-    for (c, ch) in chunks.enumerate() {
-        let v = _mm256_loadu_si256(ch.as_ptr().cast::<__m256i>());
-        let vf = _mm256_xor_si256(v, sign);
-        // x >= t  ⇔  !(t > x): invert the 4-bit lane mask.
-        let lt = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(tv, vf))) as u32;
-        let mut ge = !lt & 0xF;
-        let base = c * 4;
-        while ge != 0 {
-            let lane = ge.trailing_zeros() as usize;
-            out.push(base + lane);
-            ge &= ge - 1;
-        }
-    }
-    for (i, &x) in rem.iter().enumerate() {
-        if x >= threshold {
-            out.push(rem_base + i);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn backends() -> Vec<Backend> {
-        let mut v = vec![Backend::Scalar, Backend::Unrolled];
-        if avx2_available() {
-            v.push(Backend::Avx2);
-        }
-        v
-    }
+    const BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::Unrolled];
 
     fn keys(n: u64) -> Vec<u64> {
         (0..n)
@@ -259,13 +172,12 @@ mod tests {
             let ks = keys(n);
             let pivot = 488;
             let want = partition3_scalar(&ks, pivot);
-            for b in backends() {
+            for b in BACKENDS {
                 let got = partition3(b, &ks, pivot);
                 assert_eq!(got, want, "n={n} backend={b:?}");
             }
             // Stability: survivors appear in input order.
             let (g, l, e) = want;
-            assert!(g.windows(1).count() == g.len());
             assert_eq!(g.len() + l.len() + e, ks.len());
             let expect_g: Vec<u64> = ks.iter().copied().filter(|&x| x > pivot).collect();
             let expect_l: Vec<u64> = ks.iter().copied().filter(|&x| x < pivot).collect();
@@ -285,7 +197,7 @@ mod tests {
                     .filter(|&(_, &x)| x >= t)
                     .map(|(i, _)| i)
                     .collect();
-                for b in backends() {
+                for b in BACKENDS {
                     let got = filter_ge_indices(b, &ks, t);
                     assert_eq!(got, want, "n={n} t={t} backend={b:?}");
                 }

@@ -18,7 +18,7 @@
 //! * [`select`] — EM k-selection (`O(n/B)` I/Os expected, or only the
 //!   `O(k/B)` output when the k survivors fit in the buffer pool), the
 //!   primitive the paper invokes as "k-selection \[8\]" throughout §3–§4.
-//! * [`kernels`] — branchless / SIMD hot-path kernels (partition,
+//! * [`kernels`] — branch-free hot-path kernels (partition,
 //!   scan-for-threshold) behind `select`, dispatched on the meter's
 //!   [`Backend`]; answers and metered I/Os are bit-identical on every
 //!   backend.
@@ -52,9 +52,8 @@
 //! The RAM model is obtained, exactly as in §1.1 of the paper, by setting
 //! `B` (and `M`) to small constants.
 //!
-//! `unsafe` is denied crate-wide; the single exception is [`kernels`],
-//! whose AVX2 intrinsics require it (each use is behind a runtime CPU
-//! feature check).
+//! `unsafe` is forbidden in this crate, as in every workspace member
+//! (`unsafe_code = "forbid"` in the root manifest).
 
 pub mod block;
 pub mod cost;

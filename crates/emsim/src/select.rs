@@ -228,7 +228,6 @@ fn quickselect(backend: Backend, passes: Passes, mut keys: Vec<u64>, mut k: usiz
 mod tests {
     use super::*;
     use crate::cost::EmConfig;
-    use crate::kernels::avx2_available;
     use crate::Substrate;
 
     fn model() -> CostModel {
@@ -261,13 +260,7 @@ mod tests {
         v
     }
 
-    fn all_backends() -> Vec<Backend> {
-        let mut v = vec![Backend::Scalar, Backend::Unrolled];
-        if avx2_available() {
-            v.push(Backend::Avx2);
-        }
-        v
-    }
+    const BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::Unrolled];
 
     #[test]
     fn kth_largest_matches_sorting() {
@@ -369,7 +362,7 @@ mod tests {
         let n = 50_000usize;
         let items = vec![7u64; n];
         for k in [25, 100] {
-            for b in all_backends() {
+            for b in BACKENDS {
                 let m = model_on(b);
                 let out = top_k_by_weight(&m, &items, k, |&x| x);
                 assert_eq!(out, vec![7u64; k], "k={k} backend={b:?}");
@@ -401,7 +394,7 @@ mod tests {
             .iter()
             .map(|&k| brute_top_k(&items, k))
             .collect();
-        for b in all_backends() {
+        for b in BACKENDS {
             for (wi, &k) in [1usize, 17, 500, 5000].iter().enumerate() {
                 let m = model_on(b);
                 let out = top_k_by_weight(&m, &items, k, |&x| x);
@@ -419,7 +412,7 @@ mod tests {
         let asc: Vec<u64> = (0..n).collect();
         let desc: Vec<u64> = (0..n).rev().collect();
         for items in [&asc, &desc] {
-            for b in all_backends() {
+            for b in BACKENDS {
                 let m = model_on(b);
                 let out = top_k_by_weight(&m, items, 100, |&x| x);
                 assert_eq!(out, brute_top_k(items, 100), "backend={b:?}");
@@ -440,7 +433,7 @@ mod tests {
             .collect();
         for k in [1usize, 32, 1000, 4095] {
             let mut reference: Option<(Vec<u64>, u64, u64)> = None;
-            for b in all_backends() {
+            for b in BACKENDS {
                 let m = model_on(b);
                 let out = top_k_by_weight(&m, &items, k, |&x| x);
                 let rep = m.report();
@@ -568,7 +561,7 @@ mod tests {
                 let mut want = items.clone();
                 want.sort_by_key(|&(key, _)| Reverse(key));
                 want.truncate(k);
-                for b in all_backends() {
+                for b in BACKENDS {
                     let m = model_on(b);
                     let out = top_k_by_weight(&m, &items, k, |t| t.0);
                     assert_eq!(out, want, "{name} k={k} backend={b:?}");

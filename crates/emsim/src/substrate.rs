@@ -21,7 +21,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use crate::device::FileDevice;
 use crate::error::EmError;
 use crate::fault::FaultPlan;
-use crate::kernels::{avx2_available, Backend};
+use crate::kernels::Backend;
 use crate::sync::Arc;
 use crate::trace::TraceSink;
 
@@ -32,8 +32,7 @@ pub struct Substrate {
     /// The store every meter on this substrate shares (`EMSIM_DEVICE=file`),
     /// or `None` for a private in-memory [`crate::MemDevice`] per meter.
     pub device: Option<Arc<FileDevice>>,
-    /// The kernel backend selections run on. `Avx2` falls back to
-    /// `Unrolled` at dispatch on a CPU without AVX2.
+    /// The kernel backend selections run on.
     pub kernels: Backend,
     /// The fault plan meters start with (`FAULT_RATE` / `FAULT_SEED`).
     pub faults: FaultPlan,
@@ -56,9 +55,8 @@ impl Substrate {
     /// * `EMSIM_DEVICE=file` shares one [`FileDevice`] in `EMSIM_DATA_DIR`
     ///   (default: `emsim-data-<pid>` in the temp directory); anything
     ///   else gives each meter a private in-memory device.
-    /// * `EMSIM_KERNELS=scalar|unrolled` forces that backend; `avx2`,
-    ///   unset or anything else takes the fastest the CPU runs (`Avx2`
-    ///   where available, else `Unrolled`).
+    /// * `EMSIM_KERNELS=scalar` runs the reference kernels; `unrolled`,
+    ///   unset or anything else runs `Unrolled`.
     /// * `FAULT_RATE=r` with `r > 0` arms [`FaultPlan::chaos`] at
     ///   `min(r, 1)`, seeded by `FAULT_SEED` (default `0xFA017`); a rate
     ///   that is unset, unparsable, NaN or not positive arms nothing.
@@ -66,7 +64,7 @@ impl Substrate {
     ///
     /// Panics when the file store cannot be opened.
     pub fn from_env() -> Substrate {
-        let env = parse_env(|key| std::env::var(key).ok(), avx2_available());
+        let env = parse_env(|key| std::env::var(key).ok());
         let device = env.file_dir.map(|dir| {
             let dev = FileDevice::open_with(dir, env.faults)
                 .expect("EMSIM_DEVICE=file: opening the FileDevice failed");
@@ -152,16 +150,12 @@ struct EnvChoice {
     faults: FaultPlan,
 }
 
-/// The parse behind [`Substrate::from_env`], over a variable lookup and
-/// whether the CPU runs AVX2.
-fn parse_env(var: impl Fn(&str) -> Option<String>, avx2: bool) -> EnvChoice {
+/// The parse behind [`Substrate::from_env`], over a variable lookup.
+fn parse_env(var: impl Fn(&str) -> Option<String>) -> EnvChoice {
     let file_dir = (var("EMSIM_DEVICE").as_deref() == Some("file"))
         .then(|| var("EMSIM_DATA_DIR").map_or_else(default_data_dir, PathBuf::from));
     let kernels = match var("EMSIM_KERNELS").as_deref() {
         Some("scalar") => Backend::Scalar,
-        Some("unrolled") => Backend::Unrolled,
-        // Never intrinsics the CPU cannot run, even if asked to.
-        _ if avx2 => Backend::Avx2,
         _ => Backend::Unrolled,
     };
     let faults = var("FAULT_RATE")
@@ -186,23 +180,23 @@ mod tests {
     use crate::trace::{phase, RecordingSink};
     use crate::{CostModel, EmConfig, FaultScope};
 
-    fn parse(vars: &[(&str, &str)], avx2: bool) -> EnvChoice {
+    fn parse(vars: &[(&str, &str)]) -> EnvChoice {
         let lookup = |key: &str| {
             vars.iter()
                 .find(|(k, _)| *k == key)
                 .map(|(_, v)| (*v).to_string())
         };
-        parse_env(lookup, avx2)
+        parse_env(lookup)
     }
 
     #[test]
     fn env_parse_table() {
-        let unset = parse(&[], true);
+        let unset = parse(&[]);
         assert_eq!(
             unset,
             EnvChoice {
                 file_dir: None,
-                kernels: Backend::Avx2,
+                kernels: Backend::Unrolled,
                 faults: FaultPlan::none()
             }
         );
@@ -212,33 +206,29 @@ mod tests {
             ("junk", None),
             ("file", Some(PathBuf::from("/data/emsim"))),
         ] {
-            let got = parse(
-                &[("EMSIM_DEVICE", device), ("EMSIM_DATA_DIR", "/data/emsim")],
-                true,
-            );
+            let got = parse(&[("EMSIM_DEVICE", device), ("EMSIM_DATA_DIR", "/data/emsim")]);
             assert_eq!(got.file_dir, dir, "EMSIM_DEVICE={device}");
         }
-        let default_dir = parse(&[("EMSIM_DEVICE", "file")], true).file_dir;
+        let default_dir = parse(&[("EMSIM_DEVICE", "file")]).file_dir;
         let pid = std::process::id();
         assert_eq!(
             default_dir,
             Some(std::env::temp_dir().join(format!("emsim-data-{pid}")))
         );
 
-        for (kernels, avx2, want) in [
-            ("scalar", true, Backend::Scalar),
-            ("unrolled", true, Backend::Unrolled),
-            ("avx2", true, Backend::Avx2),
-            ("junk", true, Backend::Avx2),
-            ("scalar", false, Backend::Scalar),
-            ("unrolled", false, Backend::Unrolled),
-            ("avx2", false, Backend::Unrolled),
-            ("junk", false, Backend::Unrolled),
+        // The retired `avx2` value and junk read as unset: `Unrolled`,
+        // whatever the host CPU, and never an error.
+        for (kernels, want) in [
+            ("scalar", Backend::Scalar),
+            ("unrolled", Backend::Unrolled),
+            ("avx2", Backend::Unrolled),
+            ("AVX2", Backend::Unrolled),
+            ("junk", Backend::Unrolled),
+            ("", Backend::Unrolled),
         ] {
-            let got = parse(&[("EMSIM_KERNELS", kernels)], avx2).kernels;
-            assert_eq!(got, want, "EMSIM_KERNELS={kernels} avx2={avx2}");
+            let got = parse(&[("EMSIM_KERNELS", kernels)]).kernels;
+            assert_eq!(got, want, "EMSIM_KERNELS={kernels}");
         }
-        assert_eq!(parse(&[], false).kernels, Backend::Unrolled);
 
         for (rate, want) in [
             ("0", FaultPlan::none()),
@@ -249,14 +239,14 @@ mod tests {
             ("7.5", FaultPlan::chaos(0xFA_017, 1.0)),
         ] {
             assert_eq!(
-                parse(&[("FAULT_RATE", rate)], true).faults,
+                parse(&[("FAULT_RATE", rate)]).faults,
                 want,
                 "FAULT_RATE={rate}"
             );
         }
-        let seeded = parse(&[("FAULT_RATE", "0.02"), ("FAULT_SEED", "7")], true);
+        let seeded = parse(&[("FAULT_RATE", "0.02"), ("FAULT_SEED", "7")]);
         assert_eq!(seeded.faults, FaultPlan::chaos(7, 0.02));
-        let bad_seed = parse(&[("FAULT_RATE", "0.02"), ("FAULT_SEED", "junk")], true);
+        let bad_seed = parse(&[("FAULT_RATE", "0.02"), ("FAULT_SEED", "junk")]);
         assert_eq!(bad_seed.faults, FaultPlan::chaos(0xFA_017, 0.02));
     }
 

@@ -1,7 +1,7 @@
 //! Property suite pinning the PR-6 kernel-equivalence invariant: for any
 //! input, any `k`, any traffic through the LRU buffer pool, and any
-//! fault plan, every kernel backend (scalar reference, branch-free unrolled,
-//! AVX2 where the CPU has it) produces
+//! fault plan, both kernel backends (scalar reference, branch-free
+//! unrolled) produce
 //!
 //! * the same selection output (bit-identical `Vec`, same order),
 //! * the same metered I/O counts (the stable branch-free partition
@@ -16,19 +16,13 @@
 
 use std::sync::Arc;
 
-use emsim::kernels::{avx2_available, Backend};
+use emsim::kernels::Backend;
 use emsim::select::top_k_by_weight;
 use emsim::trace::{phase, RecordingSink};
 use emsim::{CostModel, EmConfig, FaultPlan, IoReport, Substrate};
 use proptest::prelude::*;
 
-fn backends() -> Vec<Backend> {
-    let mut v = vec![Backend::Scalar, Backend::Unrolled];
-    if avx2_available() {
-        v.push(Backend::Avx2);
-    }
-    v
-}
+const BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::Unrolled];
 
 /// Per-phase trace sums: phase label plus the six deterministic counters
 /// (`nanos`, the wall-clock field, is deliberately excluded — it is the
@@ -100,7 +94,7 @@ fn check_equivalence(
     oracle.sort_unstable_by(|a, b| b.cmp(a));
     oracle.truncate(k);
     prop_assert_eq!(&reference.0, &oracle, "scalar backend vs sort oracle");
-    for b in backends() {
+    for b in BACKENDS {
         let got = observe(b, items, k, plan, touches);
         prop_assert_eq!(&got.0, &reference.0, "answers differ on {:?}", b);
         prop_assert_eq!(got.1, reference.1, "meter reports differ on {:?}", b);

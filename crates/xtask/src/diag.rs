@@ -8,26 +8,15 @@ use std::path::PathBuf;
 /// output, allowlist markers and fixture assertions all key on them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RuleId {
-    /// Stable short ID (`INV03`...).
+    /// Stable short ID (`INV04`...).
     pub id: &'static str,
     /// Human name, also accepted by `allow_invariant(...)` markers.
     pub name: &'static str,
 }
 
 /// The rule catalog. Order is the order rules run and report.
-pub const RULES: &[RuleId] = &[
-    UNSAFE_HYGIENE,
-    PHASE_TAXONOMY,
-    ATOMICS_AUDIT,
-    STALE_ALLOW,
-    DEVICE_HYGIENE,
-];
+pub const RULES: &[RuleId] = &[PHASE_TAXONOMY, ATOMICS_AUDIT, STALE_ALLOW, DEVICE_HYGIENE];
 
-/// INV03: `unsafe` confined to `emsim::kernels`, every site justified.
-pub const UNSAFE_HYGIENE: RuleId = RuleId {
-    id: "INV03",
-    name: "unsafe-hygiene",
-};
 /// INV04: trace spans use only registered phase labels.
 pub const PHASE_TAXONOMY: RuleId = RuleId {
     id: "INV04",

@@ -3,7 +3,7 @@
 //! The analyzer needs far less than a real parser: identifier/punctuation
 //! streams with exact line:column spans, string-literal values (for the
 //! phase-label rule), and the comment text attached to each line (for
-//! `// SAFETY:` and `allow_invariant(...)` markers). A hand-rolled lexer
+//! `// DURABILITY:` and `allow_invariant(...)` markers). A hand-rolled lexer
 //! covers that without pulling a parsing crate into the offline build —
 //! the build environment has no registry access, so `syn` is not an
 //! option (see shims/README.md for the same constraint on other deps).

@@ -9,7 +9,6 @@
 //!
 //! | ID    | name              | invariant |
 //! |-------|-------------------|-----------|
-//! | INV03 | unsafe-hygiene    | `unsafe` confined to kernels, `// SAFETY:` everywhere |
 //! | INV04 | phase-taxonomy    | trace spans use registered phase labels  |
 //! | INV05 | atomics-audit     | atomic orderings match `atomics.expect`  |
 //! | INV06 | stale-allow       | every allowlist marker still suppresses something |
@@ -18,7 +17,10 @@
 //! INV01 (`meter-soundness`) and INV02 (`select-chokepoint`) are retired:
 //! Rust visibility now keeps them. `BlockArray`'s unmetered `raw` and the
 //! selection kernels are crate-private to emsim, whose one public
-//! selection function is `emsim::select::top_k_by_weight`.
+//! selection function is `emsim::select::top_k_by_weight`. INV03
+//! (`unsafe-hygiene`) is retired too: the root manifest sets
+//! `unsafe_code = "forbid"`, so the compiler rejects `unsafe` in every
+//! member.
 //!
 //! Deliberate exceptions are written in the source as
 //! `// allow_invariant(<rule>): <reason>` directly above the excused
@@ -78,7 +80,6 @@ pub fn analyze_contexts(root: &Path, ctxs: &[FileCtx], only: Option<RuleId>) -> 
     let mut raw: Vec<Diagnostic> = Vec::new();
     let mut atomic_sites = Vec::new();
     for c in ctxs {
-        rules::unsafe_hygiene::check(c, &mut raw);
         rules::phases::check(c, &registry, &mut raw);
         rules::device::check(c, &mut raw);
         atomic_sites.extend(rules::atomics::collect(c));

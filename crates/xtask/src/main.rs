@@ -27,8 +27,8 @@ fn usage() -> ! {
         "usage: cargo xtask analyze [--rule <id|name>] [--list-rules] [--bless-atomics]\n\
          \x20      cargo xtask experiments\n\
          \n\
-         analyze checks the workspace's load-bearing invariants (unsafe\n\
-         hygiene, phase taxonomy, atomic orderings, allowlist, device I/O).\n\
+         analyze checks the workspace's load-bearing invariants (phase\n\
+         taxonomy, atomic orderings, allowlist, device I/O).\n\
          See DESIGN.md \"Static analysis & soundness\" for the rule catalog\n\
          and the allow_invariant(...) exception policy.\n\
          \n\

@@ -13,8 +13,8 @@
 //!    carry `// allow_invariant(device-hygiene): reason` markers.
 //! 2. Every `.sync(` / `.sync_all(` / `.sync_data(` call site outside
 //!    test code must be immediately preceded by a `// DURABILITY:`
-//!    comment saying what becomes durable and why here — the same
-//!    discipline `// SAFETY:` enforces for `unsafe`. A sync is the one
+//!    comment saying what becomes durable and why here, as a
+//!    `// SAFETY:` comment justifies an `unsafe` block. A sync is the one
 //!    point where the old-or-new crash guarantee is bought; an
 //!    undocumented one is either missing a guarantee or paying for one
 //!    nobody asked for.

@@ -6,16 +6,10 @@
 pub mod atomics;
 pub mod device;
 pub mod phases;
-pub mod unsafe_hygiene;
 
 use std::path::Path;
 
 /// Whether `rel` is inside the emsim crate's sources.
 pub(crate) fn in_emsim(rel: &Path) -> bool {
     rel.starts_with("crates/emsim")
-}
-
-/// Whether `rel` is the one module allowed to contain `unsafe`.
-pub(crate) fn is_kernels_module(rel: &Path) -> bool {
-    rel == Path::new("crates/emsim/src/kernels.rs")
 }

@@ -7,9 +7,7 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::diag::{
-    Diagnostic, ATOMICS_AUDIT, DEVICE_HYGIENE, PHASE_TAXONOMY, STALE_ALLOW, UNSAFE_HYGIENE,
-};
+use xtask::diag::{Diagnostic, ATOMICS_AUDIT, DEVICE_HYGIENE, PHASE_TAXONOMY, STALE_ALLOW};
 use xtask::{analyze, Analysis};
 
 fn fixture_root(name: &str) -> PathBuf {
@@ -24,43 +22,6 @@ fn run(name: &str) -> Analysis {
 
 fn render(diags: &[Diagnostic]) -> String {
     diags.iter().map(ToString::to_string).collect()
-}
-
-#[test]
-fn inv03_flags_unsafe_outside_kernels_and_missing_safety_comment() {
-    let a = run("inv03_unsafe");
-    assert_eq!(a.diagnostics.len(), 2, "{}", render(&a.diagnostics));
-
-    // Sorted order: rule, then file — app (escaped unsafe) before kernels
-    // (undocumented unsafe).
-    let escaped = &a.diagnostics[0];
-    assert_eq!(escaped.rule, UNSAFE_HYGIENE);
-    assert_eq!(escaped.rule.id, "INV03");
-    assert_eq!(escaped.file, Path::new("crates/app/src/lib.rs"));
-    assert_eq!(escaped.line, 5);
-    assert!(escaped.message.contains("outside"), "{}", escaped.message);
-
-    let undocumented = &a.diagnostics[1];
-    assert_eq!(undocumented.rule, UNSAFE_HYGIENE);
-    assert_eq!(undocumented.file, Path::new("crates/emsim/src/kernels.rs"));
-    assert_eq!(undocumented.line, 6);
-    assert!(
-        undocumented.message.contains("SAFETY"),
-        "{}",
-        undocumented.message
-    );
-}
-
-#[test]
-fn inv03_accepts_documented_unsafe_in_kernels() {
-    // The fixture's second kernel fn (line 13) carries a SAFETY comment
-    // and must pass.
-    let a = run("inv03_unsafe");
-    assert!(
-        a.diagnostics.iter().all(|d| d.line != 13),
-        "documented unsafe must not be flagged: {}",
-        render(&a.diagnostics)
-    );
 }
 
 #[test]

@@ -280,14 +280,7 @@ where
         name_hash ^= b as u64;
         name_hash = name_hash.wrapping_mul(0x1000_0000_01b3);
     }
-    // Under Miri every case runs ~two orders of magnitude slower, so the
-    // CI Miri lane caps the case count: it checks pointer/UB discipline,
-    // not distributional coverage (the native run keeps the full count).
-    let cases = if cfg!(miri) {
-        config.cases.min(4)
-    } else {
-        config.cases
-    };
+    let cases = config.cases;
     let mut passed: u32 = 0;
     let mut attempts: u64 = 0;
     let max_attempts = cases as u64 * 10 + 100;
