@@ -14,13 +14,17 @@ fn bench_builds(c: &mut Criterion) {
     g.bench_function("interval/segstab", |b| {
         b.iter(|| {
             let model = CostModel::new(EmConfig::new(64));
-            topk_core::PrioritizedIndex::<_, f64>::len(&interval::SegStabBuilder.build(&model, items.clone()))
+            topk_core::PrioritizedIndex::<_, f64>::len(
+                &interval::SegStabBuilder.build(&model, items.clone()),
+            )
         });
     });
     g.bench_function("interval/pststab", |b| {
         b.iter(|| {
             let model = CostModel::new(EmConfig::new(64));
-            topk_core::PrioritizedIndex::<_, f64>::len(&interval::PstStabBuilder.build(&model, items.clone()))
+            topk_core::PrioritizedIndex::<_, f64>::len(
+                &interval::PstStabBuilder.build(&model, items.clone()),
+            )
         });
     });
     g.bench_function("interval/stabmax", |b| {
@@ -54,7 +58,9 @@ fn bench_builds(c: &mut Criterion) {
     g.bench_function("dominance/kdtree_pri", |b| {
         b.iter(|| {
             let model = CostModel::new(EmConfig::new(64));
-            topk_core::PrioritizedIndex::<_, [f64; 3]>::len(&dominance::DomPriBuilder.build(&model, hotels.clone()))
+            topk_core::PrioritizedIndex::<_, [f64; 3]>::len(
+                &dominance::DomPriBuilder.build(&model, hotels.clone()),
+            )
         });
     });
     g.finish();

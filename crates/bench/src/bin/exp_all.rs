@@ -86,12 +86,23 @@ fn main() {
 
     let mut summary = Table::new(
         format!("exp_all summary — {scale:?}, {threads} thread(s)"),
-        &["experiment", "status", "wall ms", "reads", "writes", "total I/Os"],
+        &[
+            "experiment",
+            "status",
+            "wall ms",
+            "reads",
+            "writes",
+            "total I/Os",
+        ],
     );
     for o in &outcomes {
         summary.row_strings(vec![
             o.name.to_string(),
-            if o.error.is_some() { "PANIC".into() } else { "ok".into() },
+            if o.error.is_some() {
+                "PANIC".into()
+            } else {
+                "ok".into()
+            },
             f(o.elapsed_ms),
             o.ios.reads.to_string(),
             o.ios.writes.to_string(),
@@ -100,11 +111,27 @@ fn main() {
     }
     summary.row_strings(vec![
         "TOTAL".into(),
-        if outcomes.iter().any(|o| o.error.is_some()) { "PANIC".into() } else { "ok".into() },
+        if outcomes.iter().any(|o| o.error.is_some()) {
+            "PANIC".into()
+        } else {
+            "ok".into()
+        },
         f(total_elapsed_ms),
-        outcomes.iter().map(|o| o.ios.reads).sum::<u64>().to_string(),
-        outcomes.iter().map(|o| o.ios.writes).sum::<u64>().to_string(),
-        outcomes.iter().map(|o| o.ios.total()).sum::<u64>().to_string(),
+        outcomes
+            .iter()
+            .map(|o| o.ios.reads)
+            .sum::<u64>()
+            .to_string(),
+        outcomes
+            .iter()
+            .map(|o| o.ios.writes)
+            .sum::<u64>()
+            .to_string(),
+        outcomes
+            .iter()
+            .map(|o| o.ios.total())
+            .sum::<u64>()
+            .to_string(),
     ]);
     summary.print();
 
@@ -140,7 +167,12 @@ fn main() {
 /// Hand-rolled JSON (the workspace has no serde): experiment name →
 /// wall-clock and simulated I/Os, plus run metadata and cross-experiment
 /// latency / I/O histograms (nearest-rank percentiles).
-fn render_json(scale: Scale, threads: usize, total_elapsed_ms: f64, outcomes: &[ExpOutcome]) -> String {
+fn render_json(
+    scale: Scale,
+    threads: usize,
+    total_elapsed_ms: f64,
+    outcomes: &[ExpOutcome],
+) -> String {
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
     let _ = writeln!(s, "  \"threads\": {threads},");

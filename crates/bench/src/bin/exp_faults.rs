@@ -31,19 +31,27 @@ fn main() {
             "--trace" => trace_path = Some(args.next().expect("--trace needs a path")),
             other => {
                 eprintln!("unknown argument `{other}`");
-                eprintln!("usage: exp_faults [--fault-rate R]... [--retry-budget N]... [--trace PATH]");
+                eprintln!(
+                    "usage: exp_faults [--fault-rate R]... [--retry-budget N]... [--trace PATH]"
+                );
                 std::process::exit(2);
             }
         }
     }
     let trace = bench::tracectl::TraceGuard::arm(trace_path);
     if rates.is_empty() {
-        if let Some(r) = std::env::var("FAULT_RATE").ok().and_then(|s| s.parse().ok()) {
+        if let Some(r) = std::env::var("FAULT_RATE")
+            .ok()
+            .and_then(|s| s.parse().ok())
+        {
             rates.push(r);
         }
     }
     if budgets.is_empty() {
-        if let Some(b) = std::env::var("RETRY_BUDGET").ok().and_then(|s| s.parse().ok()) {
+        if let Some(b) = std::env::var("RETRY_BUDGET")
+            .ok()
+            .and_then(|s| s.parse().ok())
+        {
             budgets.push(b);
         }
     }

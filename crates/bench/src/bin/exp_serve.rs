@@ -46,7 +46,11 @@ fn main() {
         let mut s = String::from("{\n");
         let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
         let _ = writeln!(s, "  \"cores\": {cores},");
-        let _ = writeln!(s, "  \"paced_offered_qps\": {:.1},", summary.paced_offered_qps);
+        let _ = writeln!(
+            s,
+            "  \"paced_offered_qps\": {:.1},",
+            summary.paced_offered_qps
+        );
         let _ = writeln!(s, "  \"paced_qps\": {:.1},", summary.paced_qps);
         let _ = writeln!(s, "  \"paced_p50_us\": {:.1},", summary.paced_p50_us);
         let _ = writeln!(s, "  \"paced_p95_us\": {:.1},", summary.paced_p95_us);

@@ -116,12 +116,21 @@ pub fn exp_range2d(scale: Scale) -> Table {
     let b = 64usize;
     let mut t = Table::new(
         "E19 — range2d substrate ablation under Theorem 2 (kd vs range tree)",
-        &["n", "k", "kd IO/query", "rt IO/query", "kd space", "rt space"],
+        &[
+            "n",
+            "k",
+            "kd IO/query",
+            "rt IO/query",
+            "kd space",
+            "rt space",
+        ],
     );
     for &n in &crate::experiments::sizes(scale.n(8_192), scale.n(65_536)) {
         let items: Vec<range2d::WPt> = {
             let pts = workloads::points::uniform2(n, 100.0, 0xF1);
-            pts.iter().map(|p| range2d::WPt::new(p.x, p.y, p.weight)).collect()
+            pts.iter()
+                .map(|p| range2d::WPt::new(p.x, p.y, p.weight))
+                .collect()
         };
         let queries: Vec<range2d::RangeQ> = (0..12)
             .map(|i| {
@@ -164,7 +173,14 @@ pub fn exp_dominance_substrates(scale: Scale) -> Table {
     let b = 64usize;
     let mut t = Table::new(
         "E20 — 3D dominance substrate ablation under Theorem 2 (kd vs z-tree)",
-        &["n", "k", "kd IO/query", "ztree IO/query", "kd space", "ztree space"],
+        &[
+            "n",
+            "k",
+            "kd IO/query",
+            "ztree IO/query",
+            "kd space",
+            "ztree space",
+        ],
     );
     for &n in &crate::experiments::sizes(scale.n(8_192), scale.n(32_768)) {
         let items = workloads::hotels::uniform(n, 0xF2);

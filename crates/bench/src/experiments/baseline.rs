@@ -22,7 +22,15 @@ pub fn exp_baseline(scale: Scale) -> Table {
     let n = scale.n(131_072);
     let mut t = Table::new(
         format!("E6 — reductions vs [28] binary search vs scan (1D ranges, n = {n}, B = {b})"),
-        &["k", "thm2 (IO)", "thm1 (IO)", "binsearch (IO)", "counting (IO)", "scan (IO)", "binsearch/thm2"],
+        &[
+            "k",
+            "thm2 (IO)",
+            "thm1 (IO)",
+            "binsearch (IO)",
+            "counting (IO)",
+            "scan (IO)",
+            "binsearch/thm2",
+        ],
     );
     let items = line::uniform(n, 1_000.0, 0xE6);
     let queries = line::ranges(25, 1_000.0, 0.3, 0xE6 + 1);

@@ -138,7 +138,14 @@ pub fn run_batch(scale: Scale, batches: &[usize], ks: &[usize]) -> Table {
         "E17 — batch amortization: I/Os per query vs batch size \
          (batch answers asserted bit-identical to sequential)",
         &[
-            "structure", "dist", "k", "batch", "IOs/query", "vs batch=1", "seq ms", "batch ms",
+            "structure",
+            "dist",
+            "k",
+            "batch",
+            "IOs/query",
+            "vs batch=1",
+            "seq ms",
+            "batch ms",
         ],
     );
     let n = scale.n(4_096);

@@ -65,7 +65,9 @@ fn drive_cell(
     stats: &mut CellStats,
 ) {
     let n = items.len();
-    let qxs: Vec<u64> = (0..6).map(|i| (n as u64).saturating_sub(1) * i / 5).collect();
+    let qxs: Vec<u64> = (0..6)
+        .map(|i| (n as u64).saturating_sub(1) * i / 5)
+        .collect();
     let ks = [1usize, 8, (n / 7).max(2), n / 2];
     for seed in plan_seeds {
         let plan = if rate == 0.0 {
@@ -89,7 +91,10 @@ fn drive_cell(
                              (seed={seed} rate={rate} q={qx} k={k})"
                         );
                     }
-                    Ok(TopKAnswer::Degraded { items: got, extra_ios }) => {
+                    Ok(TopKAnswer::Degraded {
+                        items: got,
+                        extra_ios,
+                    }) => {
                         stats.degraded += 1;
                         stats.extra_ios += extra_ios;
                         assert!(
@@ -118,7 +123,14 @@ pub fn run_faults(scale: Scale, rates: &[f64], budgets: &[u32]) -> Table {
     let mut t = Table::new(
         "E16 — chaos harness: fault rate × retry budget (every Ok answer verified vs brute force)",
         &[
-            "structure", "rate", "budget", "queries", "exact", "degraded", "err", "faults",
+            "structure",
+            "rate",
+            "budget",
+            "queries",
+            "exact",
+            "degraded",
+            "err",
+            "faults",
             "avg extra IOs",
         ],
     );

@@ -60,7 +60,10 @@ fn mk_items(n: usize) -> Vec<ToyElem> {
     // A fixed odd multiplier permutes weights; distinctness is what the
     // top-k contract needs, randomness is not.
     (0..n as u64)
-        .map(|i| ToyElem { x: i, w: (i * 0x9E37) % (n as u64 * 0xA001) + 1 })
+        .map(|i| ToyElem {
+            x: i,
+            w: (i * 0x9E37) % (n as u64 * 0xA001) + 1,
+        })
         .collect()
 }
 
@@ -75,11 +78,7 @@ enum Recovered {
 /// One crash-grid trial: arm `CrashPoint(c)`, attempt the two-phase write,
 /// power-cycle, recover, and verify. Returns what survived plus the bytes
 /// the recovery pass truncated.
-fn crash_trial(
-    c: u64,
-    part0: &[ToyElem],
-    part1: &[ToyElem],
-) -> Result<(Recovered, u64), EmError> {
+fn crash_trial(c: u64, part0: &[ToyElem], part1: &[ToyElem]) -> Result<(Recovered, u64), EmError> {
     let dir = fresh_dir(&format!("crash-{c}"));
     let plan = FaultPlan::new(0xE23)
         .with_crash_point(c)
@@ -120,7 +119,10 @@ fn crash_trial(
         // written, a second open finds nothing left to truncate.
         let again = FileDevice::open(&dir)?;
         let rec = again.recovery();
-        assert_eq!(rec.corrupt_blocks, 0, "crash point {c}: committed block failed CRC");
+        assert_eq!(
+            rec.corrupt_blocks, 0,
+            "crash point {c}: committed block failed CRC"
+        );
         assert_eq!(
             rec.truncated_bytes, 0,
             "crash point {c}: recovery was not idempotent"
@@ -199,7 +201,11 @@ pub fn exp_persist(scale: Scale) -> Table {
     let writes_per_part = 2 * blocks_per_part;
     let total_writes = 2 * writes_per_part;
 
-    let mut tally = [(Recovered::Nothing, 0u64), (Recovered::Part0, 0), (Recovered::Everything, 0)];
+    let mut tally = [
+        (Recovered::Nothing, 0u64),
+        (Recovered::Part0, 0),
+        (Recovered::Everything, 0),
+    ];
     for c in 0..=total_writes {
         let (class, _) = crash_trial(c, part0, part1).expect("crash trial must recover");
         let expected = if c < writes_per_part {
@@ -264,7 +270,9 @@ pub fn exp_persist(scale: Scale) -> Table {
             x ^= x >> 7;
             x ^= x << 17;
             let i = (x % n as u64) as usize;
-            let got = arr.try_get(i, Media::Retried(&retrier)).expect("fault-free probe");
+            let got = arr
+                .try_get(i, Media::Retried(&retrier))
+                .expect("fault-free probe");
             assert_eq!(*got, i as u64);
         }
         let rep = m.report();
@@ -272,7 +280,10 @@ pub fn exp_persist(scale: Scale) -> Table {
         let preads = counts.preads - built.preads;
         // The validation contract: a charged miss is exactly one pread;
         // a pool hit is physically free. `accesses − preads == hits`.
-        assert_eq!(preads, rep.reads, "metered reads must equal physical preads");
+        assert_eq!(
+            preads, rep.reads,
+            "metered reads must equal physical preads"
+        );
         assert_eq!(
             rep.pool_hits + rep.reads,
             probes as u64,

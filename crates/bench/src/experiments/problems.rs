@@ -17,11 +17,18 @@ pub fn exp_interval(scale: Scale) -> Table {
     );
     for &n in &sizes(scale.n(8_192), scale.n(65_536)) {
         for (name, items) in [
-            ("uniform", workloads::intervals::uniform(n, 1_000.0, 120.0, 0xE7)),
+            (
+                "uniform",
+                workloads::intervals::uniform(n, 1_000.0, 120.0, 0xE7),
+            ),
             ("nested", workloads::intervals::nested(n, 0xE7)),
             ("mixed", workloads::intervals::mixed(n, 1_000.0, 0xE7)),
         ] {
-            let span = if name == "nested" { 2.0 * n as f64 } else { 1_000.0 };
+            let span = if name == "nested" {
+                2.0 * n as f64
+            } else {
+                1_000.0
+            };
             let queries: Vec<f64> = workloads::intervals::stab_queries(20, span, 0xE7 + 2)
                 .into_iter()
                 .map(|q| if name == "nested" { q - n as f64 } else { q })
@@ -161,8 +168,7 @@ pub fn exp_halfspace_hd(scale: Scale) -> Table {
         let queries: Vec<geom::point::HalfspaceD<4>> = dirs
             .iter()
             .map(|h| {
-                let mut projs: Vec<f64> =
-                    items.iter().map(|p| p.point().dot(&h.normal)).collect();
+                let mut projs: Vec<f64> = items.iter().map(|p| p.point().dot(&h.normal)).collect();
                 projs.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 geom::point::HalfspaceD::new(h.normal, projs[projs.len() - 33])
             })

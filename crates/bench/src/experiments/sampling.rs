@@ -101,7 +101,14 @@ pub fn exp_lemma3(scale: Scale) -> Table {
 pub fn exp_coreset(scale: Scale) -> Table {
     let mut t = Table::new(
         "E3 / Lemma 2 — top-k core-sets on 1D prefix predicates",
-        &["n", "K", "|R|", "size bound", "queries ok", "queries checked"],
+        &[
+            "n",
+            "K",
+            "|R|",
+            "size bound",
+            "queries ok",
+            "queries checked",
+        ],
     );
     let mut rng = StdRng::seed_from_u64(0xE3);
     for &n in &[scale.n(20_000), scale.n(80_000)] {

@@ -216,7 +216,10 @@ pub fn run_detailed(scale: Scale) -> (Table, ServeSummary) {
     assert!(report_c.shed > 0, "half-budget whale must shed");
     assert!(report_c.full > 0, "budget config must still serve");
     let frac_c = report_c.degraded_fraction();
-    assert!(frac_c > 0.0 && frac_c < 1.0, "degraded fraction {frac_c} not in (0,1)");
+    assert!(
+        frac_c > 0.0 && frac_c < 1.0,
+        "degraded fraction {frac_c} not in (0,1)"
+    );
     for ts in &report_c.tenants {
         let completed: u64 = ts.epochs.iter().sum();
         let partial = ts.ios - completed;
@@ -228,7 +231,11 @@ pub fn run_detailed(scale: Scale) -> (Table, ServeSummary) {
             );
         }
         if ts.tenant != 0 {
-            assert_eq!(ts.shed, 0, "light tenant {} shed under whale budget", ts.tenant);
+            assert_eq!(
+                ts.shed, 0,
+                "light tenant {} shed under whale budget",
+                ts.tenant
+            );
         }
     }
     push_closed_row(&mut t, "budget", &report_c, ios_c, m);
@@ -278,16 +285,16 @@ pub fn run_detailed(scale: Scale) -> (Table, ServeSummary) {
     // Burst phase: a zero-gap flood of 4×queue_max requests — the queue
     // must bound at the front door and shed the overflow.
     let burst_n = 4 * queue_max;
-    let burst_reqs: Vec<QueryRequest<PrefixQuery>> = generate(&TrafficConfig::whale_mix(
-        0xE25B,
-        burst_n,
-        n as u64,
-    ))
-    .into_iter()
-    .map(|a| a.req)
-    .collect();
+    let burst_reqs: Vec<QueryRequest<PrefixQuery>> =
+        generate(&TrafficConfig::whale_mix(0xE25B, burst_n, n as u64))
+            .into_iter()
+            .map(|a| a.req)
+            .collect();
     let burst_start = Instant::now();
-    let burst_tickets: Vec<_> = burst_reqs.iter().map(|r| handle.submit(r.clone())).collect();
+    let burst_tickets: Vec<_> = burst_reqs
+        .iter()
+        .map(|r| handle.submit(r.clone()))
+        .collect();
     let burst: Vec<(ServeReply<ToyElem>, Duration)> =
         burst_tickets.into_iter().map(serve::Ticket::wait).collect();
     let burst_wall = burst_start.elapsed();
@@ -342,7 +349,13 @@ pub fn run_detailed(scale: Scale) -> (Table, ServeSummary) {
         open_degraded,
     };
 
-    push_open_row(&mut t, "paced", &paced, summary.paced_offered_qps, summary.paced_qps);
+    push_open_row(
+        &mut t,
+        "paced",
+        &paced,
+        summary.paced_offered_qps,
+        summary.paced_qps,
+    );
     push_open_row(&mut t, "burst", &burst, f64::NAN, summary.burst_qps);
     (t, summary)
 }
@@ -391,7 +404,10 @@ fn push_open_row(
     qps: f64,
 ) {
     let full = replies.iter().filter(|(r, _)| r.rung == Rung::Full).count();
-    let coarse = replies.iter().filter(|(r, _)| r.rung == Rung::Coarse).count();
+    let coarse = replies
+        .iter()
+        .filter(|(r, _)| r.rung == Rung::Coarse)
+        .count();
     let shed = replies.iter().filter(|(r, _)| r.rung == Rung::Shed).count();
     let offered = if offered_qps.is_nan() {
         "flood".to_string()

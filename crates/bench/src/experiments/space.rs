@@ -3,7 +3,7 @@
 //! eq. (5)).
 
 use emsim::{CostModel, EmConfig};
-use topk_core::{MaxBuilder, PrioritizedBuilder, PrioritizedIndex, MaxIndex, TopKIndex};
+use topk_core::{MaxBuilder, MaxIndex, PrioritizedBuilder, PrioritizedIndex, TopKIndex};
 
 use crate::experiments::sizes;
 use crate::table::{f, Table};
@@ -28,29 +28,65 @@ pub fn exp_space(scale: Scale) -> Table {
 
         let model = CostModel::new(EmConfig::new(b));
         let s = interval::SegStabBuilder.build(&model, items.clone());
-        push(&mut t, "interval/segtree-pri", n, s.space_blocks(), n_blocks_iv);
+        push(
+            &mut t,
+            "interval/segtree-pri",
+            n,
+            s.space_blocks(),
+            n_blocks_iv,
+        );
 
         let model = CostModel::new(EmConfig::new(b));
         let s = interval::StabMaxBuilder.build(&model, items.clone());
-        push(&mut t, "interval/stab-max", n, MaxIndex::space_blocks(&s), n_blocks_iv);
+        push(
+            &mut t,
+            "interval/stab-max",
+            n,
+            MaxIndex::space_blocks(&s),
+            n_blocks_iv,
+        );
 
         let model = CostModel::new(EmConfig::new(b));
         let s = interval::TopKStabbing::build(&model, items.clone(), 0xEF);
-        push(&mut t, "interval/topk-thm2", n, s.space_blocks(), n_blocks_iv);
+        push(
+            &mut t,
+            "interval/topk-thm2",
+            n,
+            s.space_blocks(),
+            n_blocks_iv,
+        );
 
         let model = CostModel::new(EmConfig::new(b));
         let s = interval::TopKStabbingWorstCase::build(&model, items, 0xEF);
-        push(&mut t, "interval/topk-thm1", n, s.space_blocks(), n_blocks_iv);
+        push(
+            &mut t,
+            "interval/topk-thm1",
+            n,
+            s.space_blocks(),
+            n_blocks_iv,
+        );
 
         let pts = workloads::points::uniform2(n, 100.0, 0xEF);
         let n_blocks_pt = (3 * n) as f64 / b as f64;
         let model = CostModel::new(EmConfig::new(b));
         let s = halfspace::WeightHullTree::build(&model, pts.clone());
-        push(&mut t, "halfspace/hull-max", n, MaxIndex::space_blocks(&s), n_blocks_pt);
+        push(
+            &mut t,
+            "halfspace/hull-max",
+            n,
+            MaxIndex::space_blocks(&s),
+            n_blocks_pt,
+        );
 
         let model = CostModel::new(EmConfig::new(b));
         let s = halfspace::TopKHalfplane::build(&model, pts, 0xEF);
-        push(&mut t, "halfspace/topk-2d", n, s.space_blocks(), n_blocks_pt);
+        push(
+            &mut t,
+            "halfspace/topk-2d",
+            n,
+            s.space_blocks(),
+            n_blocks_pt,
+        );
 
         let hotels = workloads::hotels::uniform(n, 0xEF);
         let n_blocks_h = (4 * n) as f64 / b as f64;

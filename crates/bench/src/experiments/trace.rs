@@ -33,7 +33,15 @@ pub fn exp_trace(scale: Scale) -> Table {
     let k = 64usize;
     let mut t = Table::new(
         format!("E21 — per-phase I/O attribution (1D ranges, n = {n}, B = {b}, k = {k}, pooled)"),
-        &["structure", "phase", "reads", "writes", "pool hits", "pool misses", "reads %"],
+        &[
+            "structure",
+            "phase",
+            "reads",
+            "writes",
+            "pool hits",
+            "pool misses",
+            "reads %",
+        ],
     );
     let items = line::uniform(n, 1_000.0, 0x21E);
     let queries = line::ranges(20, 1_000.0, 0.3, 0x21E + 1);

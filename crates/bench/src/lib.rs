@@ -82,8 +82,17 @@ mod tests {
         let outcomes = parallel::run_experiments(exps, Scale::Smoke, parallel::default_threads());
         assert_eq!(outcomes.len(), exps.len());
         for o in &outcomes {
-            assert!(o.error.is_none(), "experiment {} panicked: {:?}", o.name, o.error);
-            assert!(!o.table.is_empty(), "experiment {} produced an empty table", o.name);
+            assert!(
+                o.error.is_none(),
+                "experiment {} panicked: {:?}",
+                o.name,
+                o.error
+            );
+            assert!(
+                !o.table.is_empty(),
+                "experiment {} produced an empty table",
+                o.name
+            );
         }
     }
 }

@@ -43,30 +43,102 @@ pub struct Experiment {
 /// The full registry, in the E-order of DESIGN.md §4.
 pub fn all_experiments() -> &'static [Experiment] {
     &[
-        Experiment { name: "lemma1", run: experiments::sampling::exp_lemma1 },
-        Experiment { name: "lemma3", run: experiments::sampling::exp_lemma3 },
-        Experiment { name: "coreset", run: experiments::sampling::exp_coreset },
-        Experiment { name: "theorem1", run: experiments::reductions::exp_theorem1 },
-        Experiment { name: "theorem2", run: experiments::reductions::exp_theorem2 },
-        Experiment { name: "baseline", run: experiments::baseline::exp_baseline },
-        Experiment { name: "interval", run: experiments::problems::exp_interval },
-        Experiment { name: "enclosure", run: experiments::problems::exp_enclosure },
-        Experiment { name: "dominance", run: experiments::problems::exp_dominance },
-        Experiment { name: "halfspace2d", run: experiments::problems::exp_halfspace2d },
-        Experiment { name: "halfspace_hd", run: experiments::problems::exp_halfspace_hd },
-        Experiment { name: "circular", run: experiments::problems::exp_circular },
-        Experiment { name: "updates", run: experiments::updates::exp_updates },
-        Experiment { name: "ablation_inner", run: experiments::ablation::exp_ablation_inner },
-        Experiment { name: "ablation_cascade", run: experiments::ablation::exp_ablation_cascade },
-        Experiment { name: "range2d", run: experiments::ablation::exp_range2d },
-        Experiment { name: "dominance_substrates", run: experiments::ablation::exp_dominance_substrates },
-        Experiment { name: "space", run: experiments::space::exp_space },
-        Experiment { name: "faults", run: experiments::faults::exp_faults },
-        Experiment { name: "batch", run: experiments::batch::exp_batch },
-        Experiment { name: "trace", run: experiments::trace::exp_trace },
-        Experiment { name: "kernels", run: experiments::kernels::exp_kernels },
-        Experiment { name: "persist", run: experiments::persist::exp_persist },
-        Experiment { name: "serve", run: experiments::serve::exp_serve },
+        Experiment {
+            name: "lemma1",
+            run: experiments::sampling::exp_lemma1,
+        },
+        Experiment {
+            name: "lemma3",
+            run: experiments::sampling::exp_lemma3,
+        },
+        Experiment {
+            name: "coreset",
+            run: experiments::sampling::exp_coreset,
+        },
+        Experiment {
+            name: "theorem1",
+            run: experiments::reductions::exp_theorem1,
+        },
+        Experiment {
+            name: "theorem2",
+            run: experiments::reductions::exp_theorem2,
+        },
+        Experiment {
+            name: "baseline",
+            run: experiments::baseline::exp_baseline,
+        },
+        Experiment {
+            name: "interval",
+            run: experiments::problems::exp_interval,
+        },
+        Experiment {
+            name: "enclosure",
+            run: experiments::problems::exp_enclosure,
+        },
+        Experiment {
+            name: "dominance",
+            run: experiments::problems::exp_dominance,
+        },
+        Experiment {
+            name: "halfspace2d",
+            run: experiments::problems::exp_halfspace2d,
+        },
+        Experiment {
+            name: "halfspace_hd",
+            run: experiments::problems::exp_halfspace_hd,
+        },
+        Experiment {
+            name: "circular",
+            run: experiments::problems::exp_circular,
+        },
+        Experiment {
+            name: "updates",
+            run: experiments::updates::exp_updates,
+        },
+        Experiment {
+            name: "ablation_inner",
+            run: experiments::ablation::exp_ablation_inner,
+        },
+        Experiment {
+            name: "ablation_cascade",
+            run: experiments::ablation::exp_ablation_cascade,
+        },
+        Experiment {
+            name: "range2d",
+            run: experiments::ablation::exp_range2d,
+        },
+        Experiment {
+            name: "dominance_substrates",
+            run: experiments::ablation::exp_dominance_substrates,
+        },
+        Experiment {
+            name: "space",
+            run: experiments::space::exp_space,
+        },
+        Experiment {
+            name: "faults",
+            run: experiments::faults::exp_faults,
+        },
+        Experiment {
+            name: "batch",
+            run: experiments::batch::exp_batch,
+        },
+        Experiment {
+            name: "trace",
+            run: experiments::trace::exp_trace,
+        },
+        Experiment {
+            name: "kernels",
+            run: experiments::kernels::exp_kernels,
+        },
+        Experiment {
+            name: "persist",
+            run: experiments::persist::exp_persist,
+        },
+        Experiment {
+            name: "serve",
+            run: experiments::serve::exp_serve,
+        },
     ]
 }
 
@@ -103,7 +175,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Worker count: `BENCH_THREADS` env var if set, else
 /// `available_parallelism()`.
 pub fn default_threads() -> usize {
-    match std::env::var("BENCH_THREADS").ok().and_then(|s| s.parse().ok()) {
+    match std::env::var("BENCH_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+    {
         Some(n) if n >= 1 => n,
         _ => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
     }
@@ -115,8 +190,7 @@ pub fn default_threads() -> usize {
 pub fn run_experiments(exps: &[Experiment], scale: Scale, threads: usize) -> Vec<ExpOutcome> {
     let workers = threads.clamp(1, exps.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ExpOutcome>>> =
-        exps.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<ExpOutcome>>> = exps.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
@@ -136,7 +210,9 @@ pub fn run_experiments(exps: &[Experiment], scale: Scale, threads: usize) -> Vec
                 };
                 let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
                 let ios = emsim::thread_charged().since(&io_before);
-                *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(ExpOutcome {
+                *slots[i]
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(ExpOutcome {
                     name: exp.name,
                     table,
                     elapsed_ms,
@@ -170,7 +246,11 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     if threads <= 1 || inputs.len() <= 1 {
-        return inputs.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return inputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| f(i, t))
+            .collect();
     }
     let n = inputs.len();
     let workers = threads.min(n);
@@ -282,13 +362,23 @@ mod tests {
             t
         }
         let exps = [
-            Experiment { name: "boom", run: boom },
-            Experiment { name: "fine", run: fine },
+            Experiment {
+                name: "boom",
+                run: boom,
+            },
+            Experiment {
+                name: "fine",
+                run: fine,
+            },
         ];
         let out = run_experiments(&exps, Scale::Smoke, 2);
         assert_eq!(out.len(), 2);
         assert!(
-            out[0].error.as_deref().unwrap_or_default().contains("injected failure"),
+            out[0]
+                .error
+                .as_deref()
+                .unwrap_or_default()
+                .contains("injected failure"),
             "panic message must be captured"
         );
         assert!(out[0].table.is_empty());

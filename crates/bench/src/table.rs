@@ -14,7 +14,10 @@ impl Table {
     pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
-            headers: headers.iter().map(std::string::ToString::to_string).collect(),
+            headers: headers
+                .iter()
+                .map(std::string::ToString::to_string)
+                .collect(),
             rows: Vec::new(),
         }
     }
@@ -22,7 +25,8 @@ impl Table {
     /// Append a row (stringified cells).
     pub fn row(&mut self, cells: &[&dyn Display]) {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
-        self.rows.push(cells.iter().map(|c| format!("{c}")).collect());
+        self.rows
+            .push(cells.iter().map(|c| format!("{c}")).collect());
     }
 
     /// Append a row of pre-rendered strings.

@@ -32,7 +32,11 @@ impl TraceGuard {
             .filter(|p| !p.is_empty());
         let sink = path.map(|p| {
             let s = Arc::new(ChromeTraceSink::new());
-            let installed = Substrate { trace: Some(s.clone()), ..Substrate::current() }.install();
+            let installed = Substrate {
+                trace: Some(s.clone()),
+                ..Substrate::current()
+            }
+            .install();
             (s, p, installed)
         });
         TraceGuard { sink }
