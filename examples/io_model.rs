@@ -13,7 +13,10 @@ fn main() {
     let items = intervals::uniform(n, 1_000.0, 120.0, 3);
 
     println!("top-10 stabbing query costs for n = {n}, varying the machine:\n");
-    println!("{:>6} {:>10} {:>14} {:>12}", "B", "mem", "build blocks", "IO/query");
+    println!(
+        "{:>6} {:>10} {:>14} {:>12}",
+        "B", "mem", "build blocks", "IO/query"
+    );
     for (b, mem) in [(16usize, 0usize), (64, 0), (256, 0), (64, 256), (64, 4096)] {
         let model = CostModel::new(EmConfig::with_memory(b, mem));
         let index = TopKStabbing::build(&model, items.clone(), 3);
@@ -31,7 +34,11 @@ fn main() {
         println!(
             "{:>6} {:>10} {:>14} {:>12}",
             b,
-            if mem == 0 { "none".to_string() } else { format!("{mem} blk") },
+            if mem == 0 {
+                "none".to_string()
+            } else {
+                format!("{mem} blk")
+            },
             index.space_blocks(),
             per_query
         );

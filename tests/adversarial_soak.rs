@@ -22,10 +22,18 @@ fn weight_span_correlated_intervals_stay_exact() {
                 .collect();
             let mut v = Vec::new();
             t2.query_topk(&q, k, &mut v);
-            assert_eq!(v.iter().map(|iv| iv.weight).collect::<Vec<_>>(), want, "t2 q={q} k={k}");
+            assert_eq!(
+                v.iter().map(|iv| iv.weight).collect::<Vec<_>>(),
+                want,
+                "t2 q={q} k={k}"
+            );
             let mut v = Vec::new();
             t1.query_topk(&q, k, &mut v);
-            assert_eq!(v.iter().map(|iv| iv.weight).collect::<Vec<_>>(), want, "t1 q={q} k={k}");
+            assert_eq!(
+                v.iter().map(|iv| iv.weight).collect::<Vec<_>>(),
+                want,
+                "t1 q={q} k={k}"
+            );
         }
     }
 }
@@ -42,7 +50,11 @@ fn fan_intervals_stay_exact_and_structures_stay_bounded() {
                 .collect();
             let mut v = Vec::new();
             idx.query_topk(&q, k, &mut v);
-            assert_eq!(v.iter().map(|iv| iv.weight).collect::<Vec<_>>(), want, "q={q} k={k}");
+            assert_eq!(
+                v.iter().map(|iv| iv.weight).collect::<Vec<_>>(),
+                want,
+                "q={q} k={k}"
+            );
         }
     }
     // The PST variant must not degenerate into a linear chain either.

@@ -24,14 +24,22 @@ use emsim::{BlockDevice, FaultPlan, FileDevice, Substrate};
 fn registry_soaks_clean_under_injected_faults() {
     let exps = all_experiments();
     let threads = default_threads();
-    let fault_free = Substrate { faults: FaultPlan::none(), ..Substrate::current() };
+    let fault_free = Substrate {
+        faults: FaultPlan::none(),
+        ..Substrate::current()
+    };
 
     let baseline = {
         let _default = fault_free.clone().install();
         run_experiments(exps, Scale::Smoke, threads)
     };
     for o in &baseline {
-        assert!(o.error.is_none(), "{} panicked fault-free: {:?}", o.name, o.error);
+        assert!(
+            o.error.is_none(),
+            "{} panicked fault-free: {:?}",
+            o.name,
+            o.error
+        );
     }
     assert_eq!(
         sorted_ios(&baseline),
@@ -43,15 +51,27 @@ fn registry_soaks_clean_under_injected_faults() {
     let _ = std::fs::remove_dir_all(&dir);
     let file = Arc::new(FileDevice::open(&dir).expect("open a FileDevice in a fresh temp dir"));
     let on_file = {
-        let _default = Substrate { device: Some(file.clone()), ..fault_free.clone() }.install();
+        let _default = Substrate {
+            device: Some(file.clone()),
+            ..fault_free.clone()
+        }
+        .install();
         run_experiments(exps, Scale::Smoke, threads)
     };
     let mirrored = file.len();
     drop(file);
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(mirrored > 0, "the registry mirrored no block to the FileDevice");
+    assert!(
+        mirrored > 0,
+        "the registry mirrored no block to the FileDevice"
+    );
     for o in &on_file {
-        assert!(o.error.is_none(), "{} panicked on a FileDevice: {:?}", o.name, o.error);
+        assert!(
+            o.error.is_none(),
+            "{} panicked on a FileDevice: {:?}",
+            o.name,
+            o.error
+        );
     }
     assert_eq!(
         sorted_ios(&on_file),
@@ -61,8 +81,11 @@ fn registry_soaks_clean_under_injected_faults() {
 
     for rate in [0.02, 0.2] {
         let soaked = {
-            let _default =
-                Substrate { faults: FaultPlan::chaos(7, rate), ..fault_free.clone() }.install();
+            let _default = Substrate {
+                faults: FaultPlan::chaos(7, rate),
+                ..fault_free.clone()
+            }
+            .install();
             run_experiments(exps, Scale::Smoke, threads)
         };
         for (base, soak) in baseline.iter().zip(&soaked) {
@@ -72,7 +95,11 @@ fn registry_soaks_clean_under_injected_faults() {
                 soak.name,
                 soak.error
             );
-            assert!(!soak.table.is_empty(), "{} lost its table at rate {rate}", soak.name);
+            assert!(
+                !soak.table.is_empty(),
+                "{} lost its table at rate {rate}",
+                soak.name
+            );
             assert_eq!(
                 (base.ios.reads, base.ios.writes),
                 (soak.ios.reads, soak.ios.writes),

@@ -11,15 +11,18 @@ fn model() -> CostModel {
 }
 
 fn rects(max_len: usize) -> impl Strategy<Value = Vec<topk::enclosure::Rect>> {
-    prop::collection::vec((0.0f64..50.0, 0.0f64..20.0, 0.0f64..50.0, 0.0f64..20.0), 0..max_len)
-        .prop_map(|raw| {
-            raw.into_iter()
-                .enumerate()
-                .map(|(i, (x, dx, y, dy))| {
-                    topk::enclosure::Rect::new(x, x + dx, y, y + dy, i as u64 + 1)
-                })
-                .collect()
-        })
+    prop::collection::vec(
+        (0.0f64..50.0, 0.0f64..20.0, 0.0f64..50.0, 0.0f64..20.0),
+        0..max_len,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .enumerate()
+            .map(|(i, (x, dx, y, dy))| {
+                topk::enclosure::Rect::new(x, x + dx, y, y + dy, i as u64 + 1)
+            })
+            .collect()
+    })
 }
 
 proptest! {
@@ -151,7 +154,10 @@ fn range2d_topk_matches_brute_fixed_sweep() {
             let y: f64 = rng.gen_range(0.0..80.0);
             let q = topk::range2d::RangeQ::new(
                 (x, y),
-                ((x + rng.gen_range(0.0..40.0)).min(80.0), (y + rng.gen_range(0.0..40.0)).min(80.0)),
+                (
+                    (x + rng.gen_range(0.0..40.0)).min(80.0),
+                    (y + rng.gen_range(0.0..40.0)).min(80.0),
+                ),
             );
             let k = rng.gen_range(0..50);
             let mut got = Vec::new();

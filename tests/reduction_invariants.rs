@@ -38,7 +38,10 @@ fn theorem2_sample_ladder_decays_geometrically() {
         Theorem2Params::default(),
     );
     let sizes = t2.sample_sizes();
-    assert!(sizes.len() > 20, "ladder should have many levels at n = {n}");
+    assert!(
+        sizes.len() > 20,
+        "ladder should have many levels at n = {n}"
+    );
     // E|R_i| = n/K_i decays by (1+σ) per level; verify the measured decay
     // over windows of 20 levels (individual levels are noisy).
     let window = 20;
@@ -64,7 +67,11 @@ fn theorem1_internal_parameters_scale_with_n_and_b() {
         let items = topk::workloads::intervals::uniform(4_096, 1_000.0, 100.0, 2);
         let t1 = TopKStabbingWorstCase::build(&model, items, 3);
         // f = 12λB·Q_pri grows with B.
-        assert!(t1.f() > last_f, "f must grow with B: {} after {last_f}", t1.f());
+        assert!(
+            t1.f() > last_f,
+            "f must grow with B: {} after {last_f}",
+            t1.f()
+        );
         last_f = t1.f();
     }
 }
@@ -159,7 +166,12 @@ fn theorem1_fallback_paths_stay_exact() {
         f_constant: 0.001, // f ≈ 1–2: hopelessly below ⌈8λ ln n⌉
         seed: 32,
     };
-    let t1 = WorstCaseTopK::build(&model, &topk::interval::SegStabBuilder, items.clone(), params);
+    let t1 = WorstCaseTopK::build(
+        &model,
+        &topk::interval::SegStabBuilder,
+        items.clone(),
+        params,
+    );
     for q in [100.0f64, 500.0, 900.0] {
         for k in [1usize, 5, 200, 3_999] {
             let mut got = Vec::new();
