@@ -162,7 +162,10 @@ fn run_one(label: &str, samples: usize, f: &mut dyn FnMut(&mut Bencher)) {
     }
     b.samples.sort_unstable();
     let median = b.samples[b.samples.len() / 2];
-    println!("{label:<40} median {median:?} over {} samples", b.samples.len());
+    println!(
+        "{label:<40} median {median:?} over {} samples",
+        b.samples.len()
+    );
 }
 
 /// Group benchmark functions under one callable name.

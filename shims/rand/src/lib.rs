@@ -56,7 +56,10 @@ pub trait Rng: RngCore {
     where
         Self: Sized,
     {
-        assert!((0.0..=1.0).contains(&p), "gen_bool probability out of range");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "gen_bool probability out of range"
+        );
         self.gen::<f64>() < p
     }
 
@@ -161,7 +164,10 @@ impl_sample_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 impl SampleUniform for f64 {
     fn sample_range<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self, inclusive: bool) -> Self {
         let _ = inclusive; // [lo, hi] and [lo, hi) coincide up to measure zero
-        assert!(lo < hi || (inclusive && lo <= hi), "cannot sample empty range");
+        assert!(
+            lo < hi || (inclusive && lo <= hi),
+            "cannot sample empty range"
+        );
         let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         lo + (hi - lo) * unit
     }
@@ -215,10 +221,7 @@ pub mod rngs {
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
-            let result = s[0]
-                .wrapping_add(s[3])
-                .rotate_left(23)
-                .wrapping_add(s[0]);
+            let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
             let t = s[1] << 17;
             s[2] ^= s[0];
             s[3] ^= s[1];
