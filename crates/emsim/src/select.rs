@@ -3,47 +3,59 @@
 //! The paper repeatedly invokes "k-selection \[8\]" (§3.2, §4) to turn a
 //! superset of candidates into the exact top-k result in `O(n/B)` I/Os.
 //!
-//! [`top_k_by_weight`] is the one entry point. It runs one of three plans
-//! over `m` candidates, chosen by `k`, `m` and the per-block item capacity
-//! `B'` alone (DESIGN.md substitution 10):
+//! There are two entries with one plan behind them. A [`Selector`] is fed
+//! candidates one at a time, as a prioritized visitor reports them, and
+//! [`top_k_by_weight`] selects from a slice. The plan is chosen by `k`,
+//! the number `m` of candidates and the per-block item capacity `B'`
+//! alone (DESIGN.md substitution 10):
 //!
-//! * **Sort all** (`m ≤ k`): every candidate is an answer; sort them.
-//! * **One pass** (`k < m`, `k ≤ B'`): the `k` survivors fit one block, so
-//!   a `k`-item heap keeps the heaviest `k` of one stream over the
-//!   candidates, in `O(m log k)` work.
-//! * **Quickselect** (`k < m`, `k > B'`): expected-linear quickselect with
+//! * **One pass** (`k ≤ B'`): the survivors fit one block, so a `k`-item
+//!   heap keeps the heaviest `k` of the stream, in `O(m log k)` work. When
+//!   `m ≤ k` every candidate survives.
+//! * **Sort all** (`k > B'`, `m ≤ k`): every candidate is an answer; sort
+//!   them.
+//! * **Quickselect** (`k > B'`, `k < m`): expected-linear quickselect with
 //!   a seeded deterministic pivot sequence finds the `k`-th largest key,
 //!   and a filter pass gathers the survivors.
+//!
+//! For `k > B'` a [`Selector`] materializes its candidates and runs the
+//! same plans as the slice entry, with the same charges.
 //!
 //! Each plan charges by one of two rules. The working set of a selection
 //! is its `min(k, m)` survivors: candidates stream through memory, and
 //! keeping the heaviest `k` of them needs room for `k` items only.
 //!
 //! * **Resident.** When the meter has a buffer pool and the working set's
-//!   `⌈min(k, m)/B'⌉` blocks fit in its frames (`B'` is the per-block
-//!   item capacity), the set is held in the pool
-//!   ([`CostModel::hold_scratch`]) and the selection charges only its
+//!   `⌈min(k, m)/B'⌉` blocks fit in its frames, the set is held in the
+//!   pool ([`CostModel::hold_scratch`]) and the selection charges only its
 //!   output, `⌈|out|/B'⌉` reads.
 //! * **External.** Otherwise — the working set is larger than the pool,
-//!   or there is no pool — every pass is charged. The one-pass plan reads
-//!   the `m` candidates once, `⌈m/B'⌉ + ⌈k/B'⌉` with the output.
-//!   Quickselect charges as EM quickselect does: an extraction scan of the
-//!   `m` candidates, `⌈m'/B'⌉` per partitioning pass over `m'` survivors,
-//!   a filter scan and the output.
+//!   or there is no pool — every pass over an array is charged. The
+//!   one-pass plan over a slice reads the `m` candidates once,
+//!   `⌈m/B'⌉ + ⌈k/B'⌉` with the output. Streamed into a [`Selector`], the
+//!   same plan reads no array at all: each candidate passes through the
+//!   one-block heap as the visitor reports it, and the visitor already
+//!   paid for that report. It is never written out, so nothing is read
+//!   back, and the selection charges only its output. Quickselect charges
+//!   as EM quickselect does: an extraction scan of the `m` candidates,
+//!   `⌈m'/B'⌉` per partitioning pass over `m'` survivors, a filter scan
+//!   and the output.
 //!
-//! All plans give the same answers, ties in input order, and the rule
-//! changes only the charges, so answers depend on neither.
+//! Both entries and all plans give the same answers, ties in input (or
+//! visit) order, and the rule changes only the charges, so answers depend
+//! on neither. Both entries call [`CostModel::hold_scratch`] once, with
+//! the same working set, so they leave a pool in the same state.
 //!
 //! Keys are `u64`, the paper's weight domain (`topk_core::Weight`); a
 //! caller with another key type maps it to `u64` by an order-preserving
-//! function. The in-memory work of each pass runs on the [`kernels`]
+//! function. The in-memory work of quickselect runs on the [`kernels`]
 //! layer: a stable branch-free three-way partition and a vectorized
 //! scan-for-threshold, on the meter's kernel backend
 //! ([`CostModel::kernels`]). Every backend makes the same pivot draws and
 //! charges the same scans: answers and metered I/Os are bit-identical
 //! across backends.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::cost::CostModel;
@@ -68,16 +80,143 @@ impl<'a> Passes<'a> {
     }
 }
 
+/// A streaming k-selection: offer candidates one at a time, then
+/// [`finish`](Selector::finish) to get the `k` heaviest by `key`,
+/// descending, ties in the order they were offered.
+///
+/// For `k ≤ B'` (`B'` = [`EmConfig::items_per_block`] of `T`) the selector
+/// keeps the heaviest `k` so far in a one-block heap, and `finish` charges
+/// only the output `⌈|out|/B'⌉` (module docs). For `k > B'` it keeps every
+/// candidate and `finish` runs the slice entry's sort-all or quickselect
+/// plan on them, with the slice entry's charges.
+///
+/// [`EmConfig::items_per_block`]: crate::EmConfig::items_per_block
+pub struct Selector<T, K> {
+    k: usize,
+    key: K,
+    seen: usize,
+    kept: Kept<T>,
+}
+
+/// What a [`Selector`] keeps of its candidates.
+enum Kept<T> {
+    /// `k ≤ B'`: the heaviest `k` so far; the heap's top is the worst kept.
+    Heap(BinaryHeap<Ranked<T>>),
+    /// `k > B'`: every candidate, for the sort-all or quickselect plan.
+    All(Vec<T>),
+}
+
+/// A kept candidate, ordered by `(Reverse(key), arrival)` alone. A later
+/// candidate with an equal key ranks below every kept one, so ties keep
+/// the earliest candidates, as a stable sort does.
+struct Ranked<T> {
+    rank: (Reverse<u64>, usize),
+    item: T,
+}
+
+impl<T> PartialEq for Ranked<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank == other.rank
+    }
+}
+
+impl<T> Eq for Ranked<T> {}
+
+impl<T> PartialOrd for Ranked<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Ranked<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.rank.cmp(&other.rank)
+    }
+}
+
+impl<T: Clone, K: Fn(&T) -> u64> Selector<T, K> {
+    /// An empty selection of the `k` heaviest by `key`, sized to `model`'s
+    /// block capacity. Nothing is charged until [`Selector::finish`].
+    pub fn new(model: &CostModel, k: usize, key: K) -> Self {
+        let kept = if k <= model.config().items_per_block::<T>() {
+            Kept::Heap(BinaryHeap::with_capacity(k))
+        } else {
+            Kept::All(Vec::new())
+        };
+        Selector {
+            k,
+            key,
+            seen: 0,
+            kept,
+        }
+    }
+
+    /// Offer one candidate. It is cloned only if it is kept.
+    pub fn offer(&mut self, item: &T) {
+        let arrival = self.seen;
+        self.seen += 1;
+        match &mut self.kept {
+            Kept::Heap(heap) => {
+                let rank = (Reverse((self.key)(item)), arrival);
+                if heap.len() < self.k {
+                    heap.push(Ranked {
+                        rank,
+                        item: item.clone(),
+                    });
+                } else if let Some(mut worst) = heap.peek_mut() {
+                    if rank < worst.rank {
+                        *worst = Ranked {
+                            rank,
+                            item: item.clone(),
+                        };
+                    }
+                }
+            }
+            Kept::All(items) => items.push(item.clone()),
+        }
+    }
+
+    /// How many candidates have been offered.
+    pub fn seen(&self) -> usize {
+        self.seen
+    }
+
+    /// The `k` heaviest candidates offered (all of them if fewer), heaviest
+    /// first, charged to `model` as the module docs say: for `k ≤ B'`, the
+    /// output only.
+    pub fn finish(self, model: &CostModel) -> Vec<T> {
+        self.finish_reading(model, 0)
+    }
+
+    /// [`Selector::finish`], where the one-pass plan reads an array of
+    /// `array` candidates under the external rule (0 when they streamed).
+    fn finish_reading(self, model: &CostModel, array: usize) -> Vec<T> {
+        if self.k == 0 {
+            return Vec::new();
+        }
+        match self.kept {
+            Kept::Heap(heap) => {
+                Passes::for_selection::<T>(model, self.k, self.seen).scan::<T>(array);
+                let out: Vec<T> = heap.into_sorted_vec().into_iter().map(|r| r.item).collect();
+                model.charge_scan::<T>(out.len());
+                out
+            }
+            Kept::All(items) => materialized(model, &items, self.k, &self.key),
+        }
+    }
+}
+
 /// Return the `k` largest items by `key` (descending by key, ties in input
 /// order), charging the selection to `model` by the resident or the
 /// external rule (module docs): `⌈k/B'⌉` I/Os when the `k` survivors fit in
 /// the buffer pool, else `O(m/B)` expected I/Os plus `O(k/B)` to emit the
 /// output.
 ///
-/// Under the external rule, when `k ≤ B'` the one-pass plan charges one
-/// scan of the `m` candidates and the output scan. For larger `k` the
-/// charges are an extraction scan of the candidates, `⌈m'/B'⌉` for each
-/// partitioning pass over `m'` surviving keys, a filter scan of the
+/// This is the [`Selector`] plan with the array read charged where the plan
+/// reads it. Under the external rule, when `k ≤ B'` the one-pass plan
+/// charges one scan of the `m` candidates and the output scan. For larger
+/// `k` the charges are an extraction scan of the candidates, `⌈m'/B'⌉` for
+/// each partitioning pass over `m'` surviving keys, a filter scan of the
 /// candidates and the output scan. Under the resident rule only the output
 /// scan is charged.
 ///
@@ -99,29 +238,37 @@ pub fn top_k_by_weight<T: Clone>(
     if k == 0 {
         return Vec::new();
     }
+    if k > model.config().items_per_block::<T>() {
+        return materialized(model, items, k, &key);
+    }
+    let mut selector = Selector::new(model, k, key);
+    for e in items {
+        selector.offer(e);
+    }
+    selector.finish_reading(model, items.len())
+}
+
+/// The sort-all (`m ≤ k`) or quickselect plan over materialized
+/// candidates, charged as the module docs say.
+fn materialized<T: Clone>(
+    model: &CostModel,
+    items: &[T],
+    k: usize,
+    key: impl Fn(&T) -> u64,
+) -> Vec<T> {
     let passes = Passes::for_selection::<T>(model, k, items.len());
-    if items.len() <= k {
-        passes.scan::<T>(items.len());
-        let ranked = items.iter().enumerate().map(|(i, e)| (Reverse(key(e)), i));
-        let out = in_rank_order(items, ranked, k);
-        model.charge_scan::<T>(out.len());
-        return out;
-    }
-    if k <= model.config().items_per_block::<T>() {
-        // The survivors fit one block: one pass over the candidates.
-        passes.scan::<T>(items.len());
-        let out = in_rank_order(items, heaviest_k(items, &key, k).into_iter(), k);
-        model.charge_scan::<T>(out.len());
-        return out;
-    }
-    // One metered extraction pass materializes the keys.
+    // One metered pass reads the candidates (and extracts their keys).
     passes.scan::<T>(items.len());
-    let keys: Vec<u64> = items.iter().map(&key).collect();
-    let threshold = quickselect(model.kernels(), passes, keys.clone(), k);
-    // The filter pass re-reads the candidate array (one metered scan).
-    passes.scan::<T>(items.len());
-    let picked = gather_top_k(model.kernels(), &keys, threshold, k);
-    let out = in_rank_order(items, picked.into_iter().map(|i| (Reverse(keys[i]), i)), k);
+    let keys: Vec<u64> = items.iter().map(key).collect();
+    let ranked: Vec<usize> = if items.len() <= k {
+        (0..items.len()).collect()
+    } else {
+        let threshold = quickselect(model.kernels(), passes, keys.clone(), k);
+        // The filter pass re-reads the candidate array (one metered scan).
+        passes.scan::<T>(items.len());
+        gather_top_k(model.kernels(), &keys, threshold, k)
+    };
+    let out = in_rank_order(items, ranked.into_iter().map(|i| (Reverse(keys[i]), i)), k);
     model.charge_scan::<T>(out.len());
     out
 }
@@ -138,30 +285,6 @@ fn in_rank_order<T: Clone>(
     ranked.sort_unstable();
     ranked.truncate(k);
     ranked.into_iter().map(|(_, i)| items[i].clone()).collect()
-}
-
-/// The `(key, index)` pairs of the `k` heaviest items, in no particular
-/// order, from one pass with a `k`-item heap. The heap's top is the worst
-/// kept pair; a later item with an equal key ranks below every kept one, so
-/// ties keep the earliest items, as a stable sort does. `O(m log k)` work
-/// on any input order.
-fn heaviest_k<T>(
-    items: &[T],
-    key: impl Fn(&T) -> u64,
-    k: usize,
-) -> BinaryHeap<(Reverse<u64>, usize)> {
-    let mut heap = BinaryHeap::with_capacity(k);
-    for (i, e) in items.iter().enumerate() {
-        let ranked = (Reverse(key(e)), i);
-        if heap.len() < k {
-            heap.push(ranked);
-        } else if let Some(mut worst) = heap.peek_mut() {
-            if ranked < *worst {
-                *worst = ranked;
-            }
-        }
-    }
-    heap
 }
 
 /// Indices (input order) of the top-k survivors: every key strictly above
@@ -541,22 +664,8 @@ mod tests {
     fn one_pass_plan_matches_a_stable_sort_on_ties_and_sorted_inputs() {
         // (key, position) pairs, so the order of tied keys shows. Every k
         // here is below m and fits one block: the one-pass plan.
-        let n = 2_000u64;
-        let mut s = 0x5EEDu64;
-        let ties: Vec<u64> = (0..n)
-            .map(|_| {
-                s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                s >> 61
-            })
-            .collect();
-        let inputs = [
-            ("ties", ties),
-            ("all-equal", vec![7; n as usize]),
-            ("ascending", (0..n).collect()),
-            ("descending", (0..n).rev().collect()),
-        ];
-        for (name, keys) in inputs {
-            let items: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+        for (name, items) in shaped_inputs(2_000) {
+            let keys: Vec<u64> = items.iter().map(|t| t.0).collect();
             for k in [1, 10, per_block::<(u64, usize)>()] {
                 let mut want = items.clone();
                 want.sort_by_key(|&(key, _)| Reverse(key));
@@ -658,6 +767,119 @@ mod tests {
             m.touch(0, b);
         }
         assert_eq!(m.report().since(&before).reads, 3, "so were the next two");
+    }
+
+    /// `items` offered one at a time to a [`Selector`] on `m`.
+    fn streamed<T: Clone>(m: &CostModel, items: &[T], k: usize, key: impl Fn(&T) -> u64) -> Vec<T> {
+        let mut selector = Selector::new(m, k, key);
+        for e in items {
+            selector.offer(e);
+        }
+        assert_eq!(selector.seen(), items.len());
+        selector.finish(m)
+    }
+
+    /// `(key, position)` pairs of four shapes: random ties, all equal,
+    /// ascending and descending.
+    fn shaped_inputs(n: u64) -> [(&'static str, Vec<(u64, usize)>); 4] {
+        let mut s = 0x5EEDu64;
+        let ties: Vec<u64> = (0..n)
+            .map(|_| {
+                s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                s >> 61
+            })
+            .collect();
+        let pairs = |keys: Vec<u64>| keys.into_iter().zip(0..).collect();
+        [
+            ("ties", pairs(ties)),
+            ("all-equal", pairs(vec![7; n as usize])),
+            ("ascending", pairs((0..n).collect())),
+            ("descending", pairs((0..n).rev().collect())),
+        ]
+    }
+
+    #[test]
+    fn streamed_and_slice_entries_agree_on_every_plan() {
+        // k ∈ {1, 10, B'} streams through the one-block heap; B' + 1
+        // materializes and takes quickselect (or sort-all on the short
+        // prefix). Both entries must give a stable sort's answer.
+        let per = per_block::<(u64, usize)>();
+        for (name, items) in shaped_inputs(2_000) {
+            for len in [5, items.len()] {
+                let items = &items[..len];
+                for k in [1, 10, per, per + 1] {
+                    let mut want = items.to_vec();
+                    want.sort_by_key(|&(key, _)| Reverse(key));
+                    want.truncate(k);
+                    for b in BACKENDS {
+                        let m = model_on(b);
+                        let slice = top_k_by_weight(&m, items, k, |t| t.0);
+                        let stream = streamed(&m, items, k, |t| t.0);
+                        assert_eq!(slice, want, "{name} m={len} k={k} backend={b:?}");
+                        assert_eq!(stream, want, "{name} m={len} k={k} backend={b:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unpooled_streamed_selection_charges_its_output_up_to_one_block() {
+        // No pool: a streamed k ≤ B' selection reads no candidate array,
+        // only its output ⌈min(k, m)/B'⌉. Past one block it charges what
+        // the slice entry does.
+        fn check<T: Clone + PartialEq + std::fmt::Debug>(items: &[T], key: impl Fn(&T) -> u64) {
+            let per = per_block::<T>();
+            for len in [0, 1, per / 2, per + 3, items.len()] {
+                let items = &items[..len];
+                for k in [1, 10, per, per + 1] {
+                    let m = model();
+                    let out = streamed(&m, items, k, &key);
+                    let bare = model();
+                    assert_eq!(out, top_k_by_weight(&bare, items, k, &key), "k={k} m={len}");
+                    let want = if k <= per {
+                        k.min(len).div_ceil(per) as u64
+                    } else {
+                        bare.report().reads
+                    };
+                    assert_eq!(m.report().reads, want, "k={k} m={len} B'={per}");
+                }
+            }
+        }
+        let keys = scrambled(10_001);
+        check(&keys, |&x| x);
+        let pairs: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+        check(&pairs, |t| t.0);
+        let wide: Vec<[u64; 4]> = keys.iter().map(|&x| [x, 0, 0, 0]).collect();
+        check(&wide, |t| t[0]);
+    }
+
+    #[test]
+    fn pooled_streamed_and_slice_entries_leave_equal_pools() {
+        // Both entries hold the same working set in the same 4 frames, so
+        // the same follow-up reads hit and miss alike. k = 10 and 64 take
+        // one frame, 130 three (resident), 300 five (external).
+        let items = scrambled(5_000);
+        for k in [1, 10, 64, 65, 130, 300] {
+            let meters = [
+                CostModel::new(EmConfig::with_memory(64, 4)),
+                CostModel::new(EmConfig::with_memory(64, 4)),
+            ];
+            for m in &meters {
+                for b in 0..4 {
+                    m.touch(0, b);
+                }
+            }
+            let slice = top_k_by_weight(&meters[0], &items, k, |&x| x);
+            let stream = streamed(&meters[1], &items, k, |&x| x);
+            assert_eq!(slice, stream, "k={k}");
+            for m in &meters {
+                for b in (0..6).rev() {
+                    m.touch(0, b);
+                }
+            }
+            assert_eq!(meters[0].report(), meters[1].report(), "k={k}");
+        }
     }
 
     #[test]
