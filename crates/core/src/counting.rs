@@ -24,7 +24,7 @@
 
 use emsim::CostModel;
 
-use crate::traits::{select_top_k, Element, TopKIndex};
+use crate::traits::{selection, Element, TopKIndex};
 
 /// A per-node structure answering both reporting and approximate counting
 /// queries over its subset.
@@ -183,16 +183,16 @@ where
             } else {
                 self.prefix_for(q, target, &mut prefix);
             }
-            let mut candidates: Vec<E> = Vec::new();
+            let mut candidates = selection(&self.model, k);
             for u in &prefix {
                 self.model.touch(self.array_id, *u as u64);
                 self.nodes[*u].index.report_while(q, &mut |e| {
-                    candidates.push(e.clone());
+                    candidates.offer(e);
                     true
                 });
             }
-            if candidates.len() >= k || target >= self.len {
-                out.extend(select_top_k(&self.model, &candidates, k));
+            if candidates.seen() >= k || target >= self.len {
+                out.extend(candidates.finish(&self.model));
                 return;
             }
             target = (target * 2).min(self.len);

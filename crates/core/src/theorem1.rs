@@ -42,7 +42,7 @@ use rand::SeedableRng;
 
 use crate::coreset::{core_set, CoreSetParams};
 use crate::traits::{
-    query, query_monitored, select_top_k, Element, FaultMark, Monitored, PrioritizedBuilder,
+    query, query_monitored, selection, Element, FaultMark, Monitored, PrioritizedBuilder,
     PrioritizedIndex, TopKAnswer, TopKIndex,
 };
 
@@ -148,7 +148,7 @@ impl<I> Hierarchy<I> {
         // ("probe"); deeper levels query core-set samples ("sample").
         let ph = if i == 0 { phase::PROBE } else { phase::SAMPLE };
         let idx = &self.levels[i];
-        let mut out = Vec::new();
+        let mut out = selection(model, self.f);
         let first = {
             let _g = model.span(ph);
             query_monitored(media, idx, q, 0, 4 * self.f, &mut out)
@@ -157,7 +157,7 @@ impl<I> Hierarchy<I> {
             Ok(Monitored::Complete) => {
                 // |q(Rᵢ)| ≤ 4f: k-selection finishes.
                 let _g = model.span(phase::SELECT);
-                Ok((select_top_k(model, &out, self.f), true))
+                Ok((out.finish(model), true))
             }
             Ok(Monitored::Truncated) => {
                 // |q(Rᵢ)| > 4f: consult the next core-set for a pivot. A
@@ -169,15 +169,15 @@ impl<I> Hierarchy<I> {
                         let r = self.pivot_rank[i];
                         if rec.len() >= r {
                             let tau = rec[r - 1].weight();
-                            let mut s = Vec::new();
+                            let mut s = selection(model, self.f);
                             let tau_query = {
                                 let _g = model.span(ph);
                                 query_monitored(media, idx, q, tau, 4 * self.f, &mut s)
                             };
                             match tau_query {
-                                Ok(Monitored::Complete) if s.len() >= self.f => {
+                                Ok(Monitored::Complete) if s.seen() >= self.f => {
                                     let _g = model.span(phase::SELECT);
-                                    return Ok((select_top_k(model, &s, self.f), true));
+                                    return Ok((s.finish(model), true));
                                 }
                                 // Pivot rank fell outside [f, 4f] — Lemma 2
                                 // failure; exact fallback below.
@@ -189,8 +189,8 @@ impl<I> Hierarchy<I> {
                                     // of the two prefixes we hold.
                                     let _g = model.span(phase::DEGRADE);
                                     mark.note(model);
-                                    let best = if s.len() > out.len() { s } else { out };
-                                    return Ok((select_top_k(model, &best, self.f), false));
+                                    let best = if s.seen() > out.seen() { s } else { out };
+                                    return Ok((best.finish(model), false));
                                 }
                             }
                         }
@@ -198,18 +198,18 @@ impl<I> Hierarchy<I> {
                 }
                 // Verified fallback: exact full prioritized query on Rᵢ.
                 let fallback = model.span(phase::FALLBACK);
-                let mut all = Vec::new();
+                let mut all = selection(model, self.f);
                 match query(media, idx, q, 0, &mut all) {
-                    Ok(()) => Ok((select_top_k(model, &all, self.f), true)),
+                    Ok(()) => Ok((all.finish(model), true)),
                     Err(e) => {
                         drop(fallback);
                         let _g = model.span(phase::DEGRADE);
                         mark.note(model);
-                        let best = if all.len() > out.len() { all } else { out };
-                        if best.is_empty() {
+                        let best = if all.seen() > out.seen() { all } else { out };
+                        if best.seen() == 0 {
                             Err(e)
                         } else {
-                            Ok((select_top_k(model, &best, self.f), false))
+                            Ok((best.finish(model), false))
                         }
                     }
                 }
@@ -224,10 +224,10 @@ impl<I> Hierarchy<I> {
                         return Ok((rec, false));
                     }
                 }
-                if out.is_empty() {
+                if out.seen() == 0 {
                     Err(e)
                 } else {
-                    Ok((select_top_k(model, &out, self.f), false))
+                    Ok((out.finish(model), false))
                 }
             }
         }
@@ -394,7 +394,7 @@ where
         let d = self.d_structure();
 
         // |q(D)| ≤ 4K ⇒ cost-monitored query finishes it.
-        let mut s1 = Vec::new();
+        let mut s1 = selection(&self.model, k);
         let first = {
             let _g = self.model.span(phase::PROBE);
             query_monitored(media, d, q, 0, 4 * cap, &mut s1)
@@ -402,7 +402,7 @@ where
         match first {
             Ok(Monitored::Complete) => {
                 let _g = self.model.span(phase::SELECT);
-                Ok((select_top_k(&self.model, &s1, k), true))
+                Ok((s1.finish(&self.model), true))
             }
             Ok(Monitored::Truncated) => {
                 // |q(D)| > 4K: pivot from the rung's top-f hierarchy; a
@@ -410,22 +410,22 @@ where
                 if let Ok((rec, _)) = rung.hierarchy.top_f(&self.model, q, 0, media, mark) {
                     if rec.len() >= rung.pivot_rank {
                         let tau = rec[rung.pivot_rank - 1].weight();
-                        let mut s = Vec::new();
+                        let mut s = selection(&self.model, k);
                         let tau_query = {
                             let _g = self.model.span(phase::PROBE);
                             query_monitored(media, d, q, tau, 4 * cap, &mut s)
                         };
                         match tau_query {
-                            Ok(Monitored::Complete) if s.len() >= k => {
+                            Ok(Monitored::Complete) if s.seen() >= k => {
                                 let _g = self.model.span(phase::SELECT);
-                                return Ok((select_top_k(&self.model, &s, k), true));
+                                return Ok((s.finish(&self.model), true));
                             }
                             Ok(_) => {}
                             Err(_) => {
                                 let _g = self.model.span(phase::DEGRADE);
                                 mark.note(&self.model);
-                                let best = if s.len() > s1.len() { s } else { s1 };
-                                return Ok((select_top_k(&self.model, &best, k), false));
+                                let best = if s.seen() > s1.seen() { s } else { s1 };
+                                return Ok((best.finish(&self.model), false));
                             }
                         }
                     }
@@ -433,9 +433,9 @@ where
                 // Verified fallback (Lemma 2 failed for this q): exact full
                 // query, degrading to the τ = 0 prefix if D stays unreadable.
                 match self.full_query(q, k, phase::FALLBACK, media, mark) {
-                    Err(_) if !s1.is_empty() => {
+                    Err(_) if s1.seen() > 0 => {
                         let _g = self.model.span(phase::DEGRADE);
-                        Ok((select_top_k(&self.model, &s1, k), false))
+                        Ok((s1.finish(&self.model), false))
                     }
                     other => other,
                 }
@@ -450,10 +450,10 @@ where
                         return Ok((rec, false));
                     }
                 }
-                if s1.is_empty() {
+                if s1.seen() == 0 {
                     Err(e)
                 } else {
-                    Ok((select_top_k(&self.model, &s1, k), false))
+                    Ok((s1.finish(&self.model), false))
                 }
             }
         }
@@ -470,17 +470,17 @@ where
         mark: &mut FaultMark,
     ) -> Result<(Vec<E>, bool), EmError> {
         let span = self.model.span(ph);
-        let mut s = Vec::new();
+        let mut s = selection(&self.model, k);
         match query(media, self.d_structure(), q, 0, &mut s) {
-            Ok(()) => Ok((select_top_k(&self.model, &s, k), true)),
+            Ok(()) => Ok((s.finish(&self.model), true)),
             Err(e) => {
                 drop(span);
                 let _g = self.model.span(phase::DEGRADE);
                 mark.note(&self.model);
-                if s.is_empty() {
+                if s.seen() == 0 {
                     Err(e)
                 } else {
-                    Ok((select_top_k(&self.model, &s, k), false))
+                    Ok((s.finish(&self.model), false))
                 }
             }
         }

@@ -55,7 +55,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::traits::{
-    query, query_max, query_monitored, select_top_k, DynamicIndex, Element, FaultMark, MaxBuilder,
+    query, query_max, query_monitored, selection, DynamicIndex, Element, FaultMark, MaxBuilder,
     MaxIndex, Monitored, PrioritizedBuilder, PrioritizedIndex, TopKAnswer, TopKIndex, Weight,
 };
 
@@ -265,17 +265,17 @@ where
         // so "read the whole D" is a full prioritized query with τ = -∞
         // (cost Q_pri + O(n/B) = O(n/B) for any sane Q_pri).
         let scan = self.model.span(phase::SCAN);
-        let mut s = Vec::new();
+        let mut s = selection(&self.model, k);
         match query(media, &self.pri, q, 0, &mut s) {
-            Ok(()) => Ok((select_top_k(&self.model, &s, k), true)),
+            Ok(()) => Ok((s.finish(&self.model), true)),
             Err(e) => {
                 drop(scan);
                 let _g = self.model.span(phase::DEGRADE);
                 mark.note(&self.model);
-                if s.is_empty() {
+                if s.seen() == 0 {
                     Err(e)
                 } else {
-                    Ok((select_top_k(&self.model, &s, k), false))
+                    Ok((s.finish(&self.model), false))
                 }
             }
         }
@@ -339,7 +339,7 @@ where
         // Fetch above each pivot in turn until one fetch holds the top k;
         // the τ = 0 probe comes last.
         for tau in pivots {
-            let mut s = Vec::new();
+            let mut s = selection(&self.model, k);
             let fetch = {
                 let _g = self.model.span(phase::PROBE);
                 query_monitored(media, &self.pri, q, tau, limit, &mut s)
@@ -349,9 +349,9 @@ where
                 // requires |S| > K_j; |S| ≥ k suffices for exactness
                 // (K_j ≥ k), and accepting it only lowers the failure
                 // probability below the 0.91 of the analysis.
-                Ok(Monitored::Complete) if tau == 0 || s.len() >= k => {
+                Ok(Monitored::Complete) if tau == 0 || s.seen() >= k => {
                     let _g = self.model.span(phase::SELECT);
-                    return Some(select_top_k(&self.model, &s, k));
+                    return Some(s.finish(&self.model));
                 }
                 // Fewer than k items weigh ≥ τ: try the next lighter pivot.
                 Ok(Monitored::Complete) => {}
@@ -1068,5 +1068,120 @@ mod tests {
         );
         // Elements with ≥1 copy should be a small fraction of n.
         assert!(t2.membership.len() < 25_000);
+    }
+
+    /// All of `D` in input order. Its fallible visitor fails after `cut`
+    /// visits, as a structure does when a block stays unreadable mid-query.
+    struct CutBuilder(usize);
+
+    struct CutIndex {
+        items: Vec<ToyElem>,
+        cut: usize,
+    }
+
+    impl PrioritizedBuilder<ToyElem, AllQuery> for CutBuilder {
+        type Index = CutIndex;
+        fn build(&self, _model: &CostModel, items: Vec<ToyElem>) -> CutIndex {
+            CutIndex { items, cut: self.0 }
+        }
+        fn query_cost(&self, _n: usize, _b: usize) -> f64 {
+            1.0
+        }
+    }
+
+    impl PrioritizedIndex<ToyElem, AllQuery> for CutIndex {
+        fn for_each_at_least(
+            &self,
+            _q: &AllQuery,
+            tau: Weight,
+            visit: &mut dyn FnMut(&ToyElem) -> bool,
+        ) {
+            for e in self.items.iter().filter(|e| e.w >= tau) {
+                if !visit(e) {
+                    return;
+                }
+            }
+        }
+        fn try_for_each_at_least(
+            &self,
+            _q: &AllQuery,
+            tau: Weight,
+            _retrier: &Retrier,
+            visit: &mut dyn FnMut(&ToyElem) -> bool,
+        ) -> Result<(), EmError> {
+            for (i, e) in self.items.iter().filter(|e| e.w >= tau).enumerate() {
+                if i == self.cut {
+                    return Err(EmError::BadBlock {
+                        array_id: 0,
+                        block: i as u64,
+                    });
+                }
+                if !visit(e) {
+                    break;
+                }
+            }
+            Ok(())
+        }
+        fn space_blocks(&self) -> u64 {
+            1
+        }
+        fn len(&self) -> usize {
+            self.items.len()
+        }
+    }
+
+    /// With 200 items there is no sampling level (`n ≤ 4K_1`), so every
+    /// query takes the naive scan. When its visitor dies mid-query, the
+    /// answer is the top k of the prefix it visited, on the one-block heap
+    /// (k ≤ B' = 32) and on the materialized plans alike.
+    #[test]
+    fn naive_scan_degrades_to_the_top_k_of_the_visited_prefix() {
+        let items = mk_items(200, 9);
+        let model = CostModel::new(EmConfig::new(64));
+        for cut in [1, 57, 199] {
+            let t2 = ExpectedTopK::build(
+                &model,
+                CutBuilder(cut),
+                AllMaxBuilder,
+                items.clone(),
+                Theorem2Params::default(),
+            );
+            assert_eq!(t2.levels(), 0);
+            for k in [1, 10, 32, 33, 300] {
+                let want = brute::top_k(&items[..cut], |_| true, k);
+                match t2.try_query_topk(&AllQuery, k, &Retrier::default()) {
+                    Ok(TopKAnswer::Degraded { items, .. }) => {
+                        assert_eq!(items, want, "cut={cut} k={k}");
+                    }
+                    other => panic!("cut={cut} k={k}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// Without a pool, a round's k ≤ B' candidates stream through a
+    /// one-block heap as the fetch reports them: the `select` phase charges
+    /// only the output block, not a re-read of the fetched candidates.
+    #[test]
+    fn unpooled_round_selection_charges_only_its_output() {
+        let items = mk_items(20_000, 5);
+        let model = CostModel::new(EmConfig::new(64));
+        let t2 = ExpectedTopK::build(
+            &model,
+            AllBuilder,
+            AllMaxBuilder,
+            items.clone(),
+            Theorem2Params::default(),
+        );
+        let per = model.config().items_per_block::<ToyElem>();
+        for k in [1, 10, per] {
+            let (got, report) = model.explain(|| {
+                let mut got = Vec::new();
+                t2.query_topk(&AllQuery, k, &mut got);
+                got
+            });
+            assert_eq!(got, brute::top_k(&items, |_| true, k), "k={k}");
+            assert_eq!(report.phases[phase::SELECT].reads, 1, "k={k}: ⌈k/B'⌉");
+        }
     }
 }
