@@ -90,19 +90,18 @@ fn scoped_meters_roll_up_from_threads() {
 
 /// A parallel experiment run must charge exactly the same I/Os per
 /// experiment as a sequential run: every experiment owns its RNG seeds and
-/// meters, so thread count cannot leak into the accounting. (A subset of
-/// the registry keeps this test fast; `exp_all` itself sweeps all 18.)
+/// meters, so thread count cannot leak into the accounting. Every
+/// experiment of the registry is compared on `(reads, writes)`; the
+/// rendered tables are compared for four of them only, because the others
+/// carry wall-clock cells.
 #[test]
 fn parallel_run_matches_sequential_io_counts() {
-    let subset: Vec<_> = bench::parallel::all_experiments()
-        .iter()
-        .filter(|e| ["lemma1", "interval", "dominance", "updates"].contains(&e.name))
-        .copied()
-        .collect();
-    assert_eq!(subset.len(), 4);
-
-    let seq = bench::parallel::run_experiments(&subset, bench::Scale::Smoke, 1);
-    let par = bench::parallel::run_experiments(&subset, bench::Scale::Smoke, 4);
+    const SAME_TABLE: [&str; 4] = ["lemma1", "interval", "dominance", "updates"];
+    let all = bench::parallel::all_experiments();
+    let seq = bench::parallel::run_experiments(all, bench::Scale::Smoke, 1);
+    let par = bench::parallel::run_experiments(all, bench::Scale::Smoke, 4);
+    assert_eq!(seq.len(), all.len());
+    assert_eq!(par.len(), all.len());
     for (s, p) in seq.iter().zip(&par) {
         assert_eq!(s.name, p.name, "outcome order must be registry order");
         assert_eq!(
@@ -111,11 +110,15 @@ fn parallel_run_matches_sequential_io_counts() {
             "experiment {} charged different I/Os sequentially vs in parallel",
             s.name
         );
-        assert_eq!(
-            s.table.render(),
-            p.table.render(),
-            "experiment {} rendered a different table sequentially vs in parallel",
-            s.name
-        );
+        if SAME_TABLE.contains(&s.name) {
+            assert_eq!(
+                s.table.render(),
+                p.table.render(),
+                "experiment {} rendered a different table sequentially vs in parallel",
+                s.name
+            );
+        }
     }
+    let compared = seq.iter().filter(|s| SAME_TABLE.contains(&s.name));
+    assert_eq!(compared.count(), SAME_TABLE.len());
 }
