@@ -16,8 +16,8 @@
 //!   gather (unconditional index store, conditional advance).
 //!
 //! `partition3` is crate-private: selection is its only caller, so code
-//! outside emsim reaches it only through
-//! [`select::top_k_by_weight`](crate::select::top_k_by_weight).
+//! outside emsim reaches it only through [`select`](crate::select)'s
+//! quickselect plan.
 //!
 //! ```compile_fail,E0603
 //! use emsim::kernels::{partition3, Backend};

@@ -16,8 +16,9 @@
 //!
 //! INV01 (`meter-soundness`) and INV02 (`select-chokepoint`) are retired:
 //! Rust visibility now keeps them. `BlockArray`'s unmetered `raw` and the
-//! selection kernels are crate-private to emsim, whose one public
-//! selection function is `emsim::select::top_k_by_weight`. INV03
+//! selection kernels are crate-private to emsim, whose one selection
+//! plan has two public entries, `emsim::select::Selector` (streamed)
+//! and `emsim::select::top_k_by_weight` (a slice). INV03
 //! (`unsafe-hygiene`) is retired too: the root manifest sets
 //! `unsafe_code = "forbid"`, so the compiler rejects `unsafe` in every
 //! member.
