@@ -70,6 +70,6 @@ pub use emsim::{CostModel, EmConfig, EmError, FaultPlan, IoReport, Retrier};
 pub use theorem1::{Theorem1Params, WorstCaseTopK};
 pub use theorem2::{ExpectedTopK, Theorem2Params};
 pub use traits::{
-    log_b, select_top_k, DynamicIndex, Element, MaxBuilder, MaxIndex, Monitored,
-    PrioritizedBuilder, PrioritizedIndex, TopKAnswer, TopKIndex, Weight,
+    log_b, DynamicIndex, Element, MaxBuilder, MaxIndex, Monitored, PrioritizedBuilder,
+    PrioritizedIndex, TopKAnswer, TopKIndex, Weight,
 };

@@ -28,32 +28,18 @@ pub trait Element: Clone {
     fn weight(&self) -> Weight;
 }
 
-/// k-selection over a slice: the `k` heaviest of `items` by
-/// [`Element::weight`], heaviest first. When `model` has a buffer pool
-/// that holds the `min(k, |items|)` survivors, they are held there and
-/// only the output is charged; otherwise the selection's passes are
-/// charged to `model`: one scan of `items` when the `k` survivors fit one
-/// block, else quickselect's scans (`emsim::select`, DESIGN.md
-/// substitution 10).
+/// The reductions' streaming k-selection: the `k` heaviest of the elements
+/// offered, by [`Element::weight`], heaviest first. Each element a
+/// prioritized query reports goes straight into an
+/// `emsim::select::Selector`, so for `k ≤ B'` nothing is read back and
+/// only the output is charged (DESIGN.md substitution 10).
 ///
-/// The reductions themselves never build that slice. They feed each
-/// element a prioritized query reports straight into an
-/// `emsim::select::Selector` with the same plan, so for `k ≤ B'` nothing
-/// is read back and only the output is charged. This function is the
-/// entry for candidates that already sit in an array.
-///
-/// Weights are `u64`, so every call dispatches to emsim's specialized
+/// Weights are `u64`, so every selection dispatches to emsim's specialized
 /// selection kernels (branch-free stable partition, vectorized
-/// scan-for-threshold — see `emsim::kernels`) on `model`'s backend
+/// scan-for-threshold — see `emsim::kernels`) on the meter's backend
 /// (`emsim::Substrate`; `EMSIM_KERNELS` sets the default). Answers and
 /// metered I/Os are bit-identical on every backend, which is what lets the
 /// theorem structures above stay oblivious to the dispatch.
-pub fn select_top_k<E: Element>(model: &CostModel, items: &[E], k: usize) -> Vec<E> {
-    emsim::select::top_k_by_weight(model, items, k, Element::weight)
-}
-
-/// The reductions' streaming k-selection: the `k` heaviest of the elements
-/// offered, by [`Element::weight`] (see [`select_top_k`]).
 pub(crate) type Selection<E> = Selector<E, fn(&E) -> Weight>;
 
 /// An empty [`Selection`] of the `k` heaviest on `model`.
