@@ -137,9 +137,13 @@ fn main() {
 
     if json_path != "-" {
         let json = render_json(scale, threads, total_elapsed_ms, &outcomes);
-        // allow_invariant(device-hygiene): benchmark result export, not
-        // block storage — nothing here survives into a recovered store.
-        match std::fs::write(&json_path, json) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "benchmark result export, not block storage: \
+                      nothing here survives into a recovered store"
+        )]
+        let written = std::fs::write(&json_path, json);
+        match written {
             Ok(()) => eprintln!("wrote {json_path}"),
             Err(e) => {
                 eprintln!("failed to write {json_path}: {e}");

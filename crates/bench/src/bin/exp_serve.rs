@@ -61,9 +61,13 @@ fn main() {
         let _ = writeln!(s, "  \"burst_degraded\": {:.4},", summary.burst_degraded);
         let _ = writeln!(s, "  \"open_degraded\": {:.4}", summary.open_degraded);
         s.push_str("}\n");
-        // allow_invariant(device-hygiene): benchmark result export, not
-        // block storage — nothing here survives into a recovered store.
-        match std::fs::write(&path, s) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "benchmark result export, not block storage: \
+                      nothing here survives into a recovered store"
+        )]
+        let written = std::fs::write(&path, s);
+        match written {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => {
                 eprintln!("failed to write {path}: {e}");

@@ -42,16 +42,22 @@ const B: usize = 16;
 /// a previous run of the same process is removed first.
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("emsim-e23-{}-{name}", std::process::id()));
-    // allow_invariant(device-hygiene): experiment scratch-dir lifecycle,
-    // not block storage — the device under test lives in emsim::device.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "experiment scratch-dir lifecycle, not block storage: \
+                  the device under test lives in emsim::device"
+    )]
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
 /// Remove a trial directory (best-effort; tmp reaping handles stragglers).
 fn cleanup(dir: &PathBuf) {
-    // allow_invariant(device-hygiene): experiment scratch-dir lifecycle,
-    // not block storage — the device under test lives in emsim::device.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "experiment scratch-dir lifecycle, not block storage: \
+                  the device under test lives in emsim::device"
+    )]
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -96,11 +102,17 @@ fn crash_trial(c: u64, part0: &[ToyElem], part1: &[ToyElem]) -> Result<(Recovere
         // dying mid-build.
         let _attempt = (|| -> Result<(), EmError> {
             BlockArray::new_named(&m, "part0", part0.to_vec())?;
-            // DURABILITY: commit part0 — the first recovery point the
-            // crash grid must be able to come back to.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: commit part0, the first recovery point \
+                          the crash grid must be able to come back to"
+            )]
             dev.sync()?;
             BlockArray::new_named(&m, "part1", part1.to_vec())?;
-            // DURABILITY: commit part1 — the fully-built recovery point.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: commit part1, the fully-built recovery point"
+            )]
             dev.sync()?;
             Ok(())
         })();

@@ -16,16 +16,16 @@
 //! Determinism: experiments seed their own RNGs and meter their own
 //! [`emsim::CostModel`]s, so I/O counts are bit-identical between
 //! sequential (`threads = 1`) and parallel runs — asserted by
-//! `tests/parallel_harness.rs`. Per-experiment I/O totals are attributed
+//! `tests/fault_soak.rs`. Per-experiment I/O totals are attributed
 //! with [`emsim::thread_charged`] deltas; `map_trials` credits its
 //! workers' charges back to the spawning thread so the attribution
 //! survives nested fan-out.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use emsim::sync::Counter;
 use emsim::IoReport;
 
 use crate::experiments;
@@ -189,12 +189,12 @@ pub fn default_threads() -> usize {
 /// printed here.
 pub fn run_experiments(exps: &[Experiment], scale: Scale, threads: usize) -> Vec<ExpOutcome> {
     let workers = threads.clamp(1, exps.len().max(1));
-    let next = AtomicUsize::new(0);
+    let next = Counter::new(0);
     let slots: Vec<Mutex<Option<ExpOutcome>>> = exps.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
-                let i = next.fetch_add(1, Relaxed);
+                let i = next.add(1) as usize;
                 if i >= exps.len() {
                     break;
                 }
@@ -255,7 +255,7 @@ where
     let n = inputs.len();
     let workers = threads.min(n);
     let queue: Vec<Mutex<Option<T>>> = inputs.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let next = AtomicUsize::new(0);
+    let next = Counter::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let charged = Mutex::new(IoReport::default());
     std::thread::scope(|s| {
@@ -263,7 +263,7 @@ where
             s.spawn(|| {
                 let io_before = emsim::thread_charged();
                 loop {
-                    let i = next.fetch_add(1, Relaxed);
+                    let i = next.add(1) as usize;
                     if i >= n {
                         break;
                     }

@@ -74,9 +74,13 @@ impl TraceGuard {
             eprintln!("failed to remove the default EMSIM_DEVICE=file store: {e}");
         }
         if let Some((sink, path)) = sink {
-            // allow_invariant(device-hygiene): Chrome-trace export, not
-            // block storage — a diagnostics artifact for chrome://tracing.
-            match std::fs::write(&path, sink.to_json()) {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "Chrome-trace export, not block storage: \
+                          a diagnostics artifact for chrome://tracing"
+            )]
+            let written = std::fs::write(&path, sink.to_json());
+            match written {
                 Ok(()) => eprintln!("wrote Chrome trace ({} spans) to {path}", sink.len()),
                 Err(e) => {
                     eprintln!("failed to write trace {path}: {e}");
@@ -103,6 +107,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reads back and removes the trace file the test wrote"
+    )]
     fn armed_guard_writes_chrome_json() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("tracectl_test_{}.json", std::process::id()));

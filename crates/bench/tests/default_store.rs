@@ -2,6 +2,11 @@
 //! opened in the temp directory when `EMSIM_DATA_DIR` is unset, and keeps
 //! a store the caller named.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test inspects and removes the stores in its scratch directories"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 

@@ -370,7 +370,7 @@ mod tests {
             got
         });
         assert_eq!(got, brute::top_k(&items, |e| e.x <= 10, 64));
-        assert!(!report.phases.contains_key(phase::FALLBACK));
+        assert!(!report.phases.contains_key(phase::FALLBACK.label()));
     }
 
     #[test]

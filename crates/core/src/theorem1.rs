@@ -35,7 +35,7 @@
 //! verification fails, so the structure is always exact; the sampling
 //! affects only the (expected, rare) cost of the fallback.
 
-use emsim::trace::phase;
+use emsim::trace::{phase, Phase};
 use emsim::{BlockArray, CostModel, EmError, Media, Retrier};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -465,7 +465,7 @@ where
         &self,
         q: &Q,
         k: usize,
-        ph: &'static str,
+        ph: &'static Phase,
         media: Media,
         mark: &mut FaultMark,
     ) -> Result<(Vec<E>, bool), EmError> {

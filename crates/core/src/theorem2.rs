@@ -1181,7 +1181,11 @@ mod tests {
                 got
             });
             assert_eq!(got, brute::top_k(&items, |_| true, k), "k={k}");
-            assert_eq!(report.phases[phase::SELECT].reads, 1, "k={k}: ⌈k/B'⌉");
+            assert_eq!(
+                report.phases[phase::SELECT.label()].reads,
+                1,
+                "k={k}: ⌈k/B'⌉"
+            );
         }
     }
 }

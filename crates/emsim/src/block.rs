@@ -703,6 +703,10 @@ mod tests {
             let m = meter_on(dev.clone());
             let a = BlockArray::new_named(&m, "idx", original.clone()).expect("persist");
             assert_eq!(a.raw(), &original[..]);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: commit before reopening"
+            )]
             dev.sync().expect("sync");
             // A different meter on the same device finds it by name.
             let m2 = meter_on(dev);
@@ -728,12 +732,17 @@ mod tests {
     #[test]
     fn named_array_survives_file_reopen() {
         let dir = std::env::temp_dir().join(format!("emsim-block-named-{}", std::process::id()));
+        #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
         let _ = std::fs::remove_dir_all(&dir);
         let data: Vec<(u64, u64)> = (0..97).map(|i| (i, i * i)).collect();
         {
             let dev: Arc<dyn BlockDevice> = Arc::new(FileDevice::open(&dir).expect("open"));
             let m = meter_on(dev.clone());
             BlockArray::new_named(&m, "pairs", data.clone()).expect("persist");
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: commit before reopening"
+            )]
             dev.sync().expect("sync");
         }
         let dev: Arc<dyn BlockDevice> = Arc::new(FileDevice::open(&dir).expect("reopen"));
@@ -746,6 +755,7 @@ mod tests {
             b.try_get(42, Media::Retried(&r)).copied(),
             Ok((42, 42 * 42))
         );
+        #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
         let _ = std::fs::remove_dir_all(&dir);
     }
 

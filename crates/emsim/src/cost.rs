@@ -24,8 +24,7 @@
 //! call; [`credit_thread`] folds a worker thread's tally back into its
 //! parent's.
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use crate::sync::{Arc, Mutex, MutexGuard};
+use crate::sync::{Arc, Counter, Flag, Mutex, MutexGuard};
 use std::cell::Cell;
 use std::collections::HashMap;
 
@@ -35,7 +34,7 @@ use crate::fault::{FaultPlan, Retrier};
 use crate::kernels::Backend;
 use crate::pool::LruPool;
 use crate::substrate::Substrate;
-use crate::trace::{self, CostReport, RecordingSink, SpanGuard, TraceEvent, TraceSink};
+use crate::trace::{self, CostReport, Phase, RecordingSink, SpanGuard, TraceEvent, TraceSink};
 
 /// Lock a mutex, recovering from poisoning: the protected state (counters,
 /// LRU recency lists, fault plans) stays internally consistent across a
@@ -144,15 +143,19 @@ fn tally_writes(n: u64) {
 /// a plain `std` atomic even under loom (like `OnceLock` in `sync.rs`) —
 /// it is an id fountain with no interleaving to explore, and making it a
 /// loom atomic would burn model state on every meter construction.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a Relaxed id fountain that stays std under loom, see above"
+)]
 static NEXT_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 #[derive(Debug)]
 struct Inner {
     config: EmConfig,
-    reads: AtomicU64,
-    writes: AtomicU64,
+    reads: Counter,
+    writes: Counter,
     pool: Mutex<LruPool>,
-    next_array_id: AtomicU64,
+    next_array_id: Counter,
     /// The physical storage under this meter (see [`crate::device`]),
     /// always behind a [`device::CountingDevice`] so physical operations
     /// and payload bytes land on one shared ledger. The meter itself never
@@ -168,24 +171,24 @@ struct Inner {
     /// Fast path: `try_fetch` reads nothing back from the device unless
     /// the device wants read-back verification (file-backed class, or
     /// armed device fault kinds).
-    device_checked: AtomicBool,
+    device_checked: Flag,
     /// Fast path: skip the trace mutex entirely unless tracing is on.
-    tracing: AtomicBool,
+    tracing: Flag,
     /// Per-array read counts, populated only while tracing is on.
     trace: Mutex<Option<HashMap<u64, u64>>>,
     /// Injected faults observed so far (failed reads + detected corruption).
-    faults: AtomicU64,
+    faults: Counter,
     /// Fast path: skip the fault-plan mutex unless a plan is armed, so the
     /// fault-free configuration charges exactly as before the fault layer
     /// existed (no meter drift).
-    faults_active: AtomicBool,
+    faults_active: Flag,
     /// The fault plan consulted by [`CostModel::try_fetch`] and the
     /// sentinel check of [`CostModel::read`].
     fault: Mutex<FaultPlan>,
     /// Fast path: skip the sink mutex entirely unless a structured trace
     /// sink is armed ([`CostModel::set_trace_sink`]) — the disabled-path
     /// cost of the whole `emsim::trace` subsystem is this one load.
-    sink_active: AtomicBool,
+    sink_active: Flag,
     /// The structured trace sink, if armed. Sinks are observational only:
     /// they never affect counters, pool residency or fault decisions, so
     /// I/O totals are identical with or without one.
@@ -349,20 +352,20 @@ impl CostModel {
         CostModel {
             inner: Arc::new(Inner {
                 config,
-                reads: AtomicU64::new(0),
-                writes: AtomicU64::new(0),
+                reads: Counter::new(0),
+                writes: Counter::new(0),
                 pool: Mutex::new(LruPool::new(config.mem_blocks)),
-                next_array_id: AtomicU64::new(0),
+                next_array_id: Counter::new(0),
                 device,
                 ns: NEXT_NS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
                 kernels,
-                device_checked: AtomicBool::new(device_checked),
-                tracing: AtomicBool::new(false),
+                device_checked: Flag::new(device_checked),
+                tracing: Flag::new(false),
                 trace: Mutex::new(None),
-                faults: AtomicU64::new(0),
-                faults_active: AtomicBool::new(plan.is_active()),
+                faults: Counter::new(0),
+                faults_active: Flag::new(plan.is_active()),
                 fault: Mutex::new(plan),
-                sink_active: AtomicBool::new(sink.is_some()),
+                sink_active: Flag::new(sink.is_some()),
                 sink: Mutex::new(sink),
             }),
         }
@@ -390,11 +393,10 @@ impl CostModel {
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         let plan = plan.for_class(self.inner.device.class());
         *lock_recover(&self.inner.fault) = plan;
-        self.inner.faults_active.store(plan.is_active(), Relaxed);
-        self.inner.device_checked.store(
-            self.inner.device.class() == DeviceClass::File || plan.has_device_faults(),
-            Relaxed,
-        );
+        self.inner.faults_active.set(plan.is_active());
+        self.inner
+            .device_checked
+            .set(self.inner.device.class() == DeviceClass::File || plan.has_device_faults());
     }
 
     /// The physical device under this meter (the per-meter counting
@@ -446,7 +448,7 @@ impl CostModel {
     /// Record a fault detected *above* the disk read (a sentinel mismatch
     /// found by [`CostModel::read`]).
     pub fn record_fault(&self) {
-        self.inner.faults.fetch_add(1, Relaxed);
+        self.inner.faults.add(1);
         self.emit(TraceEvent::Fault);
     }
 
@@ -472,7 +474,7 @@ impl CostModel {
 
     /// The armed trace sink, if any.
     pub fn trace_sink(&self) -> Option<Arc<dyn TraceSink>> {
-        if !self.inner.sink_active.load(Relaxed) {
+        if !self.inner.sink_active.get() {
             return None;
         }
         lock_recover(&self.inner.sink).clone()
@@ -484,10 +486,10 @@ impl CostModel {
         match sink {
             Some(s) => {
                 *lock_recover(&self.inner.sink) = Some(s);
-                self.inner.sink_active.store(true, Relaxed);
+                self.inner.sink_active.set(true);
             }
             None => {
-                self.inner.sink_active.store(false, Relaxed);
+                self.inner.sink_active.set(false);
                 *lock_recover(&self.inner.sink) = None;
             }
         }
@@ -497,7 +499,7 @@ impl CostModel {
     /// phase open on this thread. The disabled path is one relaxed load.
     #[inline]
     fn emit(&self, event: TraceEvent) {
-        if self.inner.sink_active.load(Relaxed) {
+        if self.inner.sink_active.get() {
             let sink = lock_recover(&self.inner.sink).clone();
             if let Some(sink) = sink {
                 sink.event(trace::current_phase(), event);
@@ -522,8 +524,9 @@ impl CostModel {
     /// });
     /// assert_eq!(report.phase(phase::SCAN).reads, 2);
     /// ```
-    pub fn span(&self, phase: &'static str) -> SpanGuard {
-        if !self.inner.sink_active.load(Relaxed) {
+    pub fn span(&self, phase: &'static Phase) -> SpanGuard {
+        let phase = phase.label();
+        if !self.inner.sink_active.get() {
             return SpanGuard {
                 sink: None,
                 phase,
@@ -574,7 +577,7 @@ impl CostModel {
     /// bits of buffer-pool keys so distinct structures never collide.
     /// Ids count up from 0, so [`SCRATCH_ARRAY`] is never handed out.
     pub fn new_array_id(&self) -> u64 {
-        self.inner.next_array_id.fetch_add(1, Relaxed)
+        self.inner.next_array_id.add(1)
     }
 
     /// Hold a working set of `items` items of type `T` in the buffer pool,
@@ -629,9 +632,9 @@ impl CostModel {
     /// Add a finished sub-measurement to this meter's counters. (The
     /// buffer pool is unaffected; pool statistics are folded in.)
     pub fn absorb(&self, r: IoReport) {
-        self.inner.reads.fetch_add(r.reads, Relaxed);
-        self.inner.writes.fetch_add(r.writes, Relaxed);
-        self.inner.faults.fetch_add(r.faults, Relaxed);
+        self.inner.reads.add(r.reads);
+        self.inner.writes.add(r.writes);
+        self.inner.faults.add(r.faults);
         lock_recover(&self.inner.pool).absorb_stats(r.pool_hits, r.pool_misses);
     }
 
@@ -646,7 +649,7 @@ impl CostModel {
             self.emit(TraceEvent::PoolHit);
             return; // pool hit: free
         }
-        self.inner.reads.fetch_add(1, Relaxed);
+        self.inner.reads.add(1);
         tally_reads(1);
         self.trace_read(array_id);
         if pooled {
@@ -679,8 +682,8 @@ impl CostModel {
     ///   best-effort, and skipped altogether on a device that cannot damage
     ///   a block (see `CostModel::device_write`).
     pub fn try_fetch(&self, array_id: u64, block_idx: u64, attempt: u32) -> Result<(), EmError> {
-        let checked = self.inner.device_checked.load(Relaxed);
-        let planned = self.inner.faults_active.load(Relaxed);
+        let checked = self.inner.device_checked.get();
+        let planned = self.inner.faults_active.get();
         if !checked && !planned {
             self.touch(array_id, block_idx);
             return Ok(());
@@ -696,7 +699,7 @@ impl CostModel {
             Ok(())
         };
         // The disk attempt happened either way: charge the read.
-        self.inner.reads.fetch_add(1, Relaxed);
+        self.inner.reads.add(1);
         tally_reads(1);
         self.emit(TraceEvent::Reads(1));
         if attempt > 0 {
@@ -720,7 +723,7 @@ impl CostModel {
                 Ok(())
             }
             Err(e) => {
-                self.inner.faults.fetch_add(1, Relaxed);
+                self.inner.faults.add(1);
                 self.emit(TraceEvent::Fault);
                 Err(e)
             }
@@ -748,8 +751,7 @@ impl CostModel {
             }
             Media::Retried(retrier) => {
                 retrier.run(|attempt| self.try_fetch(array_id, block, attempt))?;
-                if self.inner.faults_active.load(Relaxed)
-                    && self.fault_plan().is_corrupted(array_id, block)
+                if self.inner.faults_active.get() && self.fault_plan().is_corrupted(array_id, block)
                 {
                     self.record_fault();
                     return Err(EmError::Corrupt { array_id, block });
@@ -778,7 +780,7 @@ impl CostModel {
 
     /// Attribute one charged read to `array_id` if tracing is on.
     fn trace_read(&self, array_id: u64) {
-        if self.inner.tracing.load(Relaxed) {
+        if self.inner.tracing.get() {
             if let Some(trace) = lock_recover(&self.inner.trace).as_mut() {
                 *trace.entry(array_id).or_insert(0) += 1;
             }
@@ -791,12 +793,12 @@ impl CostModel {
     /// have no structure identity.
     pub fn start_trace(&self) {
         *lock_recover(&self.inner.trace) = Some(HashMap::new());
-        self.inner.tracing.store(true, Relaxed);
+        self.inner.tracing.set(true);
     }
 
     /// Stop tracing and return `(array_id, reads)` pairs, heaviest first.
     pub fn stop_trace(&self) -> Vec<(u64, u64)> {
-        self.inner.tracing.store(false, Relaxed);
+        self.inner.tracing.set(false);
         let map = lock_recover(&self.inner.trace).take().unwrap_or_default();
         let mut v: Vec<(u64, u64)> = map.into_iter().collect();
         v.sort_by_key(|e| std::cmp::Reverse(e.1));
@@ -806,7 +808,7 @@ impl CostModel {
     /// Charge `n` read I/Os unconditionally (for sequential scans, whose
     /// blocks would evict each other anyway).
     pub fn charge_reads(&self, n: u64) {
-        self.inner.reads.fetch_add(n, Relaxed);
+        self.inner.reads.add(n);
         tally_reads(n);
         if n > 0 {
             self.emit(TraceEvent::Reads(n));
@@ -815,7 +817,7 @@ impl CostModel {
 
     /// Charge `n` write I/Os.
     pub fn charge_writes(&self, n: u64) {
-        self.inner.writes.fetch_add(n, Relaxed);
+        self.inner.writes.add(n);
         tally_writes(n);
         if n > 0 {
             self.emit(TraceEvent::Writes(n));
@@ -836,11 +838,11 @@ impl CostModel {
     pub fn report(&self) -> IoReport {
         let (pool_hits, pool_misses) = lock_recover(&self.inner.pool).stats();
         IoReport {
-            reads: self.inner.reads.load(Relaxed),
-            writes: self.inner.writes.load(Relaxed),
+            reads: self.inner.reads.get(),
+            writes: self.inner.writes.get(),
             pool_hits,
             pool_misses,
-            faults: self.inner.faults.load(Relaxed),
+            faults: self.inner.faults.get(),
         }
     }
 
@@ -854,9 +856,9 @@ impl CostModel {
     /// pool *contents* are kept; use [`CostModel::clear_pool`] for a
     /// cold-cache measurement).
     pub fn reset(&self) {
-        self.inner.reads.store(0, Relaxed);
-        self.inner.writes.store(0, Relaxed);
-        self.inner.faults.store(0, Relaxed);
+        self.inner.reads.set(0);
+        self.inner.writes.set(0);
+        self.inner.faults.set(0);
         lock_recover(&self.inner.pool).reset_stats();
     }
 

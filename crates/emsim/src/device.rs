@@ -34,6 +34,11 @@
 //! tears the `n`-th physical write and poisons the device — every later
 //! operation fails with [`EmError::Io`] until the store is reopened.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the device module is the one owner of std::fs handles"
+)]
+
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
@@ -446,6 +451,7 @@ impl FileDevice {
     /// findings are available from [`FileDevice::recovery`].
     pub fn open_with(dir: impl Into<PathBuf>, plan: FaultPlan) -> Result<Self, EmError> {
         let dir = dir.into();
+        #[expect(clippy::disallowed_methods, reason = "the store's own directory")]
         fs::create_dir_all(&dir).map_err(|e| EmError::io("mkdir", dir.clone(), 0, e))?;
         let data_path = dir.join(DATA_NAME);
         let data = fs::OpenOptions::new()
@@ -484,6 +490,10 @@ impl FileDevice {
 
     /// Delete the store: its directory and everything in it. For a store
     /// that was scratch space; the device must not be used afterwards.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deletes the store's own directory"
+    )]
     pub(crate) fn remove(&self) -> Result<(), EmError> {
         fs::remove_dir_all(&self.dir).map_err(|e| EmError::io("rmdir", self.dir.clone(), 0, e))
     }
@@ -515,7 +525,9 @@ impl FileDevice {
         let mut report = RecoveryReport::default();
         let mut committed = HashMap::new();
         let mut generation = 0u64;
-        match fs::read(&cat_path) {
+        #[expect(clippy::disallowed_methods, reason = "reads the store's catalog")]
+        let read = fs::read(&cat_path);
+        match read {
             Ok(bytes) => {
                 let (gen, entries) = parse_catalog(&bytes)?;
                 generation = gen;
@@ -526,6 +538,7 @@ impl FileDevice {
         }
         // Stale temp catalogs from an interrupted commit are garbage by
         // construction (the rename never happened) — drop them.
+        #[expect(clippy::disallowed_methods, reason = "the store's stale temp catalog")]
         let _ = fs::remove_file(self.dir.join(CATALOG_TMP_NAME));
         // A forged offset near `u64::MAX` can pass the catalog CRC; an
         // extent that overflows is a corrupt catalog, not a panic.
@@ -549,8 +562,11 @@ impl FileDevice {
                 .data
                 .set_len(extent)
                 .map_err(|e| EmError::io("truncate", data_path.clone(), extent, e))?;
-            // DURABILITY: the truncation itself must survive the next
-            // crash, or recovered-then-crashed stores resurrect dead bytes.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: the truncation itself must survive the next crash, \
+                          or recovered-then-crashed stores resurrect dead bytes"
+            )]
             state
                 .data
                 .sync_data()
@@ -596,20 +612,29 @@ impl FileDevice {
                 .map_err(|e| EmError::io("open", tmp_path.clone(), 0, e))?;
             tmp.write_all(&bytes)
                 .map_err(|e| EmError::io("pwrite", tmp_path.clone(), 0, e))?;
-            // DURABILITY: the temp catalog's bytes must be on the medium
-            // *before* the rename publishes it, or a crash could expose a
-            // renamed-but-empty catalog (rename can be reordered ahead of
-            // data writes).
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: the temp catalog's bytes must be on the medium before \
+                          the rename publishes it, or a crash could expose a renamed-but-empty \
+                          catalog (rename can be reordered ahead of data writes)"
+            )]
             tmp.sync_all()
                 .map_err(|e| EmError::io("fsync", tmp_path.clone(), 0, e))?;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "publishes the store's new catalog"
+        )]
         fs::rename(&tmp_path, &cat_path)
             .map_err(|e| EmError::io("rename", cat_path.clone(), 0, e))?;
-        // DURABILITY: the rename lives in the directory; fsync the
-        // directory entry so the *new* catalog (not the old one) is what a
-        // post-crash open sees once sync() returns.
         let dirf =
             fs::File::open(&self.dir).map_err(|e| EmError::io("open", self.dir.clone(), 0, e))?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "DURABILITY: the rename lives in the directory; fsync the directory entry \
+                      so the new catalog (not the old one) is what a post-crash open sees once \
+                      sync() returns"
+        )]
         dirf.sync_all()
             .map_err(|e| EmError::io("fsync", self.dir.clone(), 0, e))?;
         st.committed = merged;
@@ -819,9 +844,12 @@ impl BlockDevice for FileDevice {
         if st.poisoned {
             return Err(self.poisoned_err("fsync"));
         }
-        // DURABILITY: payload bytes must hit the medium before the catalog
-        // that points at them is published — the write-ahead order that
-        // makes every committed entry readable after a crash.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "DURABILITY: payload bytes must hit the medium before the catalog that \
+                      points at them is published, the write-ahead order that makes every \
+                      committed entry readable after a crash"
+        )]
         st.data
             .sync_data()
             .map_err(|e| EmError::io("fsync", self.data_path(), 0, e))?;
@@ -923,11 +951,11 @@ impl DeviceCounts {
 /// on write).
 #[derive(Debug, Default)]
 pub struct DeviceLedger {
-    preads: crate::sync::atomic::AtomicU64,
-    pwrites: crate::sync::atomic::AtomicU64,
-    syncs: crate::sync::atomic::AtomicU64,
-    bytes_read: crate::sync::atomic::AtomicU64,
-    bytes_written: crate::sync::atomic::AtomicU64,
+    preads: crate::sync::Counter,
+    pwrites: crate::sync::Counter,
+    syncs: crate::sync::Counter,
+    bytes_read: crate::sync::Counter,
+    bytes_written: crate::sync::Counter,
 }
 
 impl DeviceLedger {
@@ -938,33 +966,29 @@ impl DeviceLedger {
 
     /// Record one `read` attempt returning `bytes` payload bytes.
     fn note_read(&self, bytes: u64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.preads.fetch_add(1, Relaxed);
-        self.bytes_read.fetch_add(bytes, Relaxed);
+        self.preads.add(1);
+        self.bytes_read.add(bytes);
     }
 
     /// Record one `write` attempt submitting `bytes` payload bytes.
     fn note_write(&self, bytes: u64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.pwrites.fetch_add(1, Relaxed);
-        self.bytes_written.fetch_add(bytes, Relaxed);
+        self.pwrites.add(1);
+        self.bytes_written.add(bytes);
     }
 
     /// Record one `sync` attempt.
     fn note_sync(&self) {
-        self.syncs
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.syncs.add(1);
     }
 
     /// The counts so far.
     pub fn snapshot(&self) -> DeviceCounts {
-        use std::sync::atomic::Ordering::Relaxed;
         DeviceCounts {
-            preads: self.preads.load(Relaxed),
-            pwrites: self.pwrites.load(Relaxed),
-            syncs: self.syncs.load(Relaxed),
-            bytes_read: self.bytes_read.load(Relaxed),
-            bytes_written: self.bytes_written.load(Relaxed),
+            preads: self.preads.get(),
+            pwrites: self.pwrites.get(),
+            syncs: self.syncs.get(),
+            bytes_read: self.bytes_read.get(),
+            bytes_written: self.bytes_written.get(),
         }
     }
 }
@@ -1020,8 +1044,11 @@ impl BlockDevice for CountingDevice {
 
     fn sync(&self) -> Result<(), EmError> {
         self.ledger.note_sync();
-        // DURABILITY: pass-through — the wrapped device performs the real
-        // data-fsync + catalog commit; counting must not change semantics.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "DURABILITY: pass-through; the wrapped device performs the real \
+                      data-fsync and catalog commit, and counting must not change semantics"
+        )]
         self.inner.sync()
     }
 
@@ -1049,6 +1076,7 @@ mod tests {
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("emsim-device-test-{}-{name}", std::process::id()));
+        #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -1090,6 +1118,10 @@ mod tests {
     fn crash_discards_staged_keeps_committed() {
         for dev in both_devices("crash_staged") {
             dev.write(id(0, 0, 0), b"durable").expect("write");
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: commits the block the crash must keep"
+            )]
             dev.sync().expect("sync");
             dev.write(id(0, 0, 1), b"staged").expect("write");
             dev.crash();
@@ -1110,6 +1142,10 @@ mod tests {
     fn overwrite_visibility_tracks_latest() {
         for dev in both_devices("overwrite") {
             dev.write(id(0, 7, 0), b"v1").expect("write");
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: commits v1, the value the crash restores"
+            )]
             dev.sync().expect("sync");
             dev.write(id(0, 7, 0), b"v2-longer").expect("write");
             assert_eq!(
@@ -1128,6 +1164,10 @@ mod tests {
             let dev = FileDevice::open(&dir).expect("open");
             dev.write(id(NAMED_NS, 9, 0), b"block-zero").expect("write");
             dev.write(id(NAMED_NS, 9, 1), b"block-one").expect("write");
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: commits the two blocks the reopen must find"
+            )]
             dev.sync().expect("sync");
             dev.write(id(NAMED_NS, 9, 2), b"never-synced")
                 .expect("write");
@@ -1148,6 +1188,7 @@ mod tests {
         );
         assert_eq!(dev.read(id(NAMED_NS, 9, 2)).expect("read"), None);
         assert_eq!(dev.blocks_of(NAMED_NS, 9), vec![0, 1]);
+        #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1179,6 +1220,10 @@ mod tests {
             let dev = FileDevice::open_with(&dir, plan).expect("open");
             dev.write(id(0, 0, 0), b"first-write!").expect("write 0");
             dev.write(id(0, 0, 1), b"second-write").expect("write 1");
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: commits the prefix the crash point leaves"
+            )]
             dev.sync().expect("sync");
             let e = dev
                 .write(id(0, 0, 2), b"third-write!")
@@ -1186,7 +1231,12 @@ mod tests {
             assert!(matches!(e, EmError::Io { op: "pwrite", .. }), "{e:?}");
             // Poisoned: everything fails now.
             assert!(dev.read(id(0, 0, 0)).is_err());
-            assert!(dev.sync().is_err());
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: a poisoned device must refuse to commit"
+            )]
+            let synced = dev.sync();
+            assert!(synced.is_err());
             assert!(dev.write(id(0, 0, 3), b"x").is_err());
         }
         // Reopen fault-free: the committed prefix survives, the torn tail
@@ -1209,6 +1259,7 @@ mod tests {
             Some(b"second-write".to_vec())
         );
         assert_eq!(dev.read(id(0, 0, 2)).expect("read"), None);
+        #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1257,13 +1308,25 @@ mod tests {
         {
             let dev = FileDevice::open(&dir).expect("open");
             dev.write(id(0, 0, 0), b"data").expect("write");
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: commits the catalog the test corrupts"
+            )]
             dev.sync().expect("sync");
         }
         // Flip a byte in the committed catalog: the footer CRC must catch it.
         let cat = dir.join(CATALOG_NAME);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test corrupts the catalog on purpose"
+        )]
         let mut bytes = fs::read(&cat).expect("read catalog");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test corrupts the catalog on purpose"
+        )]
         fs::write(&cat, bytes).expect("rewrite catalog");
         let err = FileDevice::open(&dir).expect_err("corrupt catalog");
         assert_eq!(
@@ -1273,6 +1336,7 @@ mod tests {
                 block: u64::MAX
             }
         );
+        #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1280,9 +1344,18 @@ mod tests {
     /// open it.
     fn open_with_forged_catalog(name: &str, catalog: &[u8]) -> Result<FileDevice, EmError> {
         let dir = tmp_dir(name);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test forges a catalog on purpose"
+        )]
         fs::create_dir_all(&dir).expect("mkdir");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test forges a catalog on purpose"
+        )]
         fs::write(dir.join(CATALOG_NAME), catalog).expect("write catalog");
         let opened = FileDevice::open(&dir);
+        #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
         let _ = fs::remove_dir_all(&dir);
         opened
     }
@@ -1347,6 +1420,10 @@ mod tests {
         let dev = CountingDevice::new(inner);
         dev.write(id(0, 0, 0), b"a").expect("write");
         dev.write(id(0, 0, 1), b"b").expect("write");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "DURABILITY: the one sync the ledger must count"
+        )]
         dev.sync().expect("sync");
         let _ = dev.read(id(0, 0, 0)).expect("read");
         let _ = dev.read(id(0, 0, 9)).expect("read miss still counts");
@@ -1381,6 +1458,10 @@ mod tests {
     fn empty_payload_roundtrips() {
         for dev in both_devices("empty") {
             dev.write(id(0, 0, 0), b"").expect("write");
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: commits the empty payload the crash must keep"
+            )]
             dev.sync().expect("sync");
             dev.crash();
             assert_eq!(dev.read(id(0, 0, 0)).expect("read"), Some(Vec::new()));

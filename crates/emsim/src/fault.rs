@@ -498,6 +498,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
     fn global_plan_install_and_clear() {
         // File-scoped, so inert on the in-memory devices of meters other
         // tests build on the default while this one runs.

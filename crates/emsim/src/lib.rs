@@ -43,6 +43,9 @@
 //!   spans ([`CostModel::span`]), pluggable [`TraceSink`]s, EXPLAIN-style
 //!   [`CostReport`]s ([`CostModel::explain`]), and Chrome-trace /
 //!   Prometheus exporters. See OBSERVABILITY.md.
+//! * [`sync`] — the `loom`-switched synchronization facade, and the
+//!   workspace's only atomics: the `Relaxed`-only [`sync::Counter`] and
+//!   [`sync::Flag`].
 //! * [`substrate`] — the one value ([`Substrate`]) naming what a meter
 //!   runs on: device, kernel backend, fault plan and trace sink. Each
 //!   meter owns one and its scoped children inherit it; [`CostModel::new`]
@@ -65,7 +68,7 @@ pub mod pool;
 pub mod select;
 pub mod sort;
 pub mod substrate;
-pub(crate) mod sync;
+pub mod sync;
 pub mod trace;
 
 pub use block::{BlockArray, Persist};
@@ -82,6 +85,6 @@ pub use kernels::{active_backend, Backend};
 pub use pool::LruPool;
 pub use substrate::{Substrate, SubstrateGuard};
 pub use trace::{
-    phase_scope, ChromeTraceSink, CostReport, Histogram, NoopSink, PhaseScope, PhaseStats,
+    phase_scope, ChromeTraceSink, CostReport, Histogram, NoopSink, Phase, PhaseScope, PhaseStats,
     RecordingSink, SpanGuard, TraceEvent, TraceSink,
 };

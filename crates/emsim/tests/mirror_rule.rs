@@ -22,6 +22,7 @@ fn meter_on(dev: Arc<dyn BlockDevice>, plan: FaultPlan) -> CostModel {
     CostModel::with_device(EmConfig::with_memory(64, 8), plan, PoolPolicy::Lru, dev)
 }
 
+#[expect(clippy::disallowed_methods, reason = "test scratch directory")]
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("emsim-mirror-rule-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -78,6 +79,7 @@ fn skipping_mirrors_changes_no_answer_and_no_logical_io() {
     );
     let (file_answers, file_reports) = workout(&file);
     let file_physical = file.physical();
+    #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(mem_answers, file_answers);

@@ -10,13 +10,13 @@
 
 use std::sync::Arc;
 
-use emsim::trace::{phase, RecordingSink};
+use emsim::trace::{phase, Phase, RecordingSink};
 use emsim::{CostModel, EmConfig, FaultPlan};
 use proptest::prelude::*;
 
 /// Span labels the driver rotates through (including "no span", which
 /// exercises the `OTHER` catch-all).
-const PHASES: [Option<&str>; 6] = [
+const PHASES: [Option<&Phase>; 6] = [
     None,
     Some(phase::PROBE),
     Some(phase::SAMPLE),

@@ -25,7 +25,10 @@ impl OrderedF64 {
 
 impl Eq for OrderedF64 {}
 
-#[allow(clippy::derive_ord_xor_partial_ord)]
+#[expect(
+    clippy::derive_ord_xor_partial_ord,
+    reason = "finite floats only: this total order agrees with the derived partial one"
+)]
 impl Ord for OrderedF64 {
     fn cmp(&self, other: &Self) -> Ordering {
         // Finite floats always compare.

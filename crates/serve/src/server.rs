@@ -14,10 +14,10 @@
 //! execution, which is what lets the open-loop traffic harness offer load
 //! faster than the service drains it.
 
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use emsim::sync::Counter;
 use emsim::trace::phase;
 use topk_core::{BatchKey, Element, TopKIndex};
 
@@ -53,7 +53,7 @@ impl<E> Ticket<E> {
 /// A cloneable submission handle to a running [`Server`].
 pub struct ServerHandle<E, Q, I> {
     tx: mpsc::Sender<Envelope<E, Q>>,
-    depth: Arc<AtomicUsize>,
+    depth: Arc<Counter>,
     service: Arc<TopKService<E, Q, I>>,
 }
 
@@ -84,18 +84,18 @@ where
     pub fn submit(&self, req: QueryRequest<Q>) -> Ticket<E> {
         let submitted = Instant::now();
         let (reply_tx, rx) = mpsc::channel();
-        // Relaxed: the depth gauge is an advisory shedding threshold, not
-        // a synchronization edge — replies synchronize via the channels.
-        if self.depth.load(Relaxed) >= self.service.config().queue_max {
+        // The depth gauge is an advisory shedding threshold, not a
+        // synchronization edge — replies synchronize via the channels.
+        if self.depth.get() >= self.service.config().queue_max as u64 {
             let tenant = req.tenant;
             self.service.note_front_shed(tenant);
             let _ = reply_tx.send((crate::service::front_shed_reply(tenant), Instant::now()));
             return Ticket { rx, submitted };
         }
-        self.depth.fetch_add(1, Relaxed);
+        self.depth.add(1);
         if let Err(mpsc::SendError(env)) = self.tx.send(Envelope { req, reply_tx }) {
             // Batcher gone: undo the depth claim and shed.
-            self.depth.fetch_sub(1, Relaxed);
+            self.depth.sub(1);
             let tenant = env.req.tenant;
             self.service.note_front_shed(tenant);
             let _ = env
@@ -107,7 +107,7 @@ where
 
     /// Requests currently enqueued (advisory — racy by nature).
     pub fn depth(&self) -> usize {
-        self.depth.load(Relaxed)
+        self.depth.get() as usize
     }
 
     /// The service behind this handle (for [`report`](TopKService::report)
@@ -140,7 +140,7 @@ where
     /// [`TopKService::execute_batch`].
     pub fn spawn(service: Arc<TopKService<E, Q, I>>) -> Self {
         let (tx, rx) = mpsc::channel::<Envelope<E, Q>>();
-        let depth = Arc::new(AtomicUsize::new(0));
+        let depth = Arc::new(Counter::new(0));
         let handle = ServerHandle {
             tx,
             depth: Arc::clone(&depth),
@@ -170,7 +170,7 @@ where
 fn batcher_loop<E, Q, I>(
     service: &TopKService<E, Q, I>,
     rx: &mpsc::Receiver<Envelope<E, Q>>,
-    depth: &AtomicUsize,
+    depth: &Counter,
 ) where
     E: Element + Send,
     Q: BatchKey + Sync,
@@ -198,14 +198,14 @@ fn batcher_loop<E, Q, I>(
                 }
             }
         }
-        let queue_depth = depth.load(Relaxed);
+        let queue_depth = depth.get() as usize;
         let (batch, reply_txs): (Vec<QueryRequest<Q>>, Vec<_>) =
             envelopes.into_iter().map(|e| (e.req, e.reply_tx)).unzip();
         let replies = service.execute_batch(batch, queue_depth);
         for (reply_tx, reply) in reply_txs.into_iter().zip(replies) {
             // Receivers may have given up (dropped ticket) — not an error.
             let _ = reply_tx.send((reply, Instant::now()));
-            depth.fetch_sub(1, Relaxed);
+            depth.sub(1);
         }
     }
 }

@@ -125,7 +125,10 @@ impl<E: PlanarPoint> RangeTree2D<E> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the recursion carries the query box, τ and the visitor"
+    )]
     fn query_rec(
         &self,
         u: usize,

@@ -136,8 +136,10 @@ pub struct Bencher {
 
 impl Bencher {
     /// Time `routine`, recording one sample per call batch.
-    // Upstream criterion's method name; it times, it doesn't iterate.
-    #[allow(clippy::iter_not_returning_iterator)]
+    #[expect(
+        clippy::iter_not_returning_iterator,
+        reason = "upstream criterion's method name; it times, it doesn't iterate"
+    )]
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut routine: F) {
         let start = Instant::now();
         for _ in 0..self.iters_per_sample {
@@ -172,7 +174,7 @@ fn run_one(label: &str, samples: usize, f: &mut dyn FnMut(&mut Bencher)) {
 #[macro_export]
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
-        #[allow(missing_docs)]
+        /// Run every benchmark of this group on one configured `Criterion`.
         pub fn $name() {
             let mut c = $crate::Criterion::default().configure_from_args();
             $($target(&mut c);)+

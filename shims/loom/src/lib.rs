@@ -27,6 +27,11 @@
 //!   constructors are kept (real loom lacks them; emsim only constructs
 //!   atomics at runtime, so the difference is invisible there).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the stand-in's atomics wrap std's; the workspace uses them through emsim::sync"
+)]
+
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64 as StdAtomicU64, Ordering::Relaxed};
 

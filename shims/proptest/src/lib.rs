@@ -267,6 +267,13 @@ pub mod prelude {
     };
 }
 
+/// Run one case's body (a closure, so that `?` and `prop_assert!` can
+/// return early from it).
+#[doc(hidden)]
+pub fn run_case(body: impl FnOnce() -> Result<(), TestCaseError>) -> Result<(), TestCaseError> {
+    body()
+}
+
 /// Drive one property test: `cases` deterministic cases, each calling
 /// `run` with a per-case RNG. Rejections (from `prop_assume!`) retry with
 /// fresh inputs, up to a budget; failures panic with the case seed.
@@ -328,12 +335,10 @@ macro_rules! __proptest_body {
             let strategies = ($($strat,)+);
             $crate::run_cases(config, stringify!($name), |rng| {
                 let ($($pat,)+) = $crate::Strategy::new_value(&strategies, rng);
-                #[allow(unused_mut)]
-                let mut case = || -> ::std::result::Result<(), $crate::TestCaseError> {
+                $crate::run_case(|| {
                     $body
                     Ok(())
-                };
-                case()
+                })
             });
         }
     )*};
