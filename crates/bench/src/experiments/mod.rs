@@ -16,7 +16,7 @@ pub mod updates;
 
 use emsim::{CostModel, CostReport};
 
-/// Average read-I/Os per call of `run` over `queries` inputs.
+/// Average I/Os (reads + writes) per call of `run` over `queries` inputs.
 pub fn avg_ios<Q>(model: &CostModel, queries: &[Q], mut run: impl FnMut(&Q)) -> f64 {
     if queries.is_empty() {
         return 0.0;
@@ -25,10 +25,10 @@ pub fn avg_ios<Q>(model: &CostModel, queries: &[Q], mut run: impl FnMut(&Q)) -> 
     for q in queries {
         run(q);
     }
-    model.report().reads as f64 / queries.len() as f64
+    model.report().total() as f64 / queries.len() as f64
 }
 
-/// Like [`avg_ios`], but also attribute the reads by phase: returns the
+/// Like [`avg_ios`], but also attribute the I/Os by phase: returns the
 /// average total plus a [`CostReport`] whose per-phase counts cover the
 /// whole query loop (divide by `queries.len()` for per-query figures).
 pub fn avg_ios_explained<Q>(
@@ -45,7 +45,7 @@ pub fn avg_ios_explained<Q>(
             run(q);
         }
     });
-    (model.report().reads as f64 / queries.len() as f64, report)
+    (model.report().total() as f64 / queries.len() as f64, report)
 }
 
 /// Geometric sequence of problem sizes `start, start·2, …, ≤ end`.
