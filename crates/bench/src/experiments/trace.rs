@@ -5,9 +5,9 @@
 //! meters and tabulates *where* their query I/Os go — the EXPLAIN surface
 //! documented in OBSERVABILITY.md. The shapes under test:
 //!
-//! * Theorem 1 splits reads between `probe` (level-0 / `D` queries) and
-//!   `select`: it keeps the top f of a fetched level, more survivors than
-//!   the 16-frame pool holds, so its selection charges external passes.
+//! * Theorem 1 is mostly `probe` (level-0 / `D` queries): its selection
+//!   keeps only the k survivors its caller reads, which fit in the pool,
+//!   so `select` charges only the output.
 //! * Theorem 2 is mostly `probe` (τ-queries) with a `sample` tail (the
 //!   max-structure ladder). Its k survivors fit in the pool, so `select`
 //!   charges only the output (DESIGN.md substitution 10).
