@@ -59,7 +59,7 @@ fn main() {
     let cfg = ServeConfig::default()
         .with_batch_max(16)
         .with_epoch_batches(4)
-        .with_tenant_budget(300);
+        .with_tenant_budget(100);
     let service = TopKService::new(index, model, cfg);
 
     let (replies, report) = service.model().explain(|| service.serve_closed(&requests));
