@@ -1133,7 +1133,7 @@ mod tests {
     /// With 200 items there is no sampling level (`n ≤ 4K_1`), so every
     /// query takes the naive scan. When its visitor dies mid-query, the
     /// answer is the top k of the prefix it visited, on the one-block heap
-    /// (k ≤ B' = 32) and on the materialized plans alike.
+    /// (k ≤ B' = 32) and on the threshold spill alike.
     #[test]
     fn naive_scan_degrades_to_the_top_k_of_the_visited_prefix() {
         let items = mk_items(200, 9);

@@ -32,7 +32,9 @@ pub trait Element: Clone {
 /// offered, by [`Element::weight`], heaviest first. Each element a
 /// prioritized query reports goes straight into an
 /// `emsim::select::Selector`, so for `k ≤ B'` nothing is read back and
-/// only the output is charged (DESIGN.md substitution 10).
+/// only the output is charged, and for larger `k` without a pool only the
+/// candidates above a running threshold are written (DESIGN.md
+/// substitution 10).
 ///
 /// Weights are `u64`, so every selection dispatches to emsim's specialized
 /// selection kernels (branch-free stable partition, vectorized
