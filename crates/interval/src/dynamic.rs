@@ -7,12 +7,17 @@
 //!
 //! * A segment tree over the endpoint grid captured at the last rebuild.
 //!   Each canonical node keeps its intervals as a run sorted by ascending
-//!   (distinct) weight. A stab walks one root-to-leaf path: the max query
-//!   reads each run's last item, the prioritized query scans each run from
-//!   the top down to `τ`. `O(log² n)` (+ output) either way.
+//!   (distinct) weight. A stab locates `q` with a static B-tree over the
+//!   grid ([`EndpointSearch`], one read per level), then walks one
+//!   leaf-to-root path: the max query reads each run's last item, the
+//!   prioritized query scans each run from the top down to `τ`.
+//!   `O(log² n)` (+ output) either way. Node records are stored in
+//!   subtree blocks ([`RecordGroups`]), so the walk reads `⌈depth/h⌉`
+//!   record blocks, `h` levels to a block.
 //! * Intervals inserted later whose endpoints fall *between* grid points
 //!   are fully assigned where possible; the at-most-two fringe slabs keep
-//!   them in per-leaf *partial* runs that queries check explicitly.
+//!   them in per-leaf *partial* runs that queries check explicitly. Each
+//!   partial run is a block of its own, read by every query in its slab.
 //! * Runs live in one sparse [`NodeArena`]: a node gets a run the first
 //!   time an interval lands on it, and most nodes never do. Inserting into
 //!   or deleting from a run of `s` items moves up to `s` of them, which is
@@ -27,7 +32,7 @@
 use std::collections::HashMap;
 
 use emsim::CostModel;
-use structures::segtree::{canonical, stab_index, NodeArena};
+use structures::segtree::{canonical, stab_index, EndpointSearch, NodeArena, RecordGroups};
 use topk_core::{
     log_b, DynamicIndex, MaxBuilder, MaxIndex, PrioritizedBuilder, PrioritizedIndex, Weight,
 };
@@ -74,7 +79,8 @@ impl SortedRun {
 }
 
 /// The endpoint grid captured at the last rebuild, and the arena ids of
-/// the sets it defines.
+/// the sets it defines. Arena ids double as block ids under the
+/// structure's array id.
 struct Grid {
     /// Sorted, distinct endpoints.
     xs: Vec<f64>,
@@ -83,17 +89,27 @@ struct Grid {
     /// canonical sets (1 is the root); the partial set of slab `s` (the
     /// intervals only partially covering it) is `2·cap + s`.
     cap: usize,
+    /// The B-tree levels above `xs` that locate a query point, with block
+    /// ids from `3·cap` up.
+    search: EndpointSearch,
 }
 
 impl Grid {
-    fn new(xs: Vec<f64>) -> Self {
+    fn new(xs: Vec<f64>, keys_per_block: usize) -> Self {
         let cap = (2 * xs.len() + 1).next_power_of_two().max(2);
-        Grid { xs, cap }
+        let search = EndpointSearch::build(&xs, keys_per_block, 3 * cap);
+        Grid { xs, cap, search }
     }
 
     /// The elementary slab holding `q` (see [`stab_index`]).
     fn slab(&self, q: f64) -> usize {
         stab_index(&self.xs, q)
+    }
+
+    /// [`Grid::slab`], found by walking the search levels and calling
+    /// `read(block)` once per level.
+    fn locate(&self, q: f64, read: impl FnMut(u64)) -> usize {
+        self.search.stab_index(&self.xs, q, read)
     }
 
     /// Arena id of slab `slab`'s partial set.
@@ -136,6 +152,9 @@ pub struct DynStabbing {
     grid: Grid,
     /// The canonical and partial runs, by [`Grid`] arena id.
     sets: NodeArena<SortedRun>,
+    /// The record blocks of the canonical nodes, one `SortedRun` header
+    /// per node.
+    groups: RecordGroups,
     /// All live intervals by weight.
     registry: HashMap<Weight, Interval>,
     inserts_since_build: usize,
@@ -147,8 +166,9 @@ impl DynStabbing {
     /// Build over the given intervals.
     pub fn build(model: &CostModel, items: Vec<Interval>) -> Self {
         let mut s = DynStabbing {
-            grid: Grid::new(Vec::new()),
+            grid: Grid::new(Vec::new(), 1),
             sets: NodeArena::new(0),
+            groups: RecordGroups::of::<SortedRun>(model.config()),
             registry: HashMap::new(),
             inserts_since_build: 0,
             array_id: model.new_array_id(),
@@ -168,16 +188,18 @@ impl DynStabbing {
         let mut xs: Vec<f64> = items.iter().flat_map(|iv| [iv.lo, iv.hi]).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         xs.dedup();
-        self.grid = Grid::new(xs);
+        self.grid = Grid::new(xs, self.model.config().items_per_block::<f64>());
         self.sets = NodeArena::new(3 * self.grid.cap);
         self.inserts_since_build = 0;
         // Ascending weights: every run insert below is an append.
         for iv in items {
             self.place(iv);
         }
-        // Charge a rebuild as one full write pass over the structure.
-        self.model
-            .charge_writes((self.registry.len().max(1) as u64).div_ceil(8));
+        // Charge a rebuild as one full write pass over the structure, plus
+        // the search levels.
+        self.model.charge_writes(
+            (self.registry.len().max(1) as u64).div_ceil(8) + self.grid.search.internal_blocks(),
+        );
     }
 
     /// Add `iv` to its sets (registry already updated).
@@ -201,11 +223,12 @@ impl PrioritizedIndex<Interval, f64> for DynStabbing {
         if self.registry.is_empty() {
             return;
         }
-        let slab = self.grid.slab(q);
+        let read = |block| self.model.touch(self.array_id, block);
+        let slab = self.grid.locate(q, read);
         // Partial set at the leaf: explicit stabbing check.
-        self.model
-            .touch(self.array_id, (self.grid.cap + slab) as u64);
-        if let Some(run) = self.sets.get(self.grid.partial(slab)) {
+        let partial = self.grid.partial(slab);
+        read(partial as u64);
+        if let Some(run) = self.sets.get(partial) {
             for iv in run.at_least(tau) {
                 if iv.stabs(q) && !visit(iv) {
                     return;
@@ -213,8 +236,9 @@ impl PrioritizedIndex<Interval, f64> for DynStabbing {
             }
         }
         // Full sets along the path: every member covers the slab entirely.
+        let mut walk = self.groups.walk();
         for u in self.grid.path(slab) {
-            self.model.touch(self.array_id, u as u64);
+            walk.visit(u, read);
             if let Some(run) = self.sets.get(u) {
                 for iv in run.at_least(tau) {
                     debug_assert!(iv.stabs(q));
@@ -229,7 +253,7 @@ impl PrioritizedIndex<Interval, f64> for DynStabbing {
     fn space_blocks(&self) -> u64 {
         let per = self.model.config().items_per_block::<Interval>().max(1) as u64;
         let copies: u64 = self.sets.values().iter().map(|run| run.len() as u64).sum();
-        let grid = (self.grid.xs.len() as u64).div_ceil(per);
+        let grid = (self.grid.xs.len() as u64).div_ceil(per) + self.grid.search.internal_blocks();
         copies.div_ceil(per) + grid + 1
     }
 
@@ -244,16 +268,18 @@ impl MaxIndex<Interval, f64> for DynStabbing {
         if self.registry.is_empty() {
             return None;
         }
-        let slab = self.grid.slab(q);
-        self.model
-            .touch(self.array_id, (self.grid.cap + slab) as u64);
+        let read = |block| self.model.touch(self.array_id, block);
+        let slab = self.grid.locate(q, read);
+        let partial = self.grid.partial(slab);
+        read(partial as u64);
         // Heaviest first: the first partial member that stabs is its max.
         let mut best = self
             .sets
-            .get(self.grid.partial(slab))
+            .get(partial)
             .and_then(|run| run.at_least(0).find(|iv| iv.stabs(q)));
+        let mut walk = self.groups.walk();
         for u in self.grid.path(slab) {
-            self.model.touch(self.array_id, u as u64);
+            walk.visit(u, read);
             if let Some(iv) = self.sets.get(u).and_then(SortedRun::max) {
                 if best.is_none_or(|b| iv.weight > b.weight) {
                     best = Some(iv);
@@ -501,6 +527,80 @@ mod tests {
             idx.partial_population(),
             idx.registry.len()
         );
+    }
+
+    /// `⌈log_fanout m⌉`, at least 1: the levels of an endpoint B-tree.
+    fn search_levels(m: usize, fanout: usize) -> u64 {
+        let (mut levels, mut reach) = (1, fanout);
+        while reach < m {
+            levels += 1;
+            reach *= fanout;
+        }
+        levels
+    }
+
+    #[test]
+    fn stab_reads_search_levels_one_partial_and_one_block_per_record_group() {
+        let items = mk(3_000, 58);
+        let unpooled = CostModel::new(emsim::EmConfig::new(64));
+        let pooled = CostModel::new(emsim::EmConfig::with_memory(64, 4096));
+        for model in [unpooled, pooled] {
+            let mut idx = DynStabbing::build(&model, items.clone());
+            // A fresh endpoint between grid points, so some partial sets
+            // hold an interval.
+            idx.insert(Interval::new(50.0001, 60.0001, 1_000_000));
+            let m = idx.grid.xs.len();
+            assert!(m > 64 * 64 && m <= 64 * 64 * 64);
+            let levels = search_levels(m, 64);
+            assert_eq!(levels, 3);
+            // A 3-word run header: 21 to a block, 4 levels to a group. The
+            // path has log₂(cap) + 1 levels.
+            assert_eq!(idx.groups.levels(), 4);
+            let depth = idx.grid.cap.ilog2() + 1;
+            let want = levels + 1 + u64::from(depth.div_ceil(4));
+            // Distinct queries, so no pooled block is read twice unless
+            // two of them share it.
+            for (i, q) in [-1.0, 0.0, 12.5, 50.00005, 60.00005, 99.9, 200.0]
+                .into_iter()
+                .enumerate()
+            {
+                model.reset();
+                let mut out = Vec::new();
+                idx.query(&q, (i * 400) as Weight, &mut out);
+                let r = model.report();
+                assert_eq!(r.reads + r.pool_hits, want, "pri q={q}");
+                model.reset();
+                idx.query_max(&q);
+                let r = model.report();
+                assert_eq!(r.reads + r.pool_hits, want, "max q={q}");
+                if model.config().mem_blocks > 0 {
+                    // The second walk of the same path hits on every block.
+                    assert_eq!(r.pool_hits, want, "max q={q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partial_sets_have_block_ids_of_their_own() {
+        // A cold pooled query misses on every block it reads, so none of
+        // them is read twice: the partial set does not share the leaf's
+        // block, even where the leaf is a group root (always at h = 1).
+        let items = mk(600, 59);
+        for b in [1, 16, 64] {
+            for q in [3.0, 47.5, 88.25] {
+                let model = CostModel::new(emsim::EmConfig::with_memory(b, 1 << 16));
+                let idx = DynStabbing::build(&model, items.clone());
+                let levels = search_levels(idx.grid.xs.len(), b.max(2));
+                let depth = idx.grid.cap.ilog2() + 1;
+                let groups = depth.div_ceil(idx.groups.levels());
+                model.reset();
+                idx.query(&q, 0, &mut Vec::new());
+                let r = model.report();
+                assert_eq!(r.pool_hits, 0, "b={b} q={q}");
+                assert_eq!(r.reads, levels + 1 + u64::from(groups), "b={b} q={q}");
+            }
+        }
     }
 
     #[test]

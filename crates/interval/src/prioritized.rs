@@ -5,8 +5,11 @@
 //!   endpoint B-tree (`O(log_B n)`), walk the `O(log n)` path nodes, and
 //!   scan each run down to `τ` (every run item stabs `q` by the canonical
 //!   decomposition). A node record carries its run's heaviest weight, so a
-//!   run whose top is below `τ` costs no block of its own. `O(n log n)`
-//!   space, `O(log n + t/B)` query.
+//!   run whose top is below `τ` costs no block of its own. The records are
+//!   3 words, stored in subtree blocks of `h = ⌊log₂(R + 1)⌋` levels
+//!   (`R` records to a block, `h = 4` at `B = 64`), so the walk reads
+//!   at most `⌈depth/h⌉` record blocks. `O(n log n)` space,
+//!   `O(log n + t/B)` query.
 //!
 //!   In memory each element is stored once: the elements are stable-sorted
 //!   by descending weight, and a run is a range of the flat array of
@@ -349,6 +352,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use structures::segtree::{canonical, stab_index, RecordGroups};
     use topk_core::brute;
 
     pub(crate) fn mk_intervals(n: usize, seed: u64) -> Vec<Interval> {
@@ -491,6 +495,30 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// The record groups a stab at `q` reads in a segment tree over
+    /// `items`: the non-empty nodes on its leaf-to-root path, found from
+    /// the canonical decomposition, counted once per band of `h` levels.
+    /// Also returns how many such nodes there are.
+    fn path_record_groups(items: &[Interval], q: f64, h: u32) -> (usize, u64) {
+        let mut xs: Vec<f64> = items.iter().flat_map(|iv| [iv.lo, iv.hi]).collect();
+        xs.sort_by(f64::total_cmp);
+        xs.dedup();
+        let cap = (2 * xs.len() + 1).next_power_of_two();
+        let mut filled = vec![false; 2 * cap];
+        for iv in items {
+            let (a, b) = (stab_index(&xs, iv.lo), stab_index(&xs, iv.hi));
+            canonical(cap, a, b, |u| filled[u] = true);
+        }
+        let leaf = cap + stab_index(&xs, q);
+        let mut bands: Vec<u32> = std::iter::successors(Some(leaf), |&u| (u > 1).then_some(u / 2))
+            .filter(|&u| filled[u])
+            .map(|u| u.ilog2() / h)
+            .collect();
+        let nodes = bands.len();
+        bands.dedup();
+        (nodes, bands.len() as u64)
+    }
+
     #[test]
     fn segstab_skips_runs_below_tau_from_the_node_record() {
         let model = CostModel::new(emsim::EmConfig::new(64));
@@ -502,6 +530,8 @@ mod tests {
         // ⌈log_64 m⌉ = 2 search levels for m ≈ 3 000 endpoints.
         assert!(xs.len() > 64 && xs.len() <= 64 * 64);
         let levels = 2;
+        // A 3-word `WeightRun` record: 21 to a block, 4 levels to a group.
+        assert_eq!(RecordGroups::of::<WeightRun>(model.config()).levels(), 4);
         let tau = items.iter().map(|iv| iv.weight).max().unwrap() + 1;
         for q in [-3.0, 0.0, 250.25, 600.0, 1100.0] {
             let mut nodes = 0;
@@ -509,11 +539,13 @@ mod tests {
                 nodes += 1;
                 true
             });
+            let (filled, groups) = path_record_groups(&items, q, 4);
+            assert_eq!(nodes, filled, "q={q}");
             model.reset();
             let mut got = Vec::new();
             idx.query(&q, tau, &mut got);
             assert!(got.is_empty());
-            assert_eq!(model.report().reads, levels + nodes, "q={q}");
+            assert_eq!(model.report().reads, levels + groups, "q={q}");
         }
     }
 
@@ -597,12 +629,13 @@ mod tests {
         let m = xs.len();
         let levels = search_levels(m, model.config().items_per_block::<f64>());
         for q in [-3.0, 0.0, 250.25, 600.0, 999.5, 1100.0] {
+            // The path's record groups, 4 levels to a group (see above).
+            let (_, groups) = path_record_groups(&items, q, 4);
             for tau in [0, 1_000, 4_000, 5_500, 6_001] {
-                // Per path node: its record, then the run's blocks up to and
-                // including the first item below τ.
-                let (mut nodes, mut blocks) = (0, 0);
+                // Per path node: its run's blocks up to and including the
+                // first item below τ.
+                let mut blocks = 0;
                 idx.tree.for_each_on_path(q, &mut |run| {
-                    nodes += 1;
                     if run.top >= tau {
                         let pos = &idx.positions[run.start as usize..][..run.len as usize];
                         let above = pos
@@ -619,7 +652,7 @@ mod tests {
                 idx.query(&q, tau, &mut got);
                 assert_eq!(
                     model.report().reads,
-                    levels + nodes + blocks,
+                    levels + groups + blocks,
                     "q={q} tau={tau}"
                 );
             }
