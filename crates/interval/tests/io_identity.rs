@@ -252,9 +252,9 @@ fn dyn_topk_stabbing_build_update_and_query_ios_are_pinned() {
     );
 }
 
-const DYN_BUILD_WRITES: u64 = 16;
-const DYN_SPACE_BLOCKS: u64 = 43;
-const DYN_SPACE_BLOCKS_AFTER: u64 = 70;
+const DYN_BUILD_WRITES: u64 = 17;
+const DYN_SPACE_BLOCKS: u64 = 44;
+const DYN_SPACE_BLOCKS_AFTER: u64 = 71;
 const DYN_VISITS_BUILT: [&[Weight]; 4] = [
     &[192, 45, 808, 801, 682, 647, 724, 416],
     &[808, 801, 682, 647, 724],
@@ -269,189 +269,189 @@ const DYN_VISITS_AFTER: [&[Weight]; 4] = [
 ];
 #[rustfmt::skip]
 const DYN_SCRIPT: &[(u64, u64, usize)] = &[
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 4),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 619),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 3),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 507),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (8, 0, 6),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 773),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 3),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 794),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (5, 0, 864),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 4),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 619),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 3),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 507),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (4, 0, 6),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 773),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 3),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 794),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (2, 0, 864),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (0, 0, 7),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (0, 0, 864),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 864),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (3, 0, 12),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (10, 0, 0),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 4),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 836),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 2),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (0, 0, 507),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 864),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (2, 0, 12),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 0),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 4),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 836),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 2),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (0, 0, 507),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 0),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (0, 0, 773),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 12),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 857),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 12),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 857),
     (0, 9, 0), (0, 9, 0), (0, 0, 0), (0, 0, 5),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 885),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 724),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 2),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (4, 0, 878),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 4),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 416),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 9),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 836),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (6, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 619),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 885),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 724),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 2),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (2, 0, 878),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 4),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 416),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 9),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 836),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (2, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 619),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (0, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 808),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 808),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (0, 0, 5),
     (0, 9, 0), (0, 9, 0), (0, 0, 0), (0, 0, 864),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 11),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 0),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 0),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 885),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (5, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 591),
-    (0, 32, 0), (0, 9, 0), (0, 9, 1), (8, 0, 3),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 892),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 13),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (3, 0, 787),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 12),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 787),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 9),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 11),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 0),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 0),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 885),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (2, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 591),
+    (0, 33, 0), (0, 9, 0), (0, 9, 1), (5, 0, 3),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 892),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 13),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (2, 0, 787),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 12),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 787),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 9),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (0, 0, 864),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (5, 0, 2),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (2, 0, 2),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (0, 0, 794),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 15),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 15),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (0, 0, 787),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (4, 0, 822),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (2, 0, 822),
 ];
 
-const DYN_TOPK_BUILD_WRITES: u64 = 16;
-const DYN_TOPK_SPACE_BLOCKS: u64 = 50;
-const DYN_TOPK_SPACE_BLOCKS_AFTER: u64 = 79;
+const DYN_TOPK_BUILD_WRITES: u64 = 17;
+const DYN_TOPK_SPACE_BLOCKS: u64 = 51;
+const DYN_TOPK_SPACE_BLOCKS_AFTER: u64 = 80;
 #[rustfmt::skip]
 const DYN_TOPK_SCRIPT: &[(u64, u64, usize)] = &[
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (12, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (9, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (1, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (10, 0, 5),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 7),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (9, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 9),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (8, 0, 6),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 6),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 11),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (6, 0, 9),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 8),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 8),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 8),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 13),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (7, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (1, 0, 8),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 5),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 7),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 9),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (4, 0, 6),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 8),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 6),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 11),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (3, 0, 9),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 13),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (3, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 1),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 8),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 11),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 9),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 9),
     (0, 9, 0), (0, 9, 0), (0, 0, 0), (1, 0, 10),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (10, 0, 0),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 8),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (5, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 0),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 8),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (3, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 1),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 1),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 9),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (6, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (3, 0, 1),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (0, 0, 0),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (3, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (2, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (3, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 9),
+    (0, 33, 0), (0, 9, 0), (0, 9, 1), (4, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (3, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 10),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 1),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (6, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 10),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (7, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (7, 0, 9),
-    (0, 32, 0), (0, 9, 0), (0, 9, 1), (7, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (9, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (5, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (6, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (5, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (6, 0, 14),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (3, 0, 14),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (1, 0, 9),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (8, 0, 1),
     (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 1),
-    (0, 9, 0), (0, 9, 0), (0, 9, 1), (4, 0, 10),
-    (0, 9, 0), (0, 9, 0), (0, 0, 0), (5, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 1),
+    (0, 9, 0), (0, 9, 0), (0, 9, 1), (3, 0, 10),
+    (0, 9, 0), (0, 9, 0), (0, 0, 0), (3, 0, 1),
 ];
 
-const SEGSTAB_BUILD_WRITES: u64 = 22314;
+const SEGSTAB_BUILD_WRITES: u64 = 14469;
 const SEGSTAB_SPACE_BLOCKS: u64 = 11368;
 const SEGSTAB_QUERIES: &[(u64, u64, usize)] = &[
-    (27, 0, 174),
-    (22, 2, 89),
-    (15, 2, 23),
-    (24, 2, 175),
-    (20, 2, 98),
-    (8, 1, 7),
-    (24, 4, 178),
-    (16, 4, 88),
-    (17, 2, 18),
-    (17, 9, 175),
-    (20, 2, 86),
-    (15, 2, 14),
-    (21, 7, 179),
-    (18, 3, 85),
-    (13, 3, 12),
-    (6, 19, 149),
-    (14, 2, 37),
+    (21, 0, 174),
+    (15, 2, 89),
+    (9, 2, 23),
+    (18, 2, 175),
+    (14, 2, 98),
+    (7, 1, 7),
+    (17, 4, 178),
+    (11, 4, 88),
+    (10, 2, 18),
+    (12, 8, 175),
+    (14, 2, 86),
+    (9, 2, 14),
+    (15, 6, 179),
+    (12, 3, 85),
+    (7, 3, 12),
+    (5, 14, 149),
+    (10, 2, 37),
     (2, 2, 0),
-    (20, 8, 183),
-    (20, 4, 105),
-    (8, 7, 12),
-    (16, 8, 175),
-    (17, 7, 88),
-    (14, 2, 14),
+    (14, 7, 183),
+    (13, 4, 105),
+    (4, 5, 12),
+    (11, 7, 175),
+    (11, 6, 88),
+    (7, 3, 14),
 ];
 
-const TOPK_BUILD_WRITES: u64 = 30084;
+const TOPK_BUILD_WRITES: u64 = 19690;
 const TOPK_SPACE_BLOCKS: u64 = 15757;
 const TOPK_QUERIES: &[(u64, u64, usize)] = &[
-    (36, 55, 1),
-    (14, 10, 10),
-    (32, 7, 100),
-    (26, 62, 1),
-    (10, 15, 10),
-    (32, 23, 100),
-    (25, 65, 1),
-    (17, 11, 10),
-    (28, 9, 100),
-    (32, 60, 1),
-    (20, 13, 10),
-    (20, 17, 100),
-    (25, 64, 1),
-    (7, 13, 10),
-    (25, 11, 100),
-    (16, 71, 1),
-    (27, 32, 10),
-    (25, 32, 100),
-    (14, 61, 1),
-    (14, 66, 10),
-    (27, 10, 100),
-    (22, 65, 1),
-    (4, 27, 10),
-    (23, 13, 100),
+    (30, 55, 1),
+    (10, 10, 10),
+    (25, 7, 100),
+    (19, 62, 1),
+    (5, 14, 10),
+    (27, 18, 100),
+    (19, 65, 1),
+    (11, 12, 10),
+    (22, 9, 100),
+    (25, 60, 1),
+    (14, 13, 10),
+    (18, 15, 100),
+    (18, 64, 1),
+    (7, 12, 10),
+    (18, 11, 100),
+    (10, 71, 1),
+    (20, 25, 10),
+    (21, 24, 100),
+    (12, 60, 1),
+    (10, 52, 10),
+    (21, 10, 100),
+    (16, 65, 1),
+    (4, 21, 10),
+    (17, 13, 100),
 ];
