@@ -105,60 +105,60 @@ fn enc_max_build_space_and_query_ios_are_pinned() {
     );
 }
 
-const PRI_BUILD_WRITES: u64 = 74968;
+const PRI_BUILD_WRITES: u64 = 56775;
 const PRI_SPACE_BLOCKS: u64 = 40141;
 const PRI_QUERIES: &[(u64, u64, usize)] = &[
-    (60, 0, 34),
-    (36, 1, 6),
-    (41, 1, 2),
-    (22, 1, 16),
+    (52, 0, 34),
+    (33, 1, 6),
+    (36, 1, 2),
+    (18, 1, 16),
     (10, 1, 1),
-    (30, 6, 1),
-    (30, 1, 10),
-    (48, 5, 12),
-    (17, 6, 1),
-    (55, 3, 37),
-    (50, 1, 21),
-    (35, 6, 6),
-    (60, 1, 29),
-    (36, 7, 11),
-    (37, 7, 2),
-    (38, 12, 28),
+    (25, 6, 1),
+    (28, 1, 10),
+    (38, 5, 12),
+    (16, 6, 1),
+    (46, 3, 37),
+    (44, 1, 21),
+    (27, 6, 6),
+    (53, 1, 29),
+    (29, 7, 11),
+    (27, 9, 2),
+    (33, 12, 28),
     (12, 14, 1),
-    (48, 1, 2),
-    (60, 9, 43),
-    (26, 9, 14),
-    (44, 4, 2),
-    (20, 51, 44),
+    (37, 3, 2),
+    (49, 10, 43),
+    (19, 10, 14),
+    (34, 4, 2),
+    (16, 44, 44),
     (13, 1, 0),
-    (42, 1, 2),
+    (33, 3, 2),
 ];
 
-const MAX_BUILD_WRITES: u64 = 18357;
+const MAX_BUILD_WRITES: u64 = 16541;
 const MAX_SPACE_BLOCKS: u64 = 13336;
 const MAX_QUERIES: &[(u64, u64, u64)] = &[
-    (33, 49, 7262),
-    (22, 27, 7402),
-    (33, 42, 7377),
-    (22, 38, 6187),
-    (13, 14, 6762),
-    (24, 49, 7492),
-    (25, 38, 7302),
-    (23, 52, 7457),
-    (29, 46, 6912),
-    (31, 46, 7407),
-    (27, 40, 7402),
-    (17, 52, 7477),
-    (25, 43, 7277),
-    (25, 43, 7452),
-    (27, 52, 7167),
-    (15, 54, 7412),
-    (25, 43, 7477),
-    (17, 22, 6332),
-    (16, 62, 7492),
-    (28, 46, 7442),
-    (28, 38, 6482),
-    (28, 46, 7442),
-    (25, 54, 7457),
-    (22, 21, 7402),
+    (29, 49, 7262),
+    (20, 27, 7402),
+    (28, 43, 7377),
+    (20, 38, 6187),
+    (12, 14, 6762),
+    (21, 49, 7492),
+    (21, 38, 7302),
+    (20, 51, 7457),
+    (25, 46, 6912),
+    (27, 46, 7407),
+    (24, 40, 7402),
+    (15, 50, 7477),
+    (22, 42, 7277),
+    (22, 43, 7452),
+    (23, 52, 7167),
+    (13, 53, 7412),
+    (21, 43, 7477),
+    (16, 22, 6332),
+    (15, 59, 7492),
+    (24, 46, 7442),
+    (24, 38, 6482),
+    (24, 46, 7442),
+    (22, 53, 7457),
+    (14, 26, 7402),
 ];
