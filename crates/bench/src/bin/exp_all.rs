@@ -1,24 +1,27 @@
-//! Run every experiment (E1–E23 and E25, see DESIGN.md §4), fanned out across
-//! threads, then print the buffered tables in E-order and write a
-//! machine-readable `BENCH_results.json` for cross-PR perf tracking.
+//! The experiment runner: every experiment of the registry
+//! (`bench::parallel::all_experiments`, E1–E23 and E25, see DESIGN.md §4)
+//! fanned out across threads, its buffered tables printed in E-order.
 //!
 //! Usage:
 //!
 //! ```text
-//! SCALE=smoke cargo run --release -p bench --bin exp_all -- \
+//! SCALE=smoke|paper cargo run --release -p bench --bin exp_all -- \
 //!     [--only <substring>] [--threads N] [--sequential] [--json PATH] \
 //!     [--trace PATH]
 //! ```
 //!
-//! * `--only <substring>` (or `EXP_ONLY=<substring>`) — run only the
-//!   experiments whose registry name contains the substring.
-//! * `--threads N` (or `BENCH_THREADS=N`) — worker count; default
-//!   `available_parallelism()`. `--sequential` is shorthand for 1.
-//! * `--json PATH` — where to write results (default
-//!   `BENCH_results.json`; `--json -` disables the file).
-//! * `--trace PATH` (or `TRACE_SINK=PATH`) — write a Chrome-trace JSON of
-//!   every phase span across all experiments (see OBSERVABILITY.md).
-//!   Purely observational: I/O counts are identical with or without it.
+//! * `SCALE` — `smoke` (CI-fast) or `paper` (the default when unset or
+//!   empty); any other value exits 2.
+//! * `--only <substring>` — run only the experiments whose registry name
+//!   contains the substring (`--only dominance` runs E9 and E20).
+//! * `--threads N` — worker count; default `available_parallelism()`.
+//!   `--sequential` is shorthand for 1.
+//! * `--json PATH` — also write per-experiment wall-clock and I/Os to
+//!   `PATH` (the committed `BENCH_results.json` is
+//!   `SCALE=smoke exp_all --sequential --json BENCH_results.json`).
+//! * `--trace PATH` — write a Chrome-trace JSON of every phase span across
+//!   all experiments (see OBSERVABILITY.md). Purely observational: I/O
+//!   counts are identical with or without it.
 
 use std::fmt::Write as _;
 
@@ -29,9 +32,9 @@ use bench::{Scale, Table};
 use emsim::Histogram;
 
 fn main() {
-    let mut only: Option<String> = std::env::var("EXP_ONLY").ok();
+    let mut only: Option<String> = None;
     let mut threads = default_threads();
-    let mut json_path = String::from("BENCH_results.json");
+    let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -44,7 +47,7 @@ fn main() {
                     .expect("--threads needs a positive integer");
             }
             "--sequential" => threads = 1,
-            "--json" => json_path = args.next().expect("--json needs a path"),
+            "--json" => json_path = Some(args.next().expect("--json needs a path")),
             "--trace" => trace_path = Some(args.next().expect("--trace needs a path")),
             other => {
                 eprintln!("unknown argument `{other}`");
@@ -53,9 +56,11 @@ fn main() {
             }
         }
     }
+    let Some(scale) = Scale::from_env() else {
+        eprintln!("unknown SCALE; known values: smoke|paper (unset or empty means paper)");
+        std::process::exit(2);
+    };
     let trace = TraceGuard::arm(trace_path);
-
-    let scale = Scale::from_env(Scale::Paper);
     let exps: Vec<_> = all_experiments()
         .iter()
         .filter(|e| only.as_deref().is_none_or(|s| e.name.contains(s)))
@@ -135,7 +140,7 @@ fn main() {
     ]);
     summary.print();
 
-    if json_path != "-" {
+    if let Some(json_path) = json_path {
         let json = render_json(scale, threads, total_elapsed_ms, &outcomes);
         #[expect(
             clippy::disallowed_methods,

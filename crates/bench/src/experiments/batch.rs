@@ -131,9 +131,14 @@ fn assert_bit_identical(
     }
 }
 
-/// The sweep body, parameterized so the registry entry (`exp_batch`) and
-/// the `exp_batch` binary (`--batches` / `--ks`) share it.
-pub fn run_batch(scale: Scale, batches: &[usize], ks: &[usize]) -> Table {
+/// The batch sizes of the grid; the first is the one-at-a-time baseline
+/// of the `vs batch=1` column.
+const BATCHES: [usize; 4] = [1, 4, 16, 64];
+/// The k values of the grid.
+const KS: [usize; 3] = [1, 8, 64];
+
+/// **E17.** Every structure over the batch size × k × distribution grid.
+pub fn exp_batch(scale: Scale) -> Table {
     let mut t = Table::new(
         "E17 — batch amortization: I/Os per query vs batch size \
          (batch answers asserted bit-identical to sequential)",
@@ -185,10 +190,10 @@ pub fn run_batch(scale: Scale, batches: &[usize], ks: &[usize]) -> Table {
         e.x <= q.x_max
     });
 
-    sweep(&mut t, "theorem1", &t1, &m1, n, m, batches, ks, true);
-    sweep(&mut t, "theorem2", &t2, &m2, n, m, batches, ks, true);
-    sweep(&mut t, "binsearch", &bs, &mb, n, m, batches, ks, false);
-    sweep(&mut t, "scan", &sc, &ms, n, m, batches, ks, false);
+    sweep(&mut t, "theorem1", &t1, &m1, n, m, true);
+    sweep(&mut t, "theorem2", &t2, &m2, n, m, true);
+    sweep(&mut t, "binsearch", &bs, &mb, n, m, false);
+    sweep(&mut t, "scan", &sc, &ms, n, m, false);
     t
 }
 
@@ -196,10 +201,6 @@ pub fn run_batch(scale: Scale, batches: &[usize], ks: &[usize]) -> Table {
 /// bit-identity assertion on every cell and — for the reductions
 /// (`assert_monotone`) — the strict amortization assertion on the
 /// clustered distribution.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one grid sweep shared by every structure of the table"
-)]
 fn sweep<I: BatchTopK<ToyElem, PrefixQuery>>(
     t: &mut Table,
     name: &str,
@@ -207,16 +208,14 @@ fn sweep<I: BatchTopK<ToyElem, PrefixQuery>>(
     model: &CostModel,
     n: usize,
     m: usize,
-    batches: &[usize],
-    ks: &[usize],
     assert_monotone: bool,
 ) {
     for (dist, clustered) in [("clustered", true), ("uniform", false)] {
         let qs = mk_queries(n, m, clustered, 0xE17_5EED);
-        for &k in ks {
+        for k in KS {
             let (seq_answers, _seq_ios, seq_ms) = run_sequential(topk, model, &qs, k);
-            let mut per_query_ios = Vec::with_capacity(batches.len());
-            for &batch in batches {
+            let mut per_query_ios = Vec::with_capacity(BATCHES.len());
+            for batch in BATCHES {
                 let (answers, ios, batch_ms) = run_batched(topk, model, &qs, k, batch);
                 assert_bit_identical(name, dist, k, batch, &seq_answers, &answers);
                 let ios_per_query = ios as f64 / m as f64;
@@ -239,15 +238,10 @@ fn sweep<I: BatchTopK<ToyElem, PrefixQuery>>(
                     assert!(
                         w[1] < w[0],
                         "{name}/{dist} k={k}: I/Os per query must strictly decrease \
-                         with batch size, got {per_query_ios:?} over batches {batches:?}"
+                         with batch size, got {per_query_ios:?} over batches {BATCHES:?}"
                     );
                 }
             }
         }
     }
-}
-
-/// **E17.** Registry entry point with the default grid.
-pub fn exp_batch(scale: Scale) -> Table {
-    run_batch(scale, &[1, 4, 16, 64], &[1, 8, 64])
 }

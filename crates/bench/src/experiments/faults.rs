@@ -117,9 +117,14 @@ fn drive_cell(
     model.set_fault_plan(FaultPlan::none());
 }
 
-/// The sweep body, parameterized so `exp_faults` (registry defaults) and
-/// the `exp_faults` binary (`--fault-rate` / `--retry-budget`) share it.
-pub fn run_faults(scale: Scale, rates: &[f64], budgets: &[u32]) -> Table {
+/// Transient-fault probabilities per block read of the grid (bad-block
+/// and corruption rates are a quarter and an eighth of each).
+const RATES: [f64; 4] = [0.0, 0.005, 0.02, 0.05];
+/// Retry budgets of the grid.
+const BUDGETS: [u32; 3] = [0, 1, 3];
+
+/// **E16.** Every structure over the fault rate × retry budget grid.
+pub fn exp_faults(scale: Scale) -> Table {
     let mut t = Table::new(
         "E16 — chaos harness: fault rate × retry budget (every Ok answer verified vs brute force)",
         &[
@@ -167,8 +172,8 @@ pub fn run_faults(scale: Scale, rates: &[f64], budgets: &[u32]) -> Table {
 
     let plans = scale.trials(30) as u64 / 10; // 3 plans at paper scale
     for (name, topk, model) in structures {
-        for &rate in rates {
-            for &budget in budgets {
+        for rate in RATES {
+            for budget in BUDGETS {
                 let retrier = Retrier::new(budget);
                 let faults_before = model.report().faults;
                 let mut stats = CellStats::default();
@@ -204,9 +209,4 @@ pub fn run_faults(scale: Scale, rates: &[f64], budgets: &[u32]) -> Table {
         }
     }
     t
-}
-
-/// **E16.** Registry entry point with the default grid.
-pub fn exp_faults(scale: Scale) -> Table {
-    run_faults(scale, &[0.0, 0.005, 0.02, 0.05], &[0, 1, 3])
 }

@@ -17,7 +17,7 @@
 //!   branch-free partition preserves the quickselect pivot sequence).
 //!
 //! Wall-clock itself is only reported — CI machines are too noisy for a
-//! hard speedup gate. `BENCH_results.json` captures the ratio; at paper
+//! hard speedup gate. The table reports the ratio; at paper
 //! scale on a 2-core x86-64 VM the unrolled kernels run `select` about
 //! 2× and `scan` about 5× faster than scalar (EXPERIMENTS.md E22).
 

@@ -202,7 +202,6 @@ pub fn exp_persist(scale: Scale) -> Table {
     let part_items = match scale {
         Scale::Smoke => 24,
         Scale::Paper => 96,
-        Scale::Full => 192,
     };
     let items = mk_items(part_items * 2);
     let (part0, part1) = items.split_at(part_items);
@@ -253,7 +252,6 @@ pub fn exp_persist(scale: Scale) -> Table {
     let probes = match scale {
         Scale::Smoke => 400usize,
         Scale::Paper => 4_000,
-        Scale::Full => 16_000,
     };
     for frames in [0usize, 2, 8, 64] {
         let dir = fresh_dir(&format!("validate-{frames}"));

@@ -74,38 +74,8 @@ fn build_index(items: &[ToyElem], b: usize, frames: usize, seed: u64) -> (CostMo
     (model, index)
 }
 
-/// Machine-readable open-loop results for `exp_serve --json` / CI.
-#[derive(Clone, Debug)]
-pub struct ServeSummary {
-    /// Paced phase: offered load (from generated arrival offsets).
-    pub paced_offered_qps: f64,
-    /// Paced phase: achieved throughput.
-    pub paced_qps: f64,
-    /// Paced phase: p50 submit-to-reply latency, microseconds.
-    pub paced_p50_us: f64,
-    /// Paced phase: p95 latency, microseconds.
-    pub paced_p95_us: f64,
-    /// Paced phase: p99 latency, microseconds.
-    pub paced_p99_us: f64,
-    /// Paced phase: degraded-answer fraction.
-    pub paced_degraded: f64,
-    /// Burst phase: achieved throughput (replies/sec of wall time).
-    pub burst_qps: f64,
-    /// Burst phase: shed replies.
-    pub burst_shed: u64,
-    /// Burst phase: degraded-answer fraction.
-    pub burst_degraded: f64,
-    /// Both open-loop phases combined: degraded fraction.
-    pub open_degraded: f64,
-}
-
-/// The registry entry point (table only).
+/// **E25.** The closed-loop half, then the open-loop half.
 pub fn exp_serve(scale: Scale) -> Table {
-    run_detailed(scale).0
-}
-
-/// Run E25 and also return the open-loop summary (for `exp_serve --json`).
-pub fn run_detailed(scale: Scale) -> (Table, ServeSummary) {
     let n = scale.n(4096);
     let m = scale.trials(320);
     let b = 64;
@@ -320,44 +290,29 @@ pub fn run_detailed(scale: Scale) -> (Table, ServeSummary) {
         m + burst_n,
         "every submitted request must be answered"
     );
-    let burst_shed = burst.iter().filter(|(r, _)| r.rung == Rung::Shed).count() as u64;
     assert!(
-        burst_shed > 0,
+        burst.iter().any(|(r, _)| r.rung == Rung::Shed),
         "a {burst_n}-deep zero-gap burst into a {queue_max}-slot queue must shed"
     );
     assert!(
         open_report.full > 0,
         "open loop must answer something at full fidelity"
     );
-    let open_degraded = open_report.degraded_fraction();
-    assert!(open_degraded < 1.0, "open loop fully degraded");
-
-    let summary = ServeSummary {
-        paced_offered_qps: if offered_span.is_zero() {
-            0.0
-        } else {
-            m as f64 / offered_span.as_secs_f64()
-        },
-        paced_qps: m as f64 / paced_wall.as_secs_f64().max(1e-9),
-        paced_p50_us: percentile_us(&paced, Histogram::p50),
-        paced_p95_us: percentile_us(&paced, Histogram::p95),
-        paced_p99_us: percentile_us(&paced, Histogram::p99),
-        paced_degraded: degraded_fraction(&paced),
-        burst_qps: burst_n as f64 / burst_wall.as_secs_f64().max(1e-9),
-        burst_shed,
-        burst_degraded: degraded_fraction(&burst),
-        open_degraded,
-    };
-
-    push_open_row(
-        &mut t,
-        "paced",
-        &paced,
-        summary.paced_offered_qps,
-        summary.paced_qps,
+    assert!(
+        open_report.degraded_fraction() < 1.0,
+        "open loop fully degraded"
     );
-    push_open_row(&mut t, "burst", &burst, f64::NAN, summary.burst_qps);
-    (t, summary)
+
+    let paced_offered_qps = if offered_span.is_zero() {
+        0.0
+    } else {
+        m as f64 / offered_span.as_secs_f64()
+    };
+    let paced_qps = m as f64 / paced_wall.as_secs_f64().max(1e-9);
+    let burst_qps = burst_n as f64 / burst_wall.as_secs_f64().max(1e-9);
+    push_open_row(&mut t, "paced", &paced, paced_offered_qps, paced_qps);
+    push_open_row(&mut t, "burst", &burst, f64::NAN, burst_qps);
+    t
 }
 
 fn degraded_fraction(replies: &[(ServeReply<ToyElem>, Duration)]) -> f64 {

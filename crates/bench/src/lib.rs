@@ -4,11 +4,13 @@
 //! this crate regenerates is therefore the paper's *theorem set* — every
 //! theorem, corollary and lemma is one experiment whose measured cost
 //! curves must exhibit the shape the theory predicts (see DESIGN.md §4 for
-//! the experiment index E1–E15 and EXPERIMENTS.md for recorded results).
+//! the experiment index E1–E23 and E25, and EXPERIMENTS.md for recorded
+//! results).
 //!
-//! Each `exp_*` binary prints its tables; `exp_all` runs everything.
-//! Costs are measured in the unit the theorems bound — simulated block
-//! I/Os from [`emsim::CostModel`] — plus wall-clock in the criterion
+//! The `exp_all` binary runs the registry ([`parallel::all_experiments`]),
+//! all of it or the entries `--only <substring>` names, and prints their
+//! tables. Costs are measured in the unit the theorems bound — simulated
+//! block I/Os from [`emsim::CostModel`] — plus wall-clock in the criterion
 //! benches (`benches/`).
 
 pub mod experiments;
@@ -19,35 +21,32 @@ pub mod traffic;
 
 pub use table::Table;
 
-/// Experiment scale, from the `SCALE` env var: `smoke` (CI-fast, default
-/// for tests), `paper` (default for binaries), or `full`.
+/// Experiment scale, from the `SCALE` env var: `smoke` (CI-fast, the
+/// scale the tests run) or `paper` (the default for `exp_all`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds: tiny sizes, for CI.
     Smoke,
-    /// The default for the `exp_*` binaries: minutes in release mode.
+    /// The default for `exp_all`: minutes in release mode.
     Paper,
-    /// Larger sweeps.
-    Full,
 }
 
 impl Scale {
-    /// Read `SCALE` from the environment with the given default.
-    pub fn from_env(default: Scale) -> Scale {
+    /// Read `SCALE` from the environment: `smoke` or `paper`, with unset
+    /// or empty meaning `paper`. `None` for any other value.
+    pub fn from_env() -> Option<Scale> {
         match std::env::var("SCALE").as_deref() {
-            Ok("smoke") => Scale::Smoke,
-            Ok("paper") => Scale::Paper,
-            Ok("full") => Scale::Full,
-            _ => default,
+            Err(std::env::VarError::NotPresent) | Ok("" | "paper") => Some(Scale::Paper),
+            Ok("smoke") => Some(Scale::Smoke),
+            _ => None,
         }
     }
 
-    /// Scale a size by the level (smoke = s/8, full = 4s).
+    /// Scale a size by the level (smoke = s/8).
     pub fn n(&self, paper: usize) -> usize {
         match self {
             Scale::Smoke => (paper / 8).max(256),
             Scale::Paper => paper,
-            Scale::Full => paper * 4,
         }
     }
 
@@ -56,7 +55,6 @@ impl Scale {
         match self {
             Scale::Smoke => (paper / 10).max(5),
             Scale::Paper => paper,
-            Scale::Full => paper * 2,
         }
     }
 }
@@ -70,29 +68,6 @@ mod tests {
         // Cannot mutate env safely in parallel tests; just check defaults.
         assert_eq!(Scale::Smoke.n(8_000), 1_000);
         assert_eq!(Scale::Paper.n(8_000), 8_000);
-        assert_eq!(Scale::Full.n(8_000), 32_000);
         assert_eq!(Scale::Smoke.trials(100), 10);
-    }
-
-    /// Every experiment must run end-to-end at smoke scale, through the
-    /// parallel harness (which also buffers their tables).
-    #[test]
-    fn all_experiments_smoke() {
-        let exps = parallel::all_experiments();
-        let outcomes = parallel::run_experiments(exps, Scale::Smoke, parallel::default_threads());
-        assert_eq!(outcomes.len(), exps.len());
-        for o in &outcomes {
-            assert!(
-                o.error.is_none(),
-                "experiment {} panicked: {:?}",
-                o.name,
-                o.error
-            );
-            assert!(
-                !o.table.is_empty(),
-                "experiment {} produced an empty table",
-                o.name
-            );
-        }
     }
 }

@@ -16,7 +16,7 @@
 //! Determinism: experiments seed their own RNGs and meter their own
 //! [`emsim::CostModel`]s, so I/O counts are bit-identical between
 //! sequential (`threads = 1`) and parallel runs — asserted by
-//! `tests/fault_soak.rs`. Per-experiment I/O totals are attributed
+//! `tests/parallel_harness.rs`. Per-experiment I/O totals are attributed
 //! with [`emsim::thread_charged`] deltas; `map_trials` credits its
 //! workers' charges back to the spawning thread so the attribution
 //! survives nested fan-out.
@@ -34,7 +34,8 @@ use crate::{Scale, Table};
 /// A named, independently runnable experiment.
 #[derive(Clone, Copy)]
 pub struct Experiment {
-    /// Short name (matches the `exp_<name>` binary), used by `--only`.
+    /// Short name, the one place the experiment is named: `exp_all --only`
+    /// matches a substring of it, and result files key by it.
     pub name: &'static str,
     /// The experiment body: runs at a scale, returns its results table.
     pub run: fn(Scale) -> Table,
@@ -172,16 +173,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Worker count: `BENCH_THREADS` env var if set, else
-/// `available_parallelism()`.
+/// Worker count: `available_parallelism()`.
 pub fn default_threads() -> usize {
-    match std::env::var("BENCH_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-    }
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
 /// Run `exps` at `scale` on up to `threads` workers and return their

@@ -1,9 +1,6 @@
-//! Shared `--trace` / `TRACE_SINK` wiring for the experiment binaries.
-//!
-//! Every `exp_*` binary accepts `--trace PATH` (or the `TRACE_SINK=PATH`
-//! environment variable) to install a default substrate whose trace sink
-//! is a [`ChromeTraceSink`] before any experiment
-//! meter is created, and to write the Chrome trace-event JSON on exit.
+//! `exp_all --trace PATH`: install a default substrate whose trace sink
+//! is a [`ChromeTraceSink`] before any experiment meter is created, and
+//! write the Chrome trace-event JSON on exit.
 //! Open the file in `chrome://tracing` or <https://ui.perfetto.dev>; see
 //! OBSERVABILITY.md for the span taxonomy.
 //!
@@ -24,12 +21,8 @@ pub struct TraceGuard {
 }
 
 impl TraceGuard {
-    /// Arm from an explicit `--trace` value, falling back to the
-    /// `TRACE_SINK` environment variable; inert when neither is set.
+    /// Arm from the `--trace` value; inert when it is `None`.
     pub fn arm(path: Option<String>) -> TraceGuard {
-        let path = path
-            .or_else(|| std::env::var("TRACE_SINK").ok())
-            .filter(|p| !p.is_empty());
         let sink = path.map(|p| {
             let s = Arc::new(ChromeTraceSink::new());
             let installed = Substrate {
@@ -40,20 +33,6 @@ impl TraceGuard {
             (s, p, installed)
         });
         TraceGuard { sink }
-    }
-
-    /// Scan the raw CLI args for `--trace PATH`, ignoring everything else —
-    /// for binaries without an argument loop of their own. Binaries that do
-    /// parse arguments add a `--trace` case and call [`TraceGuard::arm`].
-    pub fn arm_from_cli() -> TraceGuard {
-        let mut args = std::env::args().skip(1);
-        let mut path = None;
-        while let Some(a) = args.next() {
-            if a == "--trace" {
-                path = Some(args.next().expect("--trace needs a path"));
-            }
-        }
-        TraceGuard::arm(path)
     }
 
     /// Whether a sink is installed.
@@ -98,11 +77,7 @@ mod tests {
     #[test]
     fn unarmed_guard_is_inert() {
         let g = TraceGuard::arm(None);
-        // TRACE_SINK may leak in from the environment of a traced CI run;
-        // only assert when it cannot have been picked up.
-        if std::env::var("TRACE_SINK").is_err() {
-            assert!(!g.is_armed());
-        }
+        assert!(!g.is_armed());
         g.finish(); // must not write anything or exit
     }
 

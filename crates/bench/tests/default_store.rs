@@ -1,6 +1,9 @@
-//! An `exp_*` binary run with `EMSIM_DEVICE=file` deletes the store it
-//! opened in the temp directory when `EMSIM_DATA_DIR` is unset, and keeps
-//! a store the caller named.
+//! `exp_all` run with `EMSIM_DEVICE=file` deletes the store it opened in
+//! the temp directory when `EMSIM_DATA_DIR` is unset, and keeps a store
+//! the caller named. It runs in the temp directory too, so the same
+//! emptiness check shows that it writes no result file without `--json`.
+//! A `SCALE` other than `smoke` or `paper` makes it exit 2 before it runs
+//! anything.
 
 #![expect(
     clippy::disallowed_methods,
@@ -18,19 +21,20 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Run E12 at smoke scale on a `FileDevice`, with `tmp` as the temp
-/// directory and `data_dir` as `EMSIM_DATA_DIR` if given.
+/// Run E12 at smoke scale on a `FileDevice`, with `tmp` as the temp and
+/// working directory and `data_dir` as `EMSIM_DATA_DIR` if given.
 fn run_on_file_device(tmp: &Path, data_dir: Option<&Path>) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp_circular"));
-    cmd.env("SCALE", "smoke")
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp_all"));
+    cmd.args(["--only", "circular"])
+        .current_dir(tmp)
+        .env("SCALE", "smoke")
         .env("EMSIM_DEVICE", "file")
         .env("TMPDIR", tmp)
-        .env_remove("EMSIM_DATA_DIR")
-        .env_remove("TRACE_SINK");
+        .env_remove("EMSIM_DATA_DIR");
     if let Some(dir) = data_dir {
         cmd.env("EMSIM_DATA_DIR", dir);
     }
-    let out = cmd.output().expect("exp_circular runs");
+    let out = cmd.output().expect("exp_all runs");
     assert!(
         out.status.success(),
         "{}",
@@ -52,7 +56,7 @@ fn default_store_is_removed_and_a_named_one_is_kept() {
     assert_eq!(
         entries(&tmp),
         Vec::<PathBuf>::new(),
-        "default store left behind"
+        "default store or result file left behind"
     );
 
     let named = scratch("named");
@@ -62,4 +66,18 @@ fn default_store_is_removed_and_a_named_one_is_kept() {
 
     std::fs::remove_dir_all(&tmp).unwrap();
     std::fs::remove_dir_all(&named).unwrap();
+}
+
+#[test]
+fn an_unknown_scale_exits_2_without_running() {
+    for scale in ["full", "Smoke"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_exp_all"))
+            .env("SCALE", scale)
+            .output()
+            .expect("exp_all runs");
+        assert_eq!(out.status.code(), Some(2), "SCALE={scale}");
+        assert!(out.stdout.is_empty(), "SCALE={scale} printed a table");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("smoke|paper"), "{stderr}");
+    }
 }

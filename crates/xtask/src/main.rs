@@ -55,9 +55,7 @@ fn experiments(args: &[String]) -> ExitCode {
             "--bin",
             "exp_all",
         ])
-        .args(["--", "--json", "-"])
         .env("SCALE", "paper")
-        .env_remove("EXP_ONLY")
         .stderr(std::process::Stdio::inherit())
         .output();
     let stdout = match run {

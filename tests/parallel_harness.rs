@@ -99,10 +99,10 @@ fn scoped_meters_roll_up_from_threads() {
 /// meters, so thread count cannot leak into the accounting. The sequential
 /// run is the registry's fault-free baseline on the default device and is
 /// held to `crates/bench/golden_smoke_ios.json` (`fault_soak.rs` holds its
-/// `FileDevice` and chaos runs to the same file). Every experiment of the
-/// registry is compared on `(reads, writes)`; the rendered tables are
-/// compared for four of them only, because the others carry wall-clock
-/// cells.
+/// `FileDevice` and chaos runs to the same file); each of its tables must
+/// have rows. Every experiment of the registry is compared on
+/// `(reads, writes)`; the rendered tables are compared for four of them
+/// only, because the others carry wall-clock cells.
 #[test]
 fn parallel_run_matches_sequential_io_counts() {
     const SAME_TABLE: [&str; 4] = ["lemma1", "interval", "dominance", "updates"];
@@ -121,6 +121,7 @@ fn parallel_run_matches_sequential_io_counts() {
             o.name,
             o.error
         );
+        assert!(!o.table.is_empty(), "{} produced an empty table", o.name);
     }
     assert_eq!(
         sorted_ios(&seq),
