@@ -1,11 +1,10 @@
-//! Serving knobs: [`ServeConfig`] and its `EMSIM_SERVE_*` ambient
-//! environment overrides (every knob is documented in SERVING.md).
+//! Serving knobs: [`ServeConfig`] and its `with_*` builders (every knob
+//! is documented in SERVING.md).
 
 use std::time::Duration;
 
-/// Tuning knobs for the serving loop. Every field has an `EMSIM_SERVE_*`
-/// environment override read by [`ServeConfig::from_env`]; defaults are
-/// chosen for the toy workloads and documented per-field.
+/// Tuning knobs for the serving loop. Every field has a `with_*` builder;
+/// defaults are chosen for the toy workloads and documented per-field.
 ///
 /// The thresholds interact as a ladder (see SERVING.md "The degradation
 /// ladder"): a request executes at full fidelity below `shed_depth`, is
@@ -16,48 +15,45 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Group-commit batch size cap: the batcher closes a batch as soon as
     /// it holds this many requests, window or no window.
-    /// Override: `EMSIM_SERVE_BATCH` (default 32).
+    /// Default 32.
     pub batch_max: usize,
     /// Group-commit time window: after the first request of a batch
     /// arrives, the batcher keeps collecting until the window elapses (or
-    /// `batch_max` is hit). Override: `EMSIM_SERVE_WINDOW_US`,
-    /// microseconds (default 200).
+    /// `batch_max` is hit). Default 200 µs.
     pub window: Duration,
     /// Queue depth (requests pending at batch formation) at and above
     /// which admitted requests are *coarsened*: their `k` is capped to
     /// `degraded_k` and the answer is flagged `Degraded`.
-    /// Override: `EMSIM_SERVE_SHED_DEPTH` (default 128).
+    /// Default 128.
     pub shed_depth: usize,
     /// Queue depth at and above which requests are *shed*: answered with
     /// an empty `Degraded` immediately, zero index I/O. The frontend also
     /// refuses to enqueue past this depth (front-door shedding), so the
     /// queue is bounded by construction.
-    /// Override: `EMSIM_SERVE_QUEUE_MAX` (default 512).
+    /// Default 512.
     pub queue_max: usize,
     /// The coarse rung's `k`: under backlog pressure an admitted request
     /// is answered with at most this many items.
-    /// Override: `EMSIM_SERVE_DEGRADED_K` (default 4).
+    /// Default 4.
     pub degraded_k: usize,
     /// Per-tenant I/O budget (block reads + writes) per epoch. A tenant
     /// at or over budget is shed until the epoch rolls over. `u64::MAX`
-    /// disables budgeting. Override: `EMSIM_SERVE_BUDGET` (default
-    /// `u64::MAX`).
+    /// disables budgeting. Default `u64::MAX`.
     pub tenant_budget: u64,
     /// Epoch length in *batches*: every `epoch_batches` executed batches,
     /// each tenant's budget ledger resets.
-    /// Override: `EMSIM_SERVE_EPOCH` (default 8).
+    /// Default 8.
     pub epoch_batches: u64,
     /// Retry budget handed to [`emsim::Retrier`] for every query — the
     /// fault ladder below the serving ladder.
-    /// Override: `EMSIM_SERVE_RETRIES` (default 2).
+    /// Default 2.
     pub retry_budget: u32,
     /// Executor threads per batch. 1 (the default) executes inline on the
     /// batch driver in locality order — fully deterministic even with a
     /// buffer pool. More workers split the locality-ordered batch into
     /// contiguous chunks; I/O counts then stay deterministic only on
     /// pool-less meters (`mem_blocks = 0`), because pool residency
-    /// becomes interleaving-dependent. Override: `EMSIM_SERVE_WORKERS`
-    /// (default 1).
+    /// becomes interleaving-dependent.
     pub workers: usize,
 }
 
@@ -77,34 +73,7 @@ impl Default for ServeConfig {
     }
 }
 
-fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 impl ServeConfig {
-    /// The defaults with every `EMSIM_SERVE_*` environment override
-    /// applied (unset or unparsable variables keep the default).
-    pub fn from_env() -> Self {
-        let d = ServeConfig::default();
-        ServeConfig {
-            batch_max: env_parse("EMSIM_SERVE_BATCH", d.batch_max).max(1),
-            window: Duration::from_micros(env_parse(
-                "EMSIM_SERVE_WINDOW_US",
-                d.window.as_micros() as u64,
-            )),
-            shed_depth: env_parse("EMSIM_SERVE_SHED_DEPTH", d.shed_depth),
-            queue_max: env_parse("EMSIM_SERVE_QUEUE_MAX", d.queue_max),
-            degraded_k: env_parse("EMSIM_SERVE_DEGRADED_K", d.degraded_k).max(1),
-            tenant_budget: env_parse("EMSIM_SERVE_BUDGET", d.tenant_budget),
-            epoch_batches: env_parse("EMSIM_SERVE_EPOCH", d.epoch_batches).max(1),
-            retry_budget: env_parse("EMSIM_SERVE_RETRIES", d.retry_budget),
-            workers: env_parse("EMSIM_SERVE_WORKERS", d.workers).max(1),
-        }
-    }
-
     /// Set the batch size cap.
     pub fn with_batch_max(mut self, batch_max: usize) -> Self {
         self.batch_max = batch_max.max(1);
