@@ -1,6 +1,7 @@
 //! Wall-clock query benchmarks (RAM-model view of the structures).
 //!
-//! The I/O-model measurements live in the `exp_*` binaries; these
+//! The I/O-model measurements live in the experiment registry
+//! (`bench::parallel::all_experiments`, run by `exp_all`); these
 //! criterion benches confirm that the wall-clock behaviour tracks the
 //! simulated I/O counts for every top-k structure and baseline.
 

@@ -77,7 +77,7 @@ pub fn core_set<E: Element>(rng: &mut impl Rng, items: &[E], params: &CoreSetPar
 
 /// Check the two per-query conditions of Lemma 2 against a concrete
 /// predicate outcome: `qd` = weights of `q(D)`, `qr` = weights of `q(R)`.
-/// Only meaningful when `qd.len() ≥ 4K`. Used by tests and `exp_coreset`.
+/// Only meaningful when `qd.len() ≥ 4K`. Used by tests and experiment E3.
 pub fn lemma2_holds_for_query(
     qd: &[crate::traits::Weight],
     qr: &[crate::traits::Weight],

@@ -5,8 +5,7 @@
 //! for Lemma 1, the maximum for Lemma 3) lands, with good probability, at a
 //! rank `Θ(k)` in the original set. The functions here construct the
 //! samples; [`lemma1_holds`]/[`lemma3_holds`] are the checkable predicates
-//! the experiment `exp_lemma1`/`exp_lemma3` binaries estimate probabilities
-//! with.
+//! experiments E1 and E2 estimate probabilities with.
 
 use rand::Rng;
 

@@ -52,7 +52,7 @@ pub struct Theorem1Params {
     /// The problem's polynomial-boundedness constant `λ`.
     pub lambda: f64,
     /// The constant in `f = c·λ·B·Q_pri(n)`; the paper uses `c = 12`
-    /// (eq. (9)). Exposed for the ablation experiment `exp_ablation_inner`.
+    /// (eq. (9)). Exposed for the ablation experiment E14.
     pub f_constant: f64,
     /// Seed for the build-time core-set sampling.
     pub seed: u64,

@@ -198,7 +198,7 @@ where
         self.ks.len()
     }
 
-    /// Sizes of the samples `R_1..R_h` (diagnostics for `exp_theorem2`).
+    /// Sizes of the samples `R_1..R_h` (diagnostics for experiment E5).
     pub fn sample_sizes(&self) -> Vec<usize> {
         self.maxes.iter().map(MaxIndex::len).collect()
     }

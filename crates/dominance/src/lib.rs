@@ -160,7 +160,7 @@ impl MaxBuilder<Hotel, [f64; 3]> for DomMaxBuilder {
     }
     fn query_cost(&self, n: usize, b: usize) -> f64 {
         // Best-first with max pruning measures ~2·log₂ n node visits on
-        // the evaluation workloads (see exp_dominance); the estimate feeds
+        // the evaluation workloads (see experiment E9); the estimate feeds
         // Theorem 2's K₁ = B·Q_max sizing, so it should track reality.
         (2.0 * (n.max(2) as f64).log2()).max(log_b(n, b))
     }
@@ -206,7 +206,7 @@ impl TopKIndex<Hotel, [f64; 3]> for TopKDominance {
 /// nodes carry 2D range trees on (x, y) — prioritized dominance reporting
 /// in `O(log³ n + t)` and max in `O(log³ n)`, using `O(n log² n)` space.
 /// The polylog counterpart to the linear-space kd substrate
-/// ([`DomPri`]/[`DomMax`]); `exp_dominance_substrates` (E20) measures the
+/// ([`DomPri`]/[`DomMax`]); experiment E20 measures the
 /// trade-off under Theorem 2.
 pub struct DomZTree {
     /// Nodes of a balanced BST over z; `nodes[u] = (z_lo, z_hi, 2D tree,

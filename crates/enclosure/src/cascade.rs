@@ -14,7 +14,7 @@
 //! (≤ 3 local steps, by the sampling density).
 //!
 //! [`CascadeStabMax`] answers the same queries as [`crate::EncMax`] in
-//! `O(log n)` instead of `O(log² n)`; `exp_ablation_cascade` measures the
+//! `O(log n)` instead of `O(log² n)`; experiment E18 measures the
 //! difference, closing DESIGN.md substitution 6 for this structure.
 
 use emsim::CostModel;

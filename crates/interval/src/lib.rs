@@ -17,7 +17,7 @@
 //! * [`SegStab`] — prioritized stabbing via a segment tree with
 //!   weight-descending canonical lists: `O(n log n)` space,
 //!   `O(log n + t)` query. The space/query trade-off against [`PstStab`]
-//!   is the `exp_ablation_inner` experiment.
+//!   is experiment E14.
 //! * [`StaticStabMax`] — the folklore `O(n)`-space `O(log n)`-query
 //!   stabbing-max structure of §5.2 (slab decomposition + predecessor
 //!   search).

@@ -202,7 +202,7 @@ pub fn topk_range2d_baseline(model: &CostModel, items: Vec<WPt>) -> Range2DBasel
 /// Alternative substrate: the classic range tree with PST secondaries —
 /// `O(log² n + t)` prioritized reporting / `O(log² n)` max in
 /// `O(n log n)` space (vs the kd substrate's `O(√n + t)` in linear
-/// space). `exp_range2d` measures the trade-off under Theorem 2.
+/// space). Experiment E19 measures the trade-off under Theorem 2.
 pub struct RangeRt {
     tree: RangeTree2D<WPt>,
 }

@@ -19,7 +19,7 @@
 //!   and Agarwal et al. (DESIGN.md substitutions 3 and 5).
 //! * [`RangeTree2D`] — a classic 2D range tree with PST secondaries:
 //!   `O(log² n + t)` prioritized box reporting in `O(n log n)` space, the
-//!   polylog alternative to the kd substrate (ablated in `exp_range2d`).
+//!   polylog alternative to the kd substrate (ablated in experiment E19).
 //! * [`weight_tree`] — the `CanonicalWeightTree` adapter of §5.4/§5.5: a
 //!   weight-ordered tree (binary in RAM, fanout `f` in EM) with an
 //!   *unweighted* reporting structure per node, turning any reporting

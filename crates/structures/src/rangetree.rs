@@ -8,7 +8,7 @@
 //! reporting and `O(log² n)` max, in `O(n log n)` space.
 //!
 //! This is the textbook alternative to the kd-tree substrate
-//! (`O(√n + t)` but linear space): `exp_range2d` measures the trade-off
+//! (`O(√n + t)` but linear space): experiment E19 measures the trade-off
 //! under the Theorem 2 reduction.
 
 use emsim::CostModel;

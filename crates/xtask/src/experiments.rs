@@ -1,4 +1,4 @@
-//! `cargo xtask experiments` — check EXPERIMENTS.md against the binaries.
+//! `cargo xtask experiments` — check EXPERIMENTS.md against `exp_all`.
 //!
 //! Every fenced block in EXPERIMENTS.md whose first line is an experiment
 //! header (`== E… ==`) is a copy of a table that `exp_all` prints. The

@@ -1,7 +1,7 @@
 //! # xtask — the workspace's own tooling
 //!
 //! `cargo xtask experiments` ([`experiments`]) compares the tables in
-//! EXPERIMENTS.md with what the experiment binaries print at paper scale.
+//! EXPERIMENTS.md with what `exp_all` prints at paper scale.
 //!
 //! The workspace invariants that once had a lexer-based checker here are
 //! kept by the compiler and clippy instead (see DESIGN.md §9): phase labels
