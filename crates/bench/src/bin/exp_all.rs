@@ -14,14 +14,17 @@
 //!   empty); any other value exits 2.
 //! * `--only <substring>` — run only the experiments whose registry name
 //!   contains the substring (`--only dominance` runs E9 and E20).
-//! * `--threads N` — worker count; default `available_parallelism()`.
-//!   `--sequential` is shorthand for 1.
+//! * `--threads N` — worker count, a positive integer; default
+//!   `available_parallelism()`. `--sequential` is shorthand for 1.
 //! * `--json PATH` — also write per-experiment wall-clock and I/Os to
 //!   `PATH` (the committed `BENCH_results.json` is
 //!   `SCALE=smoke exp_all --sequential --json BENCH_results.json`).
 //! * `--trace PATH` — write a Chrome-trace JSON of every phase span across
 //!   all experiments (see OBSERVABILITY.md). Purely observational: I/O
 //!   counts are identical with or without it.
+//!
+//! An unknown flag, a flag without its value or an invalid `--threads`
+//! prints the usage line and exits 2 before anything runs.
 
 use std::fmt::Write as _;
 
@@ -39,21 +42,18 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--only" => only = Some(args.next().expect("--only needs a substring")),
+            "--only" => only = Some(value(&mut args, "--only", "a substring")),
             "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads needs a positive integer");
+                threads = value(&mut args, "--threads", "a positive integer")
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage_error("--threads needs a positive integer"));
             }
             "--sequential" => threads = 1,
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--trace" => trace_path = Some(args.next().expect("--trace needs a path")),
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("usage: exp_all [--only <substring>] [--threads N] [--sequential] [--json PATH] [--trace PATH]");
-                std::process::exit(2);
-            }
+            "--json" => json_path = Some(value(&mut args, "--json", "a path")),
+            "--trace" => trace_path = Some(value(&mut args, "--trace", "a path")),
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
     let Some(scale) = Scale::from_env() else {
@@ -171,6 +171,19 @@ fn main() {
         }
         std::process::exit(1);
     }
+}
+
+/// The value after `flag`, or a usage error naming what it needs.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs {what}")))
+}
+
+/// Print `msg` and the usage line, and exit 2 without running anything.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("usage: exp_all [--only <substring>] [--threads N] [--sequential] [--json PATH] [--trace PATH]");
+    std::process::exit(2);
 }
 
 /// Hand-rolled JSON (the workspace has no serde): experiment name →

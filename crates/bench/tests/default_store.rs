@@ -2,8 +2,9 @@
 //! the temp directory when `EMSIM_DATA_DIR` is unset, and keeps a store
 //! the caller named. It runs in the temp directory too, so the same
 //! emptiness check shows that it writes no result file without `--json`.
-//! A `SCALE` other than `smoke` or `paper` makes it exit 2 before it runs
-//! anything.
+//! A `SCALE` other than `smoke` or `paper`, a flag without its value, or a
+//! `--threads` that is not a positive integer makes it exit 2 before it
+//! runs anything.
 
 #![expect(
     clippy::disallowed_methods,
@@ -79,5 +80,30 @@ fn an_unknown_scale_exits_2_without_running() {
         assert!(out.stdout.is_empty(), "SCALE={scale} printed a table");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("smoke|paper"), "{stderr}");
+    }
+}
+
+#[test]
+fn a_flag_without_its_value_exits_2_without_running() {
+    // `--only circular` first, so a regression runs one small experiment,
+    // not the registry.
+    for args in [
+        &["--only"][..],
+        &["--only", "circular", "--json"],
+        &["--only", "circular", "--trace"],
+        &["--only", "circular", "--threads"],
+        &["--only", "circular", "--threads", "two"],
+        &["--only", "circular", "--threads", "0"],
+        &["--only", "circular", "--threads", "-1"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_exp_all"))
+            .args(args)
+            .env("SCALE", "smoke")
+            .output()
+            .expect("exp_all runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a table");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: exp_all"), "{args:?}: {stderr}");
     }
 }

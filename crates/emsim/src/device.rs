@@ -1073,22 +1073,41 @@ impl BlockDevice for CountingDevice {
 mod tests {
     use super::*;
 
-    fn tmp_dir(name: &str) -> PathBuf {
+    /// A test's scratch directory, removed on drop: hold it for as long as
+    /// a `FileDevice` in it lives.
+    struct TmpDir(PathBuf);
+
+    impl TmpDir {
+        fn path(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// `emsim-device-test-<pid>-<name>` under the temp directory, with any
+    /// stale copy removed.
+    fn tmp_dir(name: &str) -> TmpDir {
         let dir =
             std::env::temp_dir().join(format!("emsim-device-test-{}-{name}", std::process::id()));
         #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
         let _ = fs::remove_dir_all(&dir);
-        dir
+        TmpDir(dir)
     }
 
     fn id(ns: u64, array: u64, block: u64) -> BlockId {
         BlockId { ns, array, block }
     }
 
-    fn both_devices(name: &str) -> Vec<Box<dyn BlockDevice>> {
+    fn both_devices(dir: &TmpDir) -> Vec<Box<dyn BlockDevice>> {
         vec![
             Box::new(MemDevice::new()),
-            Box::new(FileDevice::open(tmp_dir(name)).expect("open")),
+            Box::new(FileDevice::open(dir.path()).expect("open")),
         ]
     }
 
@@ -1101,7 +1120,8 @@ mod tests {
 
     #[test]
     fn read_your_writes_before_sync() {
-        for dev in both_devices("ryw") {
+        let dir = tmp_dir("ryw");
+        for dev in both_devices(&dir) {
             assert!(dev.is_empty());
             dev.write(id(1, 2, 3), b"hello").expect("write");
             assert_eq!(
@@ -1116,7 +1136,8 @@ mod tests {
 
     #[test]
     fn crash_discards_staged_keeps_committed() {
-        for dev in both_devices("crash_staged") {
+        let dir = tmp_dir("crash_staged");
+        for dev in both_devices(&dir) {
             dev.write(id(0, 0, 0), b"durable").expect("write");
             #[expect(
                 clippy::disallowed_methods,
@@ -1140,7 +1161,8 @@ mod tests {
 
     #[test]
     fn overwrite_visibility_tracks_latest() {
-        for dev in both_devices("overwrite") {
+        let dir = tmp_dir("overwrite");
+        for dev in both_devices(&dir) {
             dev.write(id(0, 7, 0), b"v1").expect("write");
             #[expect(
                 clippy::disallowed_methods,
@@ -1161,7 +1183,7 @@ mod tests {
     fn file_store_persists_across_reopen() {
         let dir = tmp_dir("reopen");
         {
-            let dev = FileDevice::open(&dir).expect("open");
+            let dev = FileDevice::open(dir.path()).expect("open");
             dev.write(id(NAMED_NS, 9, 0), b"block-zero").expect("write");
             dev.write(id(NAMED_NS, 9, 1), b"block-one").expect("write");
             #[expect(
@@ -1172,7 +1194,7 @@ mod tests {
             dev.write(id(NAMED_NS, 9, 2), b"never-synced")
                 .expect("write");
         }
-        let dev = FileDevice::open(&dir).expect("reopen");
+        let dev = FileDevice::open(dir.path()).expect("reopen");
         let rec = dev.recovery();
         assert_eq!(rec.generation, 1);
         assert_eq!(rec.committed_blocks, 2);
@@ -1188,16 +1210,15 @@ mod tests {
         );
         assert_eq!(dev.read(id(NAMED_NS, 9, 2)).expect("read"), None);
         assert_eq!(dev.blocks_of(NAMED_NS, 9), vec![0, 1]);
-        #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_write_is_detected_as_corrupt() {
         let plan = FaultPlan::new(3).with_torn_write(1.0);
+        let dir = tmp_dir("torn");
         for dev in [
             Box::new(MemDevice::with_plan(plan)) as Box<dyn BlockDevice>,
-            Box::new(FileDevice::open_with(tmp_dir("torn"), plan).expect("open")),
+            Box::new(FileDevice::open_with(dir.path(), plan).expect("open")),
         ] {
             dev.write(id(0, 1, 0), b"sixteen bytes!!!")
                 .expect("writer sees success");
@@ -1217,7 +1238,7 @@ mod tests {
         let dir = tmp_dir("crashpoint");
         let plan = FaultPlan::new(0).with_crash_point(2);
         {
-            let dev = FileDevice::open_with(&dir, plan).expect("open");
+            let dev = FileDevice::open_with(dir.path(), plan).expect("open");
             dev.write(id(0, 0, 0), b"first-write!").expect("write 0");
             dev.write(id(0, 0, 1), b"second-write").expect("write 1");
             #[expect(
@@ -1241,7 +1262,7 @@ mod tests {
         }
         // Reopen fault-free: the committed prefix survives, the torn tail
         // is truncated.
-        let dev = FileDevice::open(&dir).expect("recovery");
+        let dev = FileDevice::open(dir.path()).expect("recovery");
         let rec = dev.recovery();
         assert_eq!(rec.generation, 1);
         assert_eq!(rec.committed_blocks, 2);
@@ -1259,8 +1280,6 @@ mod tests {
             Some(b"second-write".to_vec())
         );
         assert_eq!(dev.read(id(0, 0, 2)).expect("read"), None);
-        #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1306,7 +1325,7 @@ mod tests {
     fn catalog_corruption_is_detected_on_open() {
         let dir = tmp_dir("badcat");
         {
-            let dev = FileDevice::open(&dir).expect("open");
+            let dev = FileDevice::open(dir.path()).expect("open");
             dev.write(id(0, 0, 0), b"data").expect("write");
             #[expect(
                 clippy::disallowed_methods,
@@ -1315,7 +1334,7 @@ mod tests {
             dev.sync().expect("sync");
         }
         // Flip a byte in the committed catalog: the footer CRC must catch it.
-        let cat = dir.join(CATALOG_NAME);
+        let cat = dir.path().join(CATALOG_NAME);
         #[expect(
             clippy::disallowed_methods,
             reason = "the test corrupts the catalog on purpose"
@@ -1328,7 +1347,7 @@ mod tests {
             reason = "the test corrupts the catalog on purpose"
         )]
         fs::write(&cat, bytes).expect("rewrite catalog");
-        let err = FileDevice::open(&dir).expect_err("corrupt catalog");
+        let err = FileDevice::open(dir.path()).expect_err("corrupt catalog");
         assert_eq!(
             err,
             EmError::Corrupt {
@@ -1336,28 +1355,22 @@ mod tests {
                 block: u64::MAX
             }
         );
-        #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
-        let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Install `catalog` as the committed catalog of a fresh store and
-    /// open it.
-    fn open_with_forged_catalog(name: &str, catalog: &[u8]) -> Result<FileDevice, EmError> {
-        let dir = tmp_dir(name);
+    /// Install `catalog` as the committed catalog of a fresh store in
+    /// `dir` and open it.
+    fn open_with_forged_catalog(dir: &TmpDir, catalog: &[u8]) -> Result<FileDevice, EmError> {
         #[expect(
             clippy::disallowed_methods,
             reason = "the test forges a catalog on purpose"
         )]
-        fs::create_dir_all(&dir).expect("mkdir");
+        fs::create_dir_all(dir.path()).expect("mkdir");
         #[expect(
             clippy::disallowed_methods,
             reason = "the test forges a catalog on purpose"
         )]
-        fs::write(dir.join(CATALOG_NAME), catalog).expect("write catalog");
-        let opened = FileDevice::open(&dir);
-        #[expect(clippy::disallowed_methods, reason = "test scratch directory")]
-        let _ = fs::remove_dir_all(&dir);
-        opened
+        fs::write(dir.path().join(CATALOG_NAME), catalog).expect("write catalog");
+        FileDevice::open(dir.path())
     }
 
     #[test]
@@ -1367,7 +1380,8 @@ mod tests {
         catalog.extend_from_slice(&(u64::MAX / 40).to_le_bytes());
         let footer = crc64(&catalog); // a valid CRC over a forged count
         catalog.extend_from_slice(&footer.to_le_bytes());
-        let err = open_with_forged_catalog("forged-count", &catalog).expect_err("forged count");
+        let dir = tmp_dir("forged-count");
+        let err = open_with_forged_catalog(&dir, &catalog).expect_err("forged count");
         assert_eq!(err, catalog_corrupt());
     }
 
@@ -1379,7 +1393,8 @@ mod tests {
             crc: 0,
         };
         let catalog = serialize_catalog(1, &HashMap::from([(id(0, 0, 0), entry)]));
-        let err = open_with_forged_catalog("forged-extent", &catalog).expect_err("forged extent");
+        let dir = tmp_dir("forged-extent");
+        let err = open_with_forged_catalog(&dir, &catalog).expect_err("forged extent");
         assert_eq!(err, catalog_corrupt());
     }
 
@@ -1402,7 +1417,8 @@ mod tests {
             1,
             &HashMap::from([(id(0, 0, 0), huge), (id(0, 0, 1), small)]),
         );
-        let dev = open_with_forged_catalog("forged-len", &catalog).expect("open");
+        let dir = tmp_dir("forged-len");
+        let dev = open_with_forged_catalog(&dir, &catalog).expect("open");
         assert_eq!(dev.recovery().corrupt_blocks, 2);
         assert!(matches!(
             dev.read(id(0, 0, 0)),
@@ -1456,7 +1472,8 @@ mod tests {
 
     #[test]
     fn empty_payload_roundtrips() {
-        for dev in both_devices("empty") {
+        let dir = tmp_dir("empty");
+        for dev in both_devices(&dir) {
             dev.write(id(0, 0, 0), b"").expect("write");
             #[expect(
                 clippy::disallowed_methods,

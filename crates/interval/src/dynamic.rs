@@ -19,15 +19,22 @@
 //!   them in per-leaf *partial* runs that queries check explicitly. Each
 //!   partial run is a block of its own, read by every query in its slab.
 //! * Runs live in one sparse [`NodeArena`]: a node gets a run the first
-//!   time an interval lands on it, and most nodes never do. Inserting into
-//!   or deleting from a run of `s` items moves up to `s` of them, which is
-//!   cheap while runs stay short (see DESIGN.md substitution 2).
+//!   time an interval lands on it, and most nodes never do. A run holds
+//!   `u32` slots into one slab that stores each live interval once, so an
+//!   interval in a dozen runs costs a dozen 4-byte slots, not a dozen
+//!   copies. A delete frees its slot and an insert reuses a freed one.
+//!   Inserting into or deleting from a run of `s` items moves up to `s`
+//!   slots, which is cheap while runs stay short (see DESIGN.md
+//!   substitution 2). The slots are the in-memory layout only: the
+//!   modeled blocks, and what queries and updates are charged, count the
+//!   run members as before.
 //! * A global rebuild (re-gridding on the current endpoints) runs every
 //!   `max(64, n/2)` inserts, keeping the partial sets small — `O(log² n)`
 //!   amortized updates for endpoint distributions that do not concentrate
 //!   adversarially between grid points (the worst case degrades toward the
-//!   rebuild cost; see DESIGN.md). It places the intervals in weight
-//!   order, so every run it fills is appended to.
+//!   rebuild cost; see DESIGN.md). It places the live slots in weight
+//!   order, so every run it fills is appended to, and leaves the slab and
+//!   the weight-to-slot registry as they are.
 
 use std::collections::HashMap;
 
@@ -39,21 +46,26 @@ use topk_core::{
 
 use crate::Interval;
 
-/// A canonical or partial set: its intervals in ascending weight order.
+/// A canonical or partial set: the slots of its intervals in the
+/// structure's slab, in ascending weight order.
 #[derive(Default)]
-struct SortedRun(Vec<Interval>);
+struct SlotRun(Vec<u32>);
 
-impl SortedRun {
-    /// Add `iv`, whose weight the run must not hold yet.
-    fn insert(&mut self, iv: Interval) {
-        let at = self.0.partition_point(|x| x.weight < iv.weight);
-        debug_assert!(self.0.get(at).is_none_or(|x| x.weight != iv.weight));
-        self.0.insert(at, iv);
+impl SlotRun {
+    /// Add `slot`, whose interval's weight the run must not hold yet.
+    fn insert(&mut self, slab: &[Interval], slot: u32) {
+        let w = slab[slot as usize].weight;
+        let at = self.0.partition_point(|&s| slab[s as usize].weight < w);
+        debug_assert!(self.0.get(at).is_none_or(|&s| slab[s as usize].weight != w));
+        self.0.insert(at, slot);
     }
 
-    /// Remove the interval of weight `w`; `false` if there is none.
-    fn remove(&mut self, w: Weight) -> bool {
-        match self.0.binary_search_by_key(&w, |x| x.weight) {
+    /// Remove the slot of weight `w`; `false` if there is none.
+    fn remove(&mut self, slab: &[Interval], w: Weight) -> bool {
+        match self
+            .0
+            .binary_search_by_key(&w, |&s| slab[s as usize].weight)
+        {
             Ok(at) => {
                 self.0.remove(at);
                 true
@@ -62,15 +74,24 @@ impl SortedRun {
         }
     }
 
-    /// The members of weight at least `tau`, heaviest first.
-    fn at_least(&self, tau: Weight) -> impl Iterator<Item = &Interval> {
-        let from = self.0.partition_point(|x| x.weight < tau);
-        self.0[from..].iter().rev()
+    /// The members of weight at least `tau`, heaviest first. A scan from
+    /// the top reads one member past the last it yields, where a binary
+    /// search for `tau` would read `log s` slab entries before the first.
+    fn at_least<'a>(
+        &'a self,
+        slab: &'a [Interval],
+        tau: Weight,
+    ) -> impl Iterator<Item = &'a Interval> {
+        self.0
+            .iter()
+            .rev()
+            .map(|&s| &slab[s as usize])
+            .take_while(move |iv| iv.weight >= tau)
     }
 
     /// The heaviest member.
-    fn max(&self) -> Option<&Interval> {
-        self.0.last()
+    fn max<'a>(&self, slab: &'a [Interval]) -> Option<&'a Interval> {
+        self.0.last().map(|&s| &slab[s as usize])
     }
 
     fn len(&self) -> usize {
@@ -151,12 +172,17 @@ impl Grid {
 pub struct DynStabbing {
     grid: Grid,
     /// The canonical and partial runs, by [`Grid`] arena id.
-    sets: NodeArena<SortedRun>,
-    /// The record blocks of the canonical nodes, one `SortedRun` header
+    sets: NodeArena<SlotRun>,
+    /// The record blocks of the canonical nodes, one `SlotRun` header
     /// per node.
     groups: RecordGroups,
-    /// All live intervals by weight.
-    registry: HashMap<Weight, Interval>,
+    /// Every live interval once, at its slot; a freed slot keeps its stale
+    /// interval until an insert reuses it.
+    slab: Vec<Interval>,
+    /// The slots deletes freed, reused before the slab grows.
+    free: Vec<u32>,
+    /// The slot of every live interval, by weight.
+    registry: HashMap<Weight, u32>,
     inserts_since_build: usize,
     array_id: u64,
     model: CostModel,
@@ -168,32 +194,55 @@ impl DynStabbing {
         let mut s = DynStabbing {
             grid: Grid::new(Vec::new(), 1),
             sets: NodeArena::new(0),
-            groups: RecordGroups::of::<SortedRun>(model.config()),
-            registry: HashMap::new(),
+            groups: RecordGroups::of::<SlotRun>(model.config()),
+            slab: Vec::with_capacity(items.len()),
+            free: Vec::new(),
+            registry: HashMap::with_capacity(items.len()),
             inserts_since_build: 0,
             array_id: model.new_array_id(),
             model: model.clone(),
         };
         for iv in items {
-            let prev = s.registry.insert(iv.weight, iv);
-            assert!(prev.is_none(), "duplicate weight {}", iv.weight);
+            s.register(iv);
         }
         s.rebuild();
         s
     }
 
+    /// Store `iv` in a free slot (or a new one) and register it under its
+    /// weight, which must not be live yet.
+    fn register(&mut self, iv: Interval) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = iv;
+                slot
+            }
+            None => {
+                self.slab.push(iv);
+                u32::try_from(self.slab.len() - 1).expect("live interval count fits u32")
+            }
+        };
+        let prev = self.registry.insert(iv.weight, slot);
+        assert!(prev.is_none(), "duplicate weight {}", iv.weight);
+        slot
+    }
+
     fn rebuild(&mut self) {
-        let mut items: Vec<Interval> = self.registry.values().copied().collect();
-        items.sort_unstable_by_key(|iv| iv.weight);
-        let mut xs: Vec<f64> = items.iter().flat_map(|iv| [iv.lo, iv.hi]).collect();
+        let slab = &self.slab;
+        let mut slots: Vec<u32> = self.registry.values().copied().collect();
+        slots.sort_unstable_by_key(|&s| slab[s as usize].weight);
+        let mut xs: Vec<f64> = slots
+            .iter()
+            .flat_map(|&s| [slab[s as usize].lo, slab[s as usize].hi])
+            .collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         xs.dedup();
         self.grid = Grid::new(xs, self.model.config().items_per_block::<f64>());
         self.sets = NodeArena::new(3 * self.grid.cap);
         self.inserts_since_build = 0;
         // Ascending weights: every run insert below is an append.
-        for iv in items {
-            self.place(iv);
+        for slot in slots {
+            self.place(slot);
         }
         // Charge a rebuild as one full write pass over the structure, plus
         // the search levels.
@@ -202,17 +251,20 @@ impl DynStabbing {
         );
     }
 
-    /// Add `iv` to its sets (registry already updated).
-    fn place(&mut self, iv: Interval) {
-        self.grid
-            .for_each_set(&iv, |u| self.sets.get_or_default_mut(u).insert(iv));
+    /// Add the interval at `slot` to its sets (registry already updated).
+    fn place(&mut self, slot: u32) {
+        let slab = &self.slab;
+        let sets = &mut self.sets;
+        self.grid.for_each_set(&slab[slot as usize], |u| {
+            sets.get_or_default_mut(u).insert(slab, slot);
+        });
     }
 
     /// Total partial-set size (diagnostics for the rebuild policy).
     pub fn partial_population(&self) -> usize {
         (0..self.grid.cap)
             .filter_map(|slab| self.sets.get(self.grid.partial(slab)))
-            .map(SortedRun::len)
+            .map(SlotRun::len)
             .sum()
     }
 }
@@ -224,23 +276,24 @@ impl PrioritizedIndex<Interval, f64> for DynStabbing {
             return;
         }
         let read = |block| self.model.touch(self.array_id, block);
-        let slab = self.grid.locate(q, read);
+        let leaf = self.grid.locate(q, read);
         // Partial set at the leaf: explicit stabbing check.
-        let partial = self.grid.partial(slab);
+        let partial = self.grid.partial(leaf);
         read(partial as u64);
         if let Some(run) = self.sets.get(partial) {
-            for iv in run.at_least(tau) {
+            for iv in run.at_least(&self.slab, tau) {
                 if iv.stabs(q) && !visit(iv) {
                     return;
                 }
             }
         }
-        // Full sets along the path: every member covers the slab entirely.
+        // Full sets along the path: every member covers the leaf's slab
+        // entirely.
         let mut walk = self.groups.walk();
-        for u in self.grid.path(slab) {
+        for u in self.grid.path(leaf) {
             walk.visit(u, read);
             if let Some(run) = self.sets.get(u) {
-                for iv in run.at_least(tau) {
+                for iv in run.at_least(&self.slab, tau) {
                     debug_assert!(iv.stabs(q));
                     if !visit(iv) {
                         return;
@@ -269,18 +322,18 @@ impl MaxIndex<Interval, f64> for DynStabbing {
             return None;
         }
         let read = |block| self.model.touch(self.array_id, block);
-        let slab = self.grid.locate(q, read);
-        let partial = self.grid.partial(slab);
+        let leaf = self.grid.locate(q, read);
+        let partial = self.grid.partial(leaf);
         read(partial as u64);
         // Heaviest first: the first partial member that stabs is its max.
         let mut best = self
             .sets
             .get(partial)
-            .and_then(|run| run.at_least(0).find(|iv| iv.stabs(q)));
+            .and_then(|run| run.at_least(&self.slab, 0).find(|iv| iv.stabs(q)));
         let mut walk = self.groups.walk();
-        for u in self.grid.path(slab) {
+        for u in self.grid.path(leaf) {
             walk.visit(u, read);
-            if let Some(iv) = self.sets.get(u).and_then(SortedRun::max) {
+            if let Some(iv) = self.sets.get(u).and_then(|run| run.max(&self.slab)) {
                 if best.is_none_or(|b| iv.weight > b.weight) {
                     best = Some(iv);
                 }
@@ -300,9 +353,8 @@ impl MaxIndex<Interval, f64> for DynStabbing {
 
 impl DynamicIndex<Interval> for DynStabbing {
     fn insert(&mut self, iv: Interval) {
-        let prev = self.registry.insert(iv.weight, iv);
-        assert!(prev.is_none(), "duplicate weight {}", iv.weight);
-        self.place(iv);
+        let slot = self.register(iv);
+        self.place(slot);
         self.inserts_since_build += 1;
         // Charge the canonical assignment.
         self.model
@@ -313,13 +365,16 @@ impl DynamicIndex<Interval> for DynStabbing {
     }
 
     fn delete(&mut self, weight: Weight) -> bool {
-        let Some(iv) = self.registry.remove(&weight) else {
+        let Some(slot) = self.registry.remove(&weight) else {
             return false;
         };
-        self.grid.for_each_set(&iv, |u| {
-            let removed = self.sets.get_mut(u).is_some_and(|run| run.remove(weight));
+        let slab = &self.slab;
+        let sets = &mut self.sets;
+        self.grid.for_each_set(&slab[slot as usize], |u| {
+            let removed = sets.get_mut(u).is_some_and(|run| run.remove(slab, weight));
             debug_assert!(removed, "weight {weight} missing from set {u}");
         });
+        self.free.push(slot);
         self.model
             .charge_writes((self.grid.xs.len().max(2) as f64).log2() as u64 + 1);
         true
@@ -399,30 +454,43 @@ mod tests {
         }
     }
 
+    /// Store an interval of weight `w` at a fresh slot of `slab`.
+    fn push_slot(slab: &mut Vec<Interval>, w: Weight) -> u32 {
+        slab.push(Interval::new(0.0, 1.0, w));
+        (slab.len() - 1) as u32
+    }
+
     #[test]
     fn sorted_run_matches_btreemap_model() {
         let mut rng = StdRng::seed_from_u64(57);
         for _ in 0..40 {
-            let mut run = SortedRun::default();
-            let mut model: BTreeMap<Weight, Interval> = BTreeMap::new();
+            let mut run = SlotRun::default();
+            // Slots are handed out in insertion order, so slot order and
+            // weight order differ.
+            let mut slab = Vec::new();
+            let mut model: BTreeMap<Weight, u32> = BTreeMap::new();
             let universe = rng.gen_range(1..80u64);
             for _ in 0..300 {
                 let w = rng.gen_range(0..universe);
                 if rng.gen_bool(0.5) {
-                    if let Entry::Vacant(slot) = model.entry(w) {
-                        let iv = Interval::new(0.0, 1.0, w);
-                        slot.insert(iv);
-                        run.insert(iv);
+                    if let Entry::Vacant(entry) = model.entry(w) {
+                        let slot = push_slot(&mut slab, w);
+                        entry.insert(slot);
+                        run.insert(&slab, slot);
                     }
                 } else {
-                    assert_eq!(run.remove(w), model.remove(&w).is_some(), "remove {w}");
+                    assert_eq!(
+                        run.remove(&slab, w),
+                        model.remove(&w).is_some(),
+                        "remove {w}"
+                    );
                 }
                 let tau = rng.gen_range(0..universe + 2);
-                let got: Vec<Weight> = run.at_least(tau).map(|iv| iv.weight).collect();
+                let got: Vec<Weight> = run.at_least(&slab, tau).map(|iv| iv.weight).collect();
                 let want: Vec<Weight> = model.range(tau..).rev().map(|(&w, _)| w).collect();
                 assert_eq!(got, want, "at_least({tau})");
                 assert_eq!(
-                    run.max().map(|iv| iv.weight),
+                    run.max(&slab).map(|iv| iv.weight),
                     model.keys().next_back().copied()
                 );
                 assert_eq!(run.len(), model.len());
@@ -432,15 +500,20 @@ mod tests {
 
     #[test]
     fn sorted_run_edge_cases() {
-        let mut run = SortedRun::default();
-        assert_eq!(run.at_least(0).count(), 0);
-        assert!(run.max().is_none());
-        assert!(!run.remove(5), "remove from an empty run");
+        let mut run = SlotRun::default();
+        let mut slab = Vec::new();
+        assert_eq!(run.at_least(&slab, 0).count(), 0);
+        assert!(run.max(&slab).is_none());
+        assert!(!run.remove(&slab, 5), "remove from an empty run");
         for w in [30, 10, 20] {
-            run.insert(Interval::new(0.0, 1.0, w));
+            let slot = push_slot(&mut slab, w);
+            run.insert(&slab, slot);
         }
-        let weights =
-            |run: &SortedRun, tau| run.at_least(tau).map(|iv| iv.weight).collect::<Vec<_>>();
+        let weights = |run: &SlotRun, tau| {
+            run.at_least(&slab, tau)
+                .map(|iv| iv.weight)
+                .collect::<Vec<_>>()
+        };
         assert_eq!(weights(&run, 0), vec![30, 20, 10]);
         assert_eq!(weights(&run, 20), vec![30, 20]);
         assert_eq!(
@@ -448,10 +521,58 @@ mod tests {
             Vec::<Weight>::new(),
             "τ above every weight"
         );
-        assert!(!run.remove(15), "remove an absent weight");
+        assert!(!run.remove(&slab, 15), "remove an absent weight");
         assert_eq!(run.len(), 3);
-        assert!(run.remove(30));
-        assert_eq!(run.max().map(|iv| iv.weight), Some(20));
+        assert!(run.remove(&slab, 30));
+        assert_eq!(run.max(&slab).map(|iv| iv.weight), Some(20));
+    }
+
+    #[test]
+    fn churn_reuses_slots_and_keeps_one_copy_per_live_interval() {
+        let model = CostModel::ram();
+        let mut reference = mk(300, 60);
+        let mut idx = DynStabbing::build(&model, reference.clone());
+        let mut rng = StdRng::seed_from_u64(61);
+        let mut peak = reference.len();
+        let mut next_w = 1_000_000u64;
+        let mut rebuilds = 0;
+        for step in 0..3_000 {
+            // Balanced churn: insert while at or below the start size,
+            // else flip a coin.
+            if reference.len() <= 300 || rng.gen_bool(0.5) {
+                let a: f64 = rng.gen_range(0.0..100.0);
+                let iv = Interval::new(a, a + rng.gen_range(0.0..25.0), next_w);
+                next_w += 1;
+                let before = idx.inserts_since_build;
+                idx.insert(iv);
+                rebuilds += usize::from(idx.inserts_since_build < before);
+                reference.push(iv);
+            } else {
+                let iv = reference.swap_remove(rng.gen_range(0..reference.len()));
+                assert!(idx.delete(iv.weight), "step {step}");
+            }
+            peak = peak.max(reference.len());
+            assert!(
+                idx.slab.len() <= peak,
+                "step {step}: {} slots, peak live {peak}",
+                idx.slab.len()
+            );
+            assert_eq!(idx.slab.len(), idx.registry.len() + idx.free.len());
+            if step % 97 == 0 {
+                check_all(&idx, &reference, &[rng.gen_range(-5.0..130.0)]);
+            }
+        }
+        assert!(rebuilds >= 1, "the churn passed no rebuild");
+        // Each live weight maps to one slot holding its interval, and no
+        // two weights share a slot.
+        assert_eq!(idx.registry.len(), reference.len());
+        let mut slots = std::collections::HashSet::new();
+        for iv in &reference {
+            let slot = idx.registry[&iv.weight];
+            assert_eq!(idx.slab[slot as usize], *iv);
+            assert!(slots.insert(slot), "slot {slot} shared");
+        }
+        check_all(&idx, &reference, &[0.0, 33.0, 66.6, 99.9]);
     }
 
     #[test]
