@@ -10,8 +10,8 @@
 //! The `exp_all` binary runs the registry ([`parallel::all_experiments`]),
 //! all of it or the entries `--only <substring>` names, and prints their
 //! tables. Costs are measured in the unit the theorems bound — simulated
-//! block I/Os from [`emsim::CostModel`] — plus wall-clock in the criterion
-//! benches (`benches/`).
+//! block I/Os from [`emsim::CostModel`]. Wall-clock is the job of the
+//! `perf` benchmark in `perfbench/`, a package outside the workspace.
 
 pub mod experiments;
 pub mod parallel;

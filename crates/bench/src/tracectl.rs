@@ -5,8 +5,8 @@
 //! OBSERVABILITY.md for the span taxonomy.
 //!
 //! Tracing is purely observational: simulated I/O counts are bit-identical
-//! with and without a sink (the CI trace-smoke job asserts this against
-//! the golden baseline).
+//! with and without a sink (the trace-smoke step of CI's build-test-lint
+//! job asserts this against the golden baseline).
 
 use std::sync::Arc;
 

@@ -154,11 +154,6 @@ where
             }
         }
     }
-
-    /// Number of tree nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 impl<E, Q, B> TopKIndex<E, Q> for CountingTopK<E, Q, B>

@@ -682,8 +682,8 @@ mod tests {
     }
 
     use crate::device::{BlockDevice, FileDevice, MemDevice};
-    use crate::sync::Arc;
     use crate::PoolPolicy;
+    use std::sync::Arc;
 
     fn meter_on(dev: Arc<dyn BlockDevice>) -> CostModel {
         CostModel::with_device(EmConfig::new(64), FaultPlan::none(), PoolPolicy::Lru, dev)

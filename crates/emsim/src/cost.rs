@@ -24,9 +24,9 @@
 //! call; [`credit_thread`] folds a worker thread's tally back into its
 //! parent's.
 
-use crate::sync::{Arc, Counter, Flag, Mutex, MutexGuard};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::device::{self, BlockDevice, BlockId, DeviceClass};
 use crate::error::EmError;
@@ -34,6 +34,7 @@ use crate::fault::{FaultPlan, Retrier};
 use crate::kernels::Backend;
 use crate::pool::LruPool;
 use crate::substrate::Substrate;
+use crate::sync::{Counter, Flag};
 use crate::trace::{self, CostReport, Phase, RecordingSink, SpanGuard, TraceEvent, TraceSink};
 
 /// Lock a mutex, recovering from poisoning: the protected state (counters,
@@ -139,15 +140,8 @@ fn tally_writes(n: u64) {
     THREAD_WRITES.with(|c| c.set(c.get() + n));
 }
 
-/// Allocator of per-meter device namespaces ([`BlockId::ns`]): deliberately
-/// a plain `std` atomic even under loom (like `OnceLock` in `sync.rs`) —
-/// it is an id fountain with no interleaving to explore, and making it a
-/// loom atomic would burn model state on every meter construction.
-#[expect(
-    clippy::disallowed_types,
-    reason = "a Relaxed id fountain that stays std under loom, see above"
-)]
-static NEXT_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// Allocator of per-meter device namespaces ([`BlockId::ns`]).
+static NEXT_NS: Counter = Counter::new(0);
 
 #[derive(Debug)]
 struct Inner {
@@ -357,7 +351,7 @@ impl CostModel {
                 pool: Mutex::new(LruPool::new(config.mem_blocks)),
                 next_array_id: Counter::new(0),
                 device,
-                ns: NEXT_NS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                ns: NEXT_NS.add(1),
                 kernels,
                 device_checked: Flag::new(device_checked),
                 tracing: Flag::new(false),

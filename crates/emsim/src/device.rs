@@ -44,10 +44,10 @@ use std::fs;
 use std::io::Write as _;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::EmError;
 use crate::fault::FaultPlan;
-use crate::sync::{Arc, Mutex};
 
 /// Which kind of physical substrate a device is — the key that
 /// [`FaultPlan::scope`](crate::FaultPlan) gates on.
@@ -236,7 +236,7 @@ impl MemDevice {
         }
     }
 
-    fn lock(&self) -> crate::sync::MutexGuard<'_, MemState> {
+    fn lock(&self) -> MutexGuard<'_, MemState> {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -503,7 +503,7 @@ impl FileDevice {
         self.lock().recovery
     }
 
-    fn lock(&self) -> crate::sync::MutexGuard<'_, FileState> {
+    fn lock(&self) -> MutexGuard<'_, FileState> {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -298,11 +298,6 @@ impl Retrier {
         Retrier { budget }
     }
 
-    /// No retries: every transient fault is surfaced immediately.
-    pub fn fail_fast() -> Self {
-        Retrier { budget: 0 }
-    }
-
     /// Run `f(attempt)` for attempts `0, 1, …` until it succeeds, fails
     /// non-transiently, or the budget is exhausted (in which case the last
     /// transient error is converted to [`EmError::Exhausted`]).
@@ -522,7 +517,7 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let file = crate::sync::Arc::new(FileDevice::open(&dir).expect("open"));
+        let file = std::sync::Arc::new(FileDevice::open(&dir).expect("open"));
         let on_file = Substrate {
             device: Some(file),
             ..Substrate::current()

@@ -43,9 +43,8 @@
 //!   spans ([`CostModel::span`]), pluggable [`TraceSink`]s, EXPLAIN-style
 //!   [`CostReport`]s ([`CostModel::explain`]), and Chrome-trace /
 //!   Prometheus exporters. See OBSERVABILITY.md.
-//! * [`sync`] — the `loom`-switched synchronization facade, and the
-//!   workspace's only atomics: the `Relaxed`-only [`sync::Counter`] and
-//!   [`sync::Flag`].
+//! * [`sync`] — the workspace's only atomics: the `Relaxed`-only
+//!   [`sync::Counter`] and [`sync::Flag`].
 //! * [`substrate`] — the one value ([`Substrate`]) naming what a meter
 //!   runs on: device, kernel backend, fault plan and trace sink. Each
 //!   meter owns one and its scoped children inherit it; [`CostModel::new`]

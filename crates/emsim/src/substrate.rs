@@ -12,17 +12,15 @@
 //!
 //! [`CostModel::new`](crate::CostModel::new) builds on the process
 //! default: [`Substrate::from_env`] on first use, replaceable for a region
-//! with [`Substrate::install`]. The default slot is a `std` mutex even
-//! under `loom` (see `sync.rs`).
+//! with [`Substrate::install`].
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::device::FileDevice;
 use crate::error::EmError;
 use crate::fault::FaultPlan;
 use crate::kernels::Backend;
-use crate::sync::Arc;
 use crate::trace::TraceSink;
 
 /// What a meter runs on. Every field is purely logical below the meter:

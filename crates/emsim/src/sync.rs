@@ -1,14 +1,5 @@
-//! Switchable synchronization imports: `std::sync` normally, `loom::sync`
-//! under `--features loom`, and the workspace's only atomics.
-//!
-//! The meter, the devices and the trace sinks import their primitives
-//! from here instead of `std::sync` directly, so building with the `loom`
-//! feature routes every atomic and mutex operation through the model
-//! checker's instrumented types — the `loom_models.rs` integration test
-//! then drives `ScopedMeter` rollup and a shared meter's totals across
-//! perturbed thread schedules. Without the feature these are plain
-//! re-exports and the compiled code is byte-identical to importing
-//! `std::sync`, so golden I/O baselines are untouched.
+//! The workspace's only atomics: the `Relaxed`-only [`Counter`] and
+//! [`Flag`].
 //!
 //! Every atomic in the workspace is a statistics [`Counter`] or an
 //! activation [`Flag`] whose readers tolerate staleness; cross-thread
@@ -24,28 +15,13 @@
 //! let c = Counter::new(0);
 //! c.add(1, Ordering::SeqCst);
 //! ```
-//!
-//! The default-substrate slot (`substrate.rs`) deliberately stays a `std`
-//! mutex even under loom: it is filled from the environment on first use
-//! and read once per meter construction, so there is no interleaving in
-//! it to explore, and a loom mutex in a `static` would outlive the model
-//! that created it.
 
-#![cfg_attr(
-    not(feature = "loom"),
-    expect(
-        clippy::disallowed_types,
-        reason = "the Relaxed-only wrappers that every other atomic use is funnelled into"
-    )
+#![expect(
+    clippy::disallowed_types,
+    reason = "the Relaxed-only wrappers that every other atomic use is funnelled into"
 )]
 
-#[cfg(feature = "loom")]
-pub(crate) use loom::sync::{atomic, Arc, Mutex, MutexGuard};
-
-#[cfg(not(feature = "loom"))]
-pub(crate) use std::sync::{atomic, Arc, Mutex, MutexGuard};
-
-use atomic::Ordering::Relaxed;
+use std::sync::atomic::{self, Ordering::Relaxed};
 
 /// A `u64` counter shared between threads, every access `Relaxed`: a
 /// statistics total, a work-stealing index or an id fountain.

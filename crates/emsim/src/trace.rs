@@ -49,11 +49,11 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-
-use crate::sync::{Arc, Counter, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::cost::lock_recover;
+use crate::sync::Counter;
 
 /// A registered phase label. Its field is private, so the consts in
 /// [`phase`] are the only values: every span opened anywhere carries one

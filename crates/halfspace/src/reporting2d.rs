@@ -61,11 +61,6 @@ impl ConvexLayersHalfplane {
         );
         s
     }
-
-    /// Number of layers (diagnostics).
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 impl ReportingIndex<WPoint2, Halfplane> for ConvexLayersHalfplane {

@@ -20,54 +20,57 @@ fn cost_model_is_send_sync_and_shareable() {
 }
 
 /// N threads hammer one shared meter; the final counters must equal the
-/// sum of what each thread reports having charged.
+/// sum of what each thread reports having charged. The meter runs once
+/// with a buffer pool and once without, where `touch` skips the pool lock.
 #[test]
 fn concurrent_charges_are_exact() {
-    let model = CostModel::new(EmConfig::with_memory(64, 8));
-    let threads = 8;
-    let per_thread_ops = 10_000u64;
-    let expected_reads = Counter::new(0);
-    let expected_writes = Counter::new(0);
+    for config in [EmConfig::with_memory(64, 8), EmConfig::new(64)] {
+        let model = CostModel::new(config);
+        let threads = 8;
+        let per_thread_ops = 10_000u64;
+        let expected_reads = Counter::new(0);
+        let expected_writes = Counter::new(0);
 
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let model = model.clone();
-            let expected_reads = &expected_reads;
-            let expected_writes = &expected_writes;
-            s.spawn(move || {
-                let mut reads = 0u64;
-                let mut writes = 0u64;
-                for i in 0..per_thread_ops {
-                    match i % 4 {
-                        0 => {
-                            model.charge_reads(1 + t);
-                            reads += 1 + t;
-                        }
-                        1 => {
-                            model.charge_writes(2);
-                            writes += 2;
-                        }
-                        2 => {
-                            // Distinct blocks per thread and op: every touch
-                            // misses the pool and costs one read.
-                            model.touch(t, per_thread_ops + i);
-                            reads += 1;
-                        }
-                        _ => {
-                            model.charge_scan::<u64>(64);
-                            reads += 1;
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let model = model.clone();
+                let expected_reads = &expected_reads;
+                let expected_writes = &expected_writes;
+                s.spawn(move || {
+                    let mut reads = 0u64;
+                    let mut writes = 0u64;
+                    for i in 0..per_thread_ops {
+                        match i % 4 {
+                            0 => {
+                                model.charge_reads(1 + t);
+                                reads += 1 + t;
+                            }
+                            1 => {
+                                model.charge_writes(2);
+                                writes += 2;
+                            }
+                            2 => {
+                                // Distinct blocks per thread and op: every
+                                // touch misses the pool and costs one read.
+                                model.touch(t, per_thread_ops + i);
+                                reads += 1;
+                            }
+                            _ => {
+                                model.charge_scan::<u64>(64);
+                                reads += 1;
+                            }
                         }
                     }
-                }
-                expected_reads.add(reads);
-                expected_writes.add(writes);
-            });
-        }
-    });
+                    expected_reads.add(reads);
+                    expected_writes.add(writes);
+                });
+            }
+        });
 
-    let r = model.report();
-    assert_eq!(r.reads, expected_reads.get());
-    assert_eq!(r.writes, expected_writes.get());
+        let r = model.report();
+        assert_eq!(r.reads, expected_reads.get(), "{config:?}");
+        assert_eq!(r.writes, expected_writes.get(), "{config:?}");
+    }
 }
 
 /// Concurrent scoped trials: every child's charges (including pool
